@@ -120,8 +120,13 @@ def _make_ctx(args):
 
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, 'w', encoding='utf-8') as fh:
-            fh.write(text)
+        try:
+            with open(args.out, 'w', encoding='utf-8') as fh:
+                fh.write(text)
+        except OSError as exc:
+            # a bad --out is a usage error (exit 2), not exit 1, which
+            # means an oracle disagreed
+            raise ValueError(f"cannot write {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 

@@ -103,7 +103,7 @@ def step_state(state: CriterionState, xi: FieldElement) -> CriterionState:
     t = state.d / c
     c_sq = c * c
     new_a = -(state.a * state.d)
-    new_c = c_sq * (xi - t ** xi.ctx.p + t)
+    new_c = c_sq * (xi - t.frobenius() + t)
     new_d = -c_sq
     return CriterionState(state.n + 1, new_a, new_c, new_d)
 
@@ -215,6 +215,34 @@ class StabilityVerdict:
 
     @classmethod
     def from_dict(cls, data: dict) -> "StabilityVerdict":
+        """Rebuild a verdict from :meth:`to_dict` output.
+
+        Raises ValueError when the data cannot be a verdict: an unknown
+        outcome, a witness or cycle data that does not fit the outcome, a
+        trace table of the wrong length or not numbered 1, 2, ..., or a
+        negative ``state_steps``.
+        """
+        outcome = data['outcome']
+        witness_n = data['witness_n']
+        mu, lam = data['preperiod'], data['period']
+        table = data['trace_table']
+        if outcome == STABLE:
+            ok = (witness_n is None and _is_count(mu, 0)
+                  and _is_count(lam, 1) and len(table) == mu + lam + 1)
+        elif outcome == UNSTABLE:
+            ok = (_is_count(witness_n, 1) and mu is None and lam is None
+                  and len(table) == witness_n)
+        else:
+            raise ValueError(f"unknown outcome {outcome!r}")
+        if not ok:
+            raise ValueError(
+                f"inconsistent {outcome} verdict: witness_n={witness_n!r}, "
+                f"preperiod={mu!r}, period={lam!r}, {len(table)} rows")
+        if not _is_count(data['state_steps'], 0):
+            raise ValueError(
+                f"state_steps must be >= 0, got {data['state_steps']!r}")
+        if [r['n'] for r in table] != list(range(1, len(table) + 1)):
+            raise ValueError("trace table rows are not numbered 1, 2, ...")
         field = data['field']
         modulus = field.get('modulus')
         if modulus is not None:
@@ -242,6 +270,11 @@ class StabilityVerdict:
             ctx=ctx,
             state_steps=data['state_steps'],
         )
+
+
+def _is_count(v, least: int) -> bool:
+    """v is an int (not a bool) and at least ``least``."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= least
 
 
 def decide_inverse_stability(xi: FieldElement) -> StabilityVerdict:
@@ -339,7 +372,7 @@ def mobius_trace_formula(a: FieldElement, b: FieldElement, c: FieldElement,
             return a / d
         return ctx.zero
     t = d / c
-    denom = c * c * (xi - t ** ctx.p + t)
+    denom = c * c * (xi - t.frobenius() + t)
     return (b * c - a * d) / denom
 
 

@@ -13,9 +13,18 @@ coefficient-wise equality, and the natural embedding of a subfield into any
 field above it on the same chain preserves the packed value.  The vector view
 is available as :attr:`FieldElement.coeffs`.
 
+Because the packing is base p at every level, the flat base-p digits of a
+packed value are its coordinates over F_p.  The absolute trace and the
+Frobenius x -> x^p are F_p-linear, so each context holds them as a trace
+vector and a Frobenius matrix over those coordinates, built on first use
+(:meth:`FieldCtx.trace_v`, :meth:`FieldCtx.frobenius_v`).  The literal sum
+of Frobenius conjugates survives only in :func:`rel_trace`, the reference
+that builds the trace vector and that the ``xcheck`` oracles compare with.
+
 Contexts are cached, so two requests for the same field (same prime, same
 modulus chain) return the identical object and context checks are identity
-checks.  Everything here is immutable.
+checks.  Elements are immutable; contexts only add lazily built caches
+whose contents are fixed by the field.
 """
 
 from __future__ import annotations
@@ -319,12 +328,14 @@ class FieldCtx:
         'kind', 'p', 'base', 'modulus_vals', 'degree', 'total_degree',
         'depth', 'order', 'prime_ctx',
         'add_v', 'sub_v', 'neg_v', 'mul_v', 'inv_v', 'decode_v', 'encode_v',
+        '_trace_vec', '_frob',
     )
 
     def __init__(self, p, base=None, modulus_vals=None):
         self.p = p
         self.base = base
         self.modulus_vals = modulus_vals
+        self._trace_vec = self._frob = None
         if base is None:
             self.kind = 'prime'
             self.degree = 1
@@ -363,6 +374,68 @@ class FieldCtx:
             if k:
                 x = self.mul_v(x, x)
         return result
+
+    # -- F_p-linear maps -------------------------------------------------------
+    #
+    # The flat base-p digits of a packed value are its coordinates over F_p
+    # in the basis p^k, k < total_degree, at depth 1 and depth 2 alike.
+    # Trace and Frobenius are F_p-linear (Lidl & Niederreiter, Finite
+    # Fields, Thm 2.23), so each is fixed by its images of that basis.  Both
+    # maps are built on first use, from rel_trace and pow_v, so constructing
+    # a context costs nothing extra.
+
+    def trace_v(self, x: int) -> int:
+        """Absolute trace of a packed value, as an integer in [0, p)."""
+        vec = self._trace_vec
+        if vec is None:
+            prime = self.prime_ctx
+            vec = self._trace_vec = tuple(
+                rel_trace(FieldElement(self, self.p ** k), prime).val
+                for k in range(self.total_degree))
+        p = self.p
+        acc = 0
+        for t in vec:
+            x, d = divmod(x, p)
+            acc += d * t
+        return acc % p
+
+    def frobenius_v(self, x: int) -> int:
+        """x**p on packed values: the Frobenius matrix applied to x's digits.
+
+        Row k of the matrix holds the digits of (p^k)^p, packed into one
+        integer with a fixed-width bit slot per digit.  The slots are wide
+        enough that the sum of d_k * row_k over all k never carries from one
+        slot into the next, so each slot of the sum is reduced mod p to give
+        one digit of x^p.
+        """
+        if self.kind == 'prime':
+            return x
+        frob = self._frob
+        if frob is None:
+            frob = self._frob = self._build_frobenius()
+        rows, shifts, mask = frob
+        p = self.p
+        acc = 0
+        for row in rows:
+            x, d = divmod(x, p)
+            acc += d * row
+        v = 0
+        for shift in shifts:
+            v = v * p + (acc >> shift & mask) % p
+        return v
+
+    def _build_frobenius(self):
+        p, n = self.p, self.total_degree
+        slot = (n * (p - 1) ** 2).bit_length()
+        rows = []
+        for k in range(n):
+            v, row = self.pow_v(p ** k, p), 0
+            for i in range(n):
+                v, c = divmod(v, p)
+                row |= c << (slot * i)
+            rows.append(row)
+        shifts = tuple(slot * i for i in reversed(range(n)))
+        return tuple(rows), shifts, (1 << slot) - 1
 
     # -- element construction --------------------------------------------------
 
@@ -460,8 +533,11 @@ class FieldElement:
         return tuple(FieldElement(base, d) for d in ctx.decode_v(self.val))
 
     def frobenius(self) -> "FieldElement":
-        """The p-th power of this element."""
-        return FieldElement(self.ctx, self.ctx.pow_v(self.val, self.ctx.p))
+        """The p-th power of this element, by the context's Frobenius matrix.
+
+        The identity on a prime field; see :meth:`FieldCtx.frobenius_v`.
+        """
+        return FieldElement(self.ctx, self.ctx.frobenius_v(self.val))
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
@@ -674,25 +750,23 @@ def lift(x: FieldElement, field: FieldCtx) -> FieldElement:
 def abs_trace(x: FieldElement) -> FieldElement:
     """Trace of x down to the prime field, as a prime-field element.
 
-    Computed as the sum of the p-power conjugates x + x^p + ... + x^(p^(m-1))
-    with m the absolute degree.
+    Trace is F_p-linear, so it is the dot product, mod p, of x's base-p
+    digits with the precomputed traces of the basis p^k (see
+    :meth:`FieldCtx.trace_v`).
     """
     ctx = x.ctx
-    p = ctx.p
-    acc = t = x.val
-    for _ in range(ctx.total_degree - 1):
-        t = ctx.pow_v(t, p)
-        acc = ctx.add_v(acc, t)
-    if acc >= p:
-        raise AssertionError("trace escaped the prime field")
-    return FieldElement(ctx.prime_ctx, acc)
+    return FieldElement(ctx.prime_ctx, ctx.trace_v(x.val))
 
 
 def rel_trace(x: FieldElement, sub: FieldCtx) -> FieldElement:
     """Trace of x down to the subfield ``sub`` on the same base chain.
 
-    Sums the [field : sub] conjugates x^(|sub|^i).  The result's coefficient
-    vector is checked to lie in ``sub`` (its packed value is below |sub|).
+    Sums the [field : sub] conjugates x^(|sub|^i) with plain powering.  This
+    literal Frobenius sum is the reference: it builds the trace vector behind
+    :func:`abs_trace`, and the ``xcheck`` oracles (``rel_trace_oracle``,
+    ``minpoly_trace_check``) compare against it, so it must not use the
+    precomputed trace or Frobenius maps.  The result's coefficient vector is
+    checked to lie in ``sub`` (its packed value is below |sub|).
     """
     ctx = x.ctx
     m = relative_degree(ctx, sub)

@@ -458,7 +458,7 @@ def frobenius_power(f: Poly) -> Poly:
     out = [0] * (p * (len(f.vals) - 1) + 1)
     for i, c in enumerate(f.vals):
         if c:
-            out[i * p] = ctx.pow_v(c, p)
+            out[i * p] = ctx.frobenius_v(c)
     return Poly._make(ctx, tuple(out))
 
 

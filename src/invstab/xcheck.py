@@ -7,7 +7,9 @@ Nothing in this module shares a code path with the formula it is checking:
   criterion;
 * relative traces are recomputed as explicit Frobenius conjugate sums inside
   a freshly constructed K(gamma) and compared against the closed Moebius
-  formula;
+  formula (:func:`rel_trace <.fields.rel_trace>` sums powers computed by
+  plain powering, never the precomputed trace vector or Frobenius matrix
+  that the fast paths use);
 * traces are also recovered from the second-highest coefficient of a
   minimal polynomial found by plain linear algebra over the subfield.
 

@@ -297,6 +297,15 @@ def test_out_writes_file(tmp_path, capsys):
     assert payload['outcome'] == 'stable'
 
 
+def test_out_to_unwritable_path_is_usage_error(capsys, tmp_path):
+    bad = tmp_path / 'missing' / 'x.txt'
+    rc, out, err = run(capsys, ['check', '--p', '3', '--xi', '1',
+                                '--out', str(bad)])
+    assert rc == cli.EXIT_USAGE
+    assert out == '' and err.startswith('error: cannot write')
+    assert 'Traceback' not in err
+
+
 # -- errors --------------------------------------------------------------------------
 
 

@@ -252,6 +252,46 @@ def test_verdict_round_trip():
         assert back.trace_table == verdict.trace_table
 
 
+@pytest.mark.parametrize('change', [
+    {'outcome': 'bogus'},
+    {'state_steps': -3},
+    {'state_steps': 1.5},
+    {'witness_n': 2},                       # stable with a witness
+    {'preperiod': -1},
+    {'period': 0},
+    {'preperiod': None},
+    {'trace_table': []},                    # too few rows for the cycle
+    {'outcome': 'unstable'},                # stable cycle data, no witness
+])
+def test_verdict_from_dict_rejects_bad_stable(change):
+    data = dict(decide_inverse_stability(W).to_dict(), **change)
+    with pytest.raises(ValueError):
+        StabilityVerdict.from_dict(data)
+
+
+@pytest.mark.parametrize('change', [
+    {'witness_n': 0},
+    {'witness_n': None},
+    {'witness_n': True},
+    {'witness_n': 3},                       # disagrees with the row count
+    {'period': 1},
+    {'preperiod': 0},
+    {'outcome': 'stable'},
+])
+def test_verdict_from_dict_rejects_bad_unstable(change):
+    data = dict(decide_inverse_stability(V).to_dict(), **change)
+    with pytest.raises(ValueError):
+        StabilityVerdict.from_dict(data)
+
+
+def test_verdict_from_dict_rejects_misnumbered_rows():
+    data = decide_inverse_stability(W).to_dict()
+    rows = data['trace_table']
+    rows[0], rows[1] = rows[1], rows[0]
+    with pytest.raises(ValueError, match='numbered'):
+        StabilityVerdict.from_dict(data)
+
+
 def test_decide_agrees_with_plain_walk():
     """The Brent walk must report the same first zero as a linear scan."""
     rng = random.Random(1202)

@@ -17,8 +17,8 @@ from invstab.fields import (
     rel_trace,
     relative_degree,
 )
-from invstab.fields import _generic_ext_ops, _prime_ext_ops
-from invstab.polys import Poly, find_irreducible
+from invstab.fields import _generic_ext_ops, _is_prime, _prime_ext_ops
+from invstab.polys import Poly, artin_schreier, find_irreducible
 
 
 F3 = finite_field(3)
@@ -190,11 +190,21 @@ def test_frobenius_is_field_automorphism():
 
 
 def test_frobenius_matches_pth_power():
-    rng = random.Random(100)
-    for ctx in (F9, F25, finite_field(2, 3)):
-        for _ in range(50):
-            x = rand_elt(rng, ctx)
+    """The precomputed Frobenius matrix and trace vector agree with plain
+    powering and with the Frobenius-sum rel_trace on every element of every
+    field of order <= 729 (default modulus), of F_9 with modulus 2,2,1, of
+    F_25 with modulus 2,4,1 and of a depth-2 tower above F_9."""
+    fields = [finite_field(p, e)
+              for p in range(2, 730) if _is_prime(p)
+              for e in range(1, 10) if p ** e <= 729]
+    assert len(fields) == 152
+    w = F9.modulus_root
+    fields += [F9, F25, extension_field(F9, artin_schreier(w))]
+    for ctx in fields:
+        prime = ctx.prime_ctx
+        for x in ctx.elements():
             assert x.frobenius() == x ** ctx.p
+            assert abs_trace(x) == rel_trace(x, prime)
 
 
 # -- field axioms (seeded sweeps) --------------------------------------------

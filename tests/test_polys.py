@@ -6,7 +6,7 @@ import random
 import pytest
 
 from invstab import errors
-from invstab.fields import finite_field
+from invstab.fields import extension_field, finite_field
 from invstab.polys import (
     KARATSUBA_CUTOFF,
     Poly,
@@ -311,7 +311,8 @@ def test_reciprocal_involution_and_irreducibility():
 
 def test_frobenius_power_is_pth_power():
     rng = random.Random(321)
-    for ctx in (F3, F9, finite_field(2, 2)):
+    tower = extension_field(F9, artin_schreier(F9.modulus_root))
+    for ctx in (F3, F9, finite_field(2, 2), tower):
         for _ in range(40):
             f = rand_poly(rng, ctx, 4)
             assert frobenius_power(f) == f ** ctx.p
