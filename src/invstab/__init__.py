@@ -45,21 +45,17 @@ from .iteration import (
     preimage_count,
 )
 from .criterion import (
-    INAPPLICABLE,
     STABLE,
     UNSTABLE,
     CriterionState,
-    GeneralASParams,
     StabilityVerdict,
     TraceRow,
     WanResult,
     agou_quartic_irreducible,
     decide_inverse_stability,
-    detect_cycle,
     init_states,
     mobius_trace_formula,
     step_state,
-    trace_indicator,
     trace_rows,
     wan_irreducible_p,
 )
@@ -89,11 +85,10 @@ __all__ = [
     'DEFAULT_DEGREE_CAP', 'INFINITY', 'IterateFraction', 'denominator',
     'forward_orbit_infinity', 'initial_fraction', 'iterate_step',
     'preimage_count',
-    'INAPPLICABLE', 'STABLE', 'UNSTABLE', 'CriterionState', 'GeneralASParams',
-    'StabilityVerdict', 'TraceRow', 'WanResult',
-    'agou_quartic_irreducible', 'decide_inverse_stability', 'detect_cycle',
-    'init_states', 'mobius_trace_formula', 'step_state', 'trace_indicator',
-    'trace_rows', 'wan_irreducible_p',
+    'STABLE', 'UNSTABLE', 'CriterionState', 'StabilityVerdict', 'TraceRow',
+    'WanResult', 'agou_quartic_irreducible', 'decide_inverse_stability',
+    'init_states', 'mobius_trace_formula', 'step_state', 'trace_rows',
+    'wan_irreducible_p',
     'EquivalenceReport', 'MinpolyTraceCheck', 'RelTraceCheck',
     'criterion_vs_direct', 'direct_denominator_check',
     'irreducibility_trace_sweep', 'minimal_polynomial',

@@ -11,7 +11,7 @@ timestamps), so output is reproducible byte for byte:
 * ``verify``    run the brute-force oracle suites (exit 1 on any
                 disagreement)
 * ``trace-table``  print the criterion table rows (n, a_n, c_n, d_n,
-                a_n/c_n, trace)
+                a_n/c_n, trace), up to the first c_n = 0 when Tr(xi) = 0
 
 Fields are selected with --p/--e and an optional --modulus (comma-separated
 integer coefficients, constant first); without a modulus the deterministic
@@ -29,7 +29,7 @@ import json
 import random
 import sys
 
-from .criterion import STABLE, decide_inverse_stability, trace_rows
+from .criterion import STABLE, TraceRow, decide_inverse_stability, trace_rows
 from .errors import InvstabError, NotGenerating
 from .fields import (
     FieldElement,
@@ -200,10 +200,7 @@ def _cmd_check(args) -> int:
 
 def _rows_text(rows, quiet: bool) -> str:
     header = ('n', 'a', 'c', 'd', 'a/c', 'trace')
-    table = [(r.n, element_to_text(r.a), element_to_text(r.c),
-              element_to_text(r.d), element_to_text(r.ratio),
-              element_to_text(r.trace)) for r in rows]
-    return _table_text(header, table, quiet)
+    return _table_text(header, [r.cells() for r in rows], quiet)
 
 
 def _cmd_search(args) -> int:
@@ -213,7 +210,8 @@ def _cmd_search(args) -> int:
         verdict = decide_inverse_stability(xi)
         rows.append({
             'xi': element_to_text(xi),
-            'trace': element_to_text(abs_trace(xi)),
+            # row 1 holds a_1/c_1 = xi, so this is Tr(xi)
+            'trace': element_to_text(verdict.trace_table[0].trace),
             'outcome': verdict.outcome,
             'witness_n': verdict.witness_n,
             'preperiod': verdict.preperiod,
@@ -381,22 +379,12 @@ def _cmd_trace_table(args) -> int:
             'schema': SCHEMA_VERSION, 'command': 'trace-table',
             'field': ctx.describe(), 'xi': element_to_text(xi),
             'n_max': args.nmax,
-            'rows': [{
-                'n': r.n,
-                'a': element_to_text(r.a),
-                'c': element_to_text(r.c),
-                'd': element_to_text(r.d),
-                'ratio': element_to_text(r.ratio),
-                'trace': element_to_text(r.trace),
-            } for r in rows],
+            'rows': [dict(zip(TraceRow._fields, r.cells())) for r in rows],
         }
         _emit(args, _json_text(payload))
     elif args.format == 'csv':
-        header = ('n', 'a', 'c', 'd', 'ratio', 'trace')
-        table = [(r.n, element_to_text(r.a), element_to_text(r.c),
-                  element_to_text(r.d), element_to_text(r.ratio),
-                  element_to_text(r.trace)) for r in rows]
-        _emit(args, _csv_text(header, table))
+        _emit(args, _csv_text(TraceRow._fields,
+                              [r.cells() for r in rows]))
     else:
         _emit(args, _rows_text(rows, args.quiet))
     return EXIT_OK

@@ -48,13 +48,9 @@ from .fields import (
     element_to_text,
     finite_field,
 )
-from .polys import Poly
 
 STABLE = 'stable'
 UNSTABLE = 'unstable'
-#: reserved outcome value; decide_inverse_stability never produces it, since
-#: Tr(xi) = 0 is a genuine instability (D_1 = g is reducible), not a gap
-INAPPLICABLE = 'inapplicable'
 
 
 @dataclass(frozen=True)
@@ -80,6 +76,15 @@ class TraceRow(NamedTuple):
     d: FieldElement
     ratio: FieldElement
     trace: FieldElement
+
+    def cells(self) -> tuple:
+        """The row for output: n, then a, c, d, ratio and trace as text.
+
+        Every table, CSV and JSON rendering of a row is built from this.
+        """
+        return (self.n, element_to_text(self.a), element_to_text(self.c),
+                element_to_text(self.d), element_to_text(self.ratio),
+                element_to_text(self.trace))
 
 
 def init_states(xi: FieldElement):
@@ -108,64 +113,31 @@ def step_state(state: CriterionState, xi: FieldElement) -> CriterionState:
     return CriterionState(state.n + 1, new_a, new_c, new_d)
 
 
-def trace_indicator(state: CriterionState) -> FieldElement:
-    """Trace of a_n / c_n down to the prime field."""
-    if state.c.val == 0:
-        raise CZero(f"c_{state.n} = 0, indicator undefined")
-    return abs_trace(state.a / state.c)
-
-
 def _row(state: CriterionState) -> TraceRow:
-    if state.c.val == 0:
-        raise CZero(f"c_{state.n} = 0, indicator undefined")
+    """The table row of a state.  Needs c_n != 0, as on every state when
+    Tr(xi) != 0."""
     ratio = state.a / state.c
     return TraceRow(state.n, state.a, state.c, state.d, ratio,
                     abs_trace(ratio))
 
 
 def trace_rows(xi: FieldElement, n_max: int) -> list:
-    """Rows of the criterion table for n = 1 .. n_max (plain walk)."""
+    """Rows of the criterion table for n = 1 .. n_max (plain walk).
+
+    The walk stops before the first state with c_n = 0, where a_n / c_n is
+    undefined.  Such a state exists only when Tr(xi) = 0 (then D_1 = g is
+    already reducible), so for Tr(xi) != 0 the table always has n_max rows.
+    """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    s1, s2 = init_states(xi)
+    s1, state = init_states(xi)
     rows = [_row(s1)]
-    state = s2
-    for _ in range(1, n_max):
+    while state.n <= n_max and state.c.val != 0:
         rows.append(_row(state))
         if state.n == n_max:
             break
         state = step_state(state, xi)
     return rows
-
-
-def detect_cycle(xi: FieldElement):
-    """Pre-period and period of the state sequence s_2, s_3, ... (Brent).
-
-    Returns (mu, lam): s_{2 + mu} is the first state on the cycle and lam is
-    the cycle length, so s_{n + lam} = s_n for all n >= 2 + mu.  Assumes
-    Tr(xi) != 0, which keeps every c_n nonzero; otherwise CZero may
-    propagate from the walk.
-    """
-    _, s2 = init_states(xi)
-    power = lam = 1
-    tortoise = s2
-    hare = step_state(s2, xi)
-    while tortoise.key() != hare.key():
-        if power == lam:
-            tortoise = hare
-            power <<= 1
-            lam = 0
-        hare = step_state(hare, xi)
-        lam += 1
-    slow = fast = s2
-    for _ in range(lam):
-        fast = step_state(fast, xi)
-    mu = 0
-    while slow.key() != fast.key():
-        slow = step_state(slow, xi)
-        fast = step_state(fast, xi)
-        mu += 1
-    return mu, lam
 
 
 @dataclass(frozen=True)
@@ -176,9 +148,10 @@ class StabilityVerdict:
     is the least n with trace zero (so D_witness_n is the first reducible
     denominator) and the cycle data is None, since the walk stops at the
     witness.  For a stable xi, ``preperiod``/``period`` describe the state
-    cycle starting from n = 2 and the trace table covers exactly
-    n = 1 .. preperiod + period + 1.  ``state_steps`` counts evaluations of
-    the recurrence map.
+    sequence s_2, s_3, ...: s_(2 + preperiod) is the first state on the
+    cycle and s_(n + period) = s_n for every n >= 2 + preperiod.  The trace
+    table then covers exactly n = 1 .. preperiod + period + 1.
+    ``state_steps`` counts evaluations of the recurrence map.
     """
 
     outcome: str
@@ -200,17 +173,8 @@ class StabilityVerdict:
             'state_steps': self.state_steps,
             'field': self.ctx.describe(),
             'xi': element_to_text(self.xi),
-            'trace_table': [
-                {
-                    'n': r.n,
-                    'a': element_to_text(r.a),
-                    'c': element_to_text(r.c),
-                    'd': element_to_text(r.d),
-                    'ratio': element_to_text(r.ratio),
-                    'trace': element_to_text(r.trace),
-                }
-                for r in self.trace_table
-            ],
+            'trace_table': [dict(zip(TraceRow._fields, r.cells()))
+                            for r in self.trace_table],
         }
 
     @classmethod
@@ -301,19 +265,8 @@ def decide_inverse_stability(xi: FieldElement) -> StabilityVerdict:
     # Brent's cycle search over s_2, s_3, ..., checking each new trace
     steps = 0
     power = lam = 1
-    tortoise = s2
-    hare = step_state(s2, xi)
-    steps += 1
-    row = _row(hare)
-    rows.append(row)
-    if row.trace.val == 0:
-        return StabilityVerdict(UNSTABLE, hare.n, None, None, tuple(rows),
-                                xi, ctx, steps)
-    while tortoise.key() != hare.key():
-        if power == lam:
-            tortoise = hare
-            power <<= 1
-            lam = 0
+    tortoise = hare = s2
+    while True:
         hare = step_state(hare, xi)
         steps += 1
         row = _row(hare)
@@ -321,6 +274,12 @@ def decide_inverse_stability(xi: FieldElement) -> StabilityVerdict:
         if row.trace.val == 0:
             return StabilityVerdict(UNSTABLE, hare.n, None, None,
                                     tuple(rows), xi, ctx, steps)
+        if tortoise.key() == hare.key():
+            break
+        if power == lam:
+            tortoise = hare
+            power <<= 1
+            lam = 0
         lam += 1
 
     # cycle closed with no zero trace anywhere on it: stable
@@ -429,30 +388,3 @@ def agou_quartic_irreducible(a: FieldElement, b: FieldElement) -> bool:
         if (a0 ** 3).val == a.val and abs_trace(b / a0 ** 4).val != 0:
             return True
     return False
-
-
-@dataclass(frozen=True)
-class GeneralASParams:
-    """Parameters (t, a, b) of the family X^(p^t) + aX + b with a != 0."""
-
-    t: int
-    a: FieldElement
-    b: FieldElement
-
-    def __post_init__(self):
-        if self.t < 1:
-            raise ValueError("t must be >= 1")
-        if self.a.ctx is not self.b.ctx:
-            raise CtxMismatch("a and b from different fields")
-        if self.a.val == 0:
-            raise AZero("the coefficient a must be nonzero")
-
-    def polynomial(self) -> Poly:
-        """The polynomial X^(p^t) + aX + b over the coefficient field."""
-        ctx = self.a.ctx
-        deg = ctx.p ** self.t
-        vals = [0] * (deg + 1)
-        vals[0] = self.b.val
-        vals[1] = self.a.val
-        vals[deg] = 1
-        return Poly._make(ctx, tuple(vals))

@@ -256,6 +256,15 @@ def test_trace_table_unstable_row(capsys):
     assert lines[-1].split() == ['8', '2,2', '0,4', '1,0', '2,1', '0']
 
 
+def test_trace_table_trace_zero_seed(capsys):
+    # Tr(0) = 0 and c_2 = xi = 0: only row 1 is defined, and that is no error
+    rc, out, err = run(capsys, ['trace-table', '--p', '3', '--e', '2',
+                                '--xi', '0', '--nmax', '4'])
+    assert rc == cli.EXIT_OK and err == ''
+    assert out.splitlines() == ['n  a    c    d    a/c  trace',
+                                '1  0,0  1,0  0,0  0,0  0']
+
+
 def test_trace_table_csv(capsys):
     rc, out, _ = run(capsys, ['trace-table'] + F9_ARGS
                      + ['--xi', '0,1', '--nmax', '3', '--format', 'csv'])

@@ -6,20 +6,16 @@ import pytest
 
 from invstab import errors
 from invstab.criterion import (
-    INAPPLICABLE,
     STABLE,
     UNSTABLE,
     CriterionState,
-    GeneralASParams,
     StabilityVerdict,
     WanResult,
     agou_quartic_irreducible,
     decide_inverse_stability,
-    detect_cycle,
     init_states,
     mobius_trace_formula,
     step_state,
-    trace_indicator,
     trace_rows,
     wan_irreducible_p,
 )
@@ -79,8 +75,6 @@ def test_step_validation():
     stuck = CriterionState(2, F9.one, F9.zero, F9.one)
     with pytest.raises(errors.CZero):
         step_state(stuck, W)
-    with pytest.raises(errors.CZero):
-        trace_indicator(stuck)
 
 
 def test_consecutive_state_identities():
@@ -95,9 +89,9 @@ def test_consecutive_state_identities():
 
 
 def test_trace_indicator_values():
-    s1, s2 = init_states(W)
-    assert trace_indicator(s1).val == 1           # Tr(w) = 1
-    assert trace_indicator(s2).val == 1           # Tr(-1/w) = Tr(2w + 1)
+    rows = trace_rows(W, 2)
+    assert rows[0].trace.val == 1                 # Tr(w) = 1
+    assert rows[1].trace.val == 1                 # Tr(-1/w) = Tr(2w + 1)
 
 
 def test_trace_rows_table():
@@ -108,6 +102,27 @@ def test_trace_rows_table():
     assert rows[3].ratio == F9.one
     with pytest.raises(ValueError):
         trace_rows(W, 0)
+
+
+def test_trace_rows_stop_before_c_zero():
+    """With Tr(xi) = 0 the walk may reach c_n = 0, where a_n/c_n is
+    undefined; the table ends just before that state."""
+    rows = trace_rows(F9.zero, 4)                 # c_2 = xi = 0
+    assert [r.n for r in rows] == [1]
+    assert rows[0].trace.val == 0
+    G9 = finite_field(3, 2)                       # default modulus
+    xi = G9.modulus_root
+    assert abs_trace(xi).val == 0
+    assert [r.n for r in trace_rows(xi, 6)] == [1, 2]
+    _, s2 = init_states(xi)
+    assert step_state(s2, xi).c.val == 0          # c_3 = 0
+    for ctx in (F9, finite_field(2, 4), F25):
+        for xi in ctx.elements():
+            rows = trace_rows(xi, 6)
+            assert all(r.c.val for r in rows)
+            assert [r.n for r in rows] == list(range(1, len(rows) + 1))
+            if abs_trace(xi).val != 0:
+                assert len(rows) == 6
 
 
 # -- closed forms for xi in the prime subfield ------------------------------------
@@ -156,20 +171,29 @@ def test_prime_fields_always_stable():
 # -- cycle detection ----------------------------------------------------------------
 
 
+def cycle(xi):
+    verdict = decide_inverse_stability(xi)
+    return verdict.preperiod, verdict.period
+
+
 def test_detect_cycle_example():
-    assert detect_cycle(W) == (1, 3)
+    assert cycle(W) == (1, 3)
 
 
 def test_detect_cycle_against_brute_force():
+    """The decision's cycle data on every stable seed of five fields."""
+    stable = 0
     for ctx in (F3, finite_field(5), F9, finite_field(2, 2), F25):
         for xi in ctx.elements():
-            if abs_trace(xi).val == 0:
+            if decide_inverse_stability(xi).outcome != STABLE:
                 continue
-            assert detect_cycle(xi) == brute_cycle(xi), (ctx, xi)
+            stable += 1
+            assert cycle(xi) == brute_cycle(xi), (ctx, xi)
+    assert stable == 16
 
 
 def test_detect_cycle_bound():
-    mu, lam = detect_cycle(F3.one)
+    mu, lam = cycle(F3.one)
     assert lam >= 1 and mu >= 0
     assert mu + lam <= 27                         # at most q^3 distinct states
 
@@ -213,8 +237,6 @@ def test_decide_trace_zero_seed():
 
 def test_outcome_constants():
     assert STABLE == 'stable' and UNSTABLE == 'unstable'
-    assert INAPPLICABLE == 'inapplicable'
-    assert len({STABLE, UNSTABLE, INAPPLICABLE}) == 3
 
 
 def test_verdict_invariants_sweep():
@@ -421,25 +443,3 @@ def test_agou_validation():
     F4 = finite_field(2, 2)
     with pytest.raises(errors.AZero):
         agou_quartic_irreducible(F4.zero, F4.one)
-
-
-# -- the general family record ------------------------------------------------------------
-
-
-def test_general_family_params():
-    params = GeneralASParams(2, finite_field(2).one, finite_field(2).one)
-    f = params.polynomial()
-    assert f.degree == 4
-    assert f == Poly(finite_field(2), [1, 1, 0, 0, 1])
-    g = GeneralASParams(1, -F9.one, W).polynomial()
-    assert g.degree == 3
-    assert g[1] == -F9.one and g[0] == W
-
-
-def test_general_family_validation():
-    with pytest.raises(ValueError):
-        GeneralASParams(0, F9.one, W)
-    with pytest.raises(errors.AZero):
-        GeneralASParams(1, F9.zero, W)
-    with pytest.raises(errors.CtxMismatch):
-        GeneralASParams(1, F9.one, V)

@@ -375,18 +375,36 @@ def test_element_text_rejects_oversized_vector():
 
 
 def test_generic_ops_agree_with_prime_ext_ops():
-    """The closure-based tower ops must match the flat int specialization."""
-    fadd, fsub, fneg, fmul, finv, _, _ = _prime_ext_ops(3, 2, (2, 2, 1))
-    sadd, ssub, sneg, smul, sinv, _, _ = _generic_ext_ops(prime_field(3), 2, (2, 2, 1))
+    """The closure-based tower ops must match the flat int specialization.
+
+    The two inversions divide with different code (polys._divmod_vals and
+    the flat-int divmod).  Every nonzero element of every depth-1 field of
+    order <= 729 (default moduli, plus F_9 with modulus 2,2,1 and F_25 with
+    modulus 2,4,1) gets the same inverse from both factories, and
+    multiplication, which does no division, confirms that inverse
+    independently."""
+    fadd, fsub, fneg, fmul, _, _, _ = _prime_ext_ops(3, 2, (2, 2, 1))
+    sadd, ssub, sneg, smul, _, _, _ = _generic_ext_ops(prime_field(3), 2,
+                                                       (2, 2, 1))
     for a in range(9):
         for b in range(9):
             assert fadd(a, b) == sadd(a, b)
             assert fsub(a, b) == ssub(a, b)
             assert fmul(a, b) == smul(a, b)
         assert fneg(a) == sneg(a)
-        if a:
-            assert finv(a) == sinv(a)
-            assert fmul(a, finv(a)) == 1
+    fields = [finite_field(p, e)
+              for p in range(2, 730) if _is_prime(p)
+              for e in range(2, 10) if p ** e <= 729]
+    assert len(fields) == 23
+    fields += [F9, F25]
+    for ctx in fields:
+        d, mod = ctx.degree, ctx.modulus_vals
+        _, _, _, fmul, finv, _, _ = _prime_ext_ops(ctx.p, d, mod)
+        _, _, _, smul, sinv, _, _ = _generic_ext_ops(ctx.base, d, mod)
+        for a in range(1, ctx.order):
+            inv = finv(a)
+            assert sinv(a) == inv, (ctx, a)
+            assert fmul(a, inv) == 1 and smul(a, inv) == 1, (ctx, a)
 
 
 def test_hash_and_bool():
