@@ -2,20 +2,35 @@
 
 Coefficients are stored little-endian as packed field values (see
 :mod:`.fields`) with no trailing zeros, so the zero polynomial is the empty
-tuple and its degree is None.  Multiplication is schoolbook with a Karatsuba
-split once both operands pass degree 64; division, gcd and modular
-exponentiation are the classical algorithms.
+tuple and its degree is None.
+
+Products over F_p and over an extension F_{p^e} of F_p use Kronecker
+substitution: a coefficient vector packs into one Python integer with one
+slot of 1, 2, 4 or 8 bytes per base-p digit, wide enough that no slot sum
+carries, so one C bigint multiply forms the whole product.  Over F_{p^e}
+the packing is bivariate in X and the modulus root y.  The product's
+y-powers e .. 2e - 2 are folded back with y^k mod the field modulus on the
+packed integer, and each slot is then reduced mod p (see :class:`_Kron`).
+Depth-2 towers, and fields whose slots would need more than 8 bytes, use
+the schoolbook loop over the field's closures.  Division and gcd are the
+classical algorithms.
+
+Products modulo a fixed monic f of degree m use Barrett reduction: mu =
+X^(2m - 2) // f is found once by division, and each reduced product then
+costs three packed multiplies (the product, its quotient by f, and the
+quotient times f).  :func:`powmod` and the irreducibility test go through it.
 
 Irreducibility testing is deterministic: f of degree m over F_q is
 irreducible iff X^(q^m) = X mod f and gcd(X^(q^(m/r)) - X, f) = 1 for every
-prime r dividing m (Rabin's test).  The q-power map is F_q-linear, so after
-one modular exponentiation for X^q mod f the remaining Frobenius steps are
-matrix application rather than powmod, which is what makes exhaustive sweeps
-affordable.
+prime r dividing m (Rabin's test).  Each Frobenius step h -> h^q mod f is
+computed by powering, square-and-multiply through the Barrett product (von
+zur Gathen and Shoup, 1992).
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from itertools import product as _cartesian
 
 from .errors import (
@@ -27,18 +42,14 @@ from .errors import (
 )
 from .fields import FieldCtx, FieldElement, element_from_text, element_to_text
 
-#: both operands must exceed this degree before Karatsuba kicks in
-KARATSUBA_CUTOFF = 64
-
-
 # ---------------------------------------------------------------------------
 # low-level routines on packed-value tuples
 
 def _trim(vals):
-    n = len(vals)
-    while n and vals[n - 1] == 0:
-        n -= 1
-    return tuple(vals[:n])
+    """A list the caller owns, trailing zeros popped in place, as a tuple."""
+    while vals and vals[-1] == 0:
+        vals.pop()
+    return tuple(vals)
 
 
 def _add_vals(ctx, a, b):
@@ -66,19 +77,126 @@ def _neg_vals(ctx, a):
     return tuple(neg(c) for c in a)
 
 
+#: array type code for each slot width in bytes (1, 2, 4, 8)
+_SLOT_CODES = {array(code).itemsize: code for code in 'BHILQ'}
+_SWAP_BYTES = sys.byteorder == 'big'
+
+
+class _Kron:
+    """Kronecker-substitution layout for products over F_p or F_{p^e}.
+
+    A coefficient over F_{p^e} is a polynomial in y (the modulus root) with
+    base-p digits d_0 .. d_{e-1}, so a coefficient vector is a bivariate
+    polynomial in (X, y).  It packs into one integer with one slot of
+    ``width`` bytes per digit: digit j of coefficient i sits in slot
+    j * stride + i, so block j of ``stride`` slots holds digit j of every
+    coefficient.  One integer multiply of two packed vectors then yields
+    the packed bivariate product, whose 2e - 1 blocks are the y-powers.
+    :meth:`fold` adds blocks e .. 2e - 2 back into blocks 0 .. e - 1 times
+    the digits of y^k mod the field modulus, still on the packed integer, and
+    :meth:`unpack` reduces each slot mod p.
+
+    :meth:`fit` sizes the slots for twice the largest folded slot of a
+    product of two vectors of at most n coefficients, so the sum of two
+    folded products (as in :func:`_mulmod`) never carries from one slot into
+    the next.
+    """
+
+    __slots__ = ('p', 'e', 'pows', 'code', 'width', 'stride', 'bits',
+                 'y_powers')
+
+    @classmethod
+    def fit(cls, ctx, n, stride):
+        """The layout for operands of at most n coefficients and products of
+        at most ``stride``; None for a tower (depth 2), or when the slots
+        would need more than 8 bytes."""
+        if ctx.depth > 1:
+            return None
+        p, e = ctx.p, ctx.degree
+        bound = 2 * n * e * (p - 1) ** 2 * (1 + (e - 1) * (p - 1))
+        width = 1
+        while bound >> (8 * width):
+            width *= 2
+            if width > 8:
+                return None
+        self = cls.__new__(cls)
+        self.p, self.e, self.width, self.stride = p, e, width, stride
+        self.pows = tuple(p ** j for j in range(e))
+        self.code = _SLOT_CODES[width]
+        self.bits = 8 * width * stride
+        self.y_powers = _y_powers(p, ctx.modulus_vals) if e > 1 else ()
+        return self
+
+    def pack(self, vals):
+        """The packed integer of a vector of at most ``stride`` values."""
+        if self.e == 1:
+            return int.from_bytes(_slot_bytes(self.code, vals), 'little')
+        p = self.p
+        gap = bytes(self.width * (self.stride - len(vals)))
+        return int.from_bytes(gap.join(
+            _slot_bytes(self.code, [c // pj % p for c in vals])
+            for pj in self.pows), 'little')
+
+    def fold(self, x):
+        """Fold y-powers e .. 2e - 2 of a packed product into 0 .. e - 1."""
+        if not self.y_powers:
+            return x
+        bits, e = self.bits, self.e
+        block = (1 << bits) - 1
+        low = x & ((1 << (e * bits)) - 1)
+        for k, digits in enumerate(self.y_powers, e):
+            ck = x >> (k * bits) & block
+            if ck:
+                for j, r in enumerate(digits):
+                    if r:
+                        low += ck * r << (j * bits)
+        return low
+
+    def unpack(self, x, lo, hi):
+        """Field values of coefficients lo .. hi - 1 of a folded packed
+        product."""
+        p, n = self.p, self.stride
+        slots = array(self.code)
+        slots.frombytes(x.to_bytes(self.e * n * self.width, 'little'))
+        if _SWAP_BYTES:
+            slots.byteswap()
+        top = (self.e - 1) * n
+        out = [v % p for v in slots[top + lo:top + hi]]
+        for start in range(top - n, -1, -n):
+            out = [acc * p + v % p
+                   for acc, v in zip(out, slots[start + lo:start + hi])]
+        return out
+
+
+def _slot_bytes(code, digits):
+    slots = array(code, digits)
+    if _SWAP_BYTES:
+        slots.byteswap()
+    return slots.tobytes()
+
+
+def _y_powers(p, modulus):
+    """Digits of y^k mod the monic ``modulus`` over F_p, k = e .. 2e - 2."""
+    e = len(modulus) - 1
+    r = [-c % p for c in modulus[:e]]
+    out = [r]
+    for _ in range(e - 2):
+        top = r[-1]
+        r = [-top * modulus[0] % p] + [
+            (r[j - 1] - top * modulus[j]) % p for j in range(1, e)]
+        out.append(r)
+    return out
+
+
 def _mul_vals(ctx, a, b):
     if not a or not b:
         return ()
-    if min(len(a), len(b)) > KARATSUBA_CUTOFF:
-        return _trim(_karatsuba(ctx, a, b))
-    out = [0] * (len(a) + len(b) - 1)
-    if ctx.kind == 'prime':
-        p = ctx.p
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return _trim([v % p for v in out])
+    size = len(a) + len(b) - 1
+    lay = _Kron.fit(ctx, min(len(a), len(b)), size)
+    if lay is not None:
+        return _trim(lay.unpack(
+            lay.fold(lay.pack(a) * lay.pack(b)), 0, size))
+    out = [0] * size
     mul = ctx.mul_v
     add = ctx.add_v
     for i, ai in enumerate(a):
@@ -87,28 +205,6 @@ def _mul_vals(ctx, a, b):
                 if bj:
                     out[i + j] = add(out[i + j], mul(ai, bj))
     return _trim(out)
-
-
-def _karatsuba(ctx, a, b):
-    h = min(len(a), len(b)) // 2
-    a0, a1 = a[:h], a[h:]
-    b0, b1 = b[:h], b[h:]
-    z0 = _mul_vals(ctx, _trim(a0), _trim(b0))
-    z2 = _mul_vals(ctx, _trim(a1), _trim(b1))
-    z1 = _sub_vals(
-        ctx,
-        _mul_vals(ctx, _add_vals(ctx, _trim(a0), _trim(a1)),
-                  _add_vals(ctx, _trim(b0), _trim(b1))),
-        _add_vals(ctx, z0, z2))
-    out = [0] * (len(a) + len(b) - 1)
-    add = ctx.add_v
-    for i, c in enumerate(z0):
-        out[i] = c
-    for i, c in enumerate(z1):
-        out[h + i] = add(out[h + i], c)
-    for i, c in enumerate(z2):
-        out[2 * h + i] = add(out[2 * h + i], c)
-    return out
 
 
 def _divmod_vals(ctx, a, b):
@@ -129,7 +225,6 @@ def _divmod_vals(ctx, a, b):
                 quo[k - db] = f
                 for j in range(db):
                     rem[k - db + j] = (rem[k - db + j] - f * b[j]) % p
-                rem[k] = 0
     else:
         mul = ctx.mul_v
         sub = ctx.sub_v
@@ -141,8 +236,8 @@ def _divmod_vals(ctx, a, b):
                 for j in range(db):
                     if b[j]:
                         rem[k - db + j] = sub(rem[k - db + j], mul(f, b[j]))
-                rem[k] = 0
-    return _trim(quo), _trim(rem[:db])
+    del rem[db:]
+    return _trim(quo), _trim(rem)
 
 
 def _rem_vals(ctx, a, b):
@@ -163,18 +258,59 @@ def _gcd_vals(ctx, a, b):
     return _monic_vals(ctx, a)
 
 
+def _mulmod(ctx, f):
+    """A closure (a, b) -> a * b mod f for the monic f and a, b of degree
+    below deg f.
+
+    Barrett reduction with Kronecker-packed products.  With m = deg f and
+    mu = X^(2m - 2) // f (the reversed inverse of rev(f) mod X^(m - 1),
+    found once by division), the quotient of c = a * b by f is
+    (c // X^m) * mu // X^(m - 2), exactly; the remainder is the low m
+    coefficients of c - q * f, so f is packed once without its leading 1
+    and negated.  Each product costs three integer multiplies.  Towers, and
+    fields whose slots would need more than 8 bytes, multiply and divide
+    with the closure loops instead.
+    """
+    m = len(f) - 1
+    lay = _Kron.fit(ctx, m, 2 * m - 1) if m > 1 else None
+    if lay is None:
+        return lambda a, b: _rem_vals(ctx, _mul_vals(ctx, a, b), f)
+    mu = lay.pack(_divmod_vals(ctx, (0,) * (2 * m - 2) + (1,), f)[0])
+    neg_f = lay.pack([ctx.neg_v(c) for c in f[:m]])
+    low = sum(((1 << 8 * lay.width * m) - 1) << j * lay.bits
+              for j in range(lay.e))
+    pack, fold, unpack = lay.pack, lay.fold, lay.unpack
+
+    def mulmod(a, b):
+        x = pack(a)
+        c = fold(x * (x if a is b else pack(b)))
+        if len(a) + len(b) <= m + 1:
+            return _trim(unpack(c, 0, m))
+        hi = pack(unpack(c, m, 2 * m - 1))
+        q = unpack(fold(hi * mu), m - 2, 2 * m - 3)
+        return _trim(unpack((c & low) + fold(pack(q) * neg_f), 0, m))
+
+    return mulmod
+
+
+def _pow_by(mulmod, base, k):
+    """base**k, k >= 1, by square-and-multiply through ``mulmod``; base is
+    reduced."""
+    result = base
+    for bit in bin(k)[3:]:
+        result = mulmod(result, result)
+        if bit == '1':
+            result = mulmod(result, base)
+    return result
+
+
 def _powmod_vals(ctx, base, k, mod):
     if not mod:
         raise ZeroModulus("modulus polynomial is zero")
-    result = _rem_vals(ctx, (1,), mod)
-    base = _rem_vals(ctx, base, mod)
-    while k:
-        if k & 1:
-            result = _rem_vals(ctx, _mul_vals(ctx, result, base), mod)
-        k >>= 1
-        if k:
-            base = _rem_vals(ctx, _mul_vals(ctx, base, base), mod)
-    return result
+    f = _monic_vals(ctx, mod)
+    if k == 0:
+        return _rem_vals(ctx, (1,), f)
+    return _pow_by(_mulmod(ctx, f), _rem_vals(ctx, base, f), k)
 
 
 def _prime_factors(m):
@@ -189,42 +325,6 @@ def _prime_factors(m):
     if m > 1:
         out.add(m)
     return out
-
-
-def _frob_rows(ctx, fv):
-    """Rows b[i] = X^(q*i) mod f for i < m, padded to length m = deg f."""
-    m = len(fv) - 1
-    h = _powmod_vals(ctx, (0, 1), ctx.order, fv)
-    rows = [[0] * m for _ in range(m)]
-    rows[0][0] = 1
-    cur = (1,)
-    for i in range(1, m):
-        cur = _rem_vals(ctx, _mul_vals(ctx, cur, h), fv)
-        for j, c in enumerate(cur):
-            rows[i][j] = c
-    return rows
-
-
-def _frob_apply(ctx, u, rows, m):
-    """Image of u (coeff tuple, deg < m) under the q-power map mod f."""
-    acc = [0] * m
-    if ctx.kind == 'prime':
-        p = ctx.p
-        for i, ui in enumerate(u):
-            if ui:
-                row = rows[i]
-                for j in range(m):
-                    acc[j] += ui * row[j]
-        return _trim([v % p for v in acc])
-    mul = ctx.mul_v
-    add = ctx.add_v
-    for i, ui in enumerate(u):
-        if ui:
-            row = rows[i]
-            for j in range(m):
-                if row[j]:
-                    acc[j] = add(acc[j], mul(ui, row[j]))
-    return _trim(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +543,7 @@ def reciprocal(f: Poly) -> Poly:
     """The reversed polynomial X^deg(f) * f(1/X); needs deg f >= 1."""
     if f.is_zero or f.degree == 0:
         raise ConstantPolynomial("reciprocal needs degree >= 1")
-    return Poly._make(f.ctx, _trim(tuple(reversed(f.vals))))
+    return Poly._make(f.ctx, _trim(list(reversed(f.vals))))
 
 
 def frobenius_power(f: Poly) -> Poly:
@@ -474,13 +574,11 @@ def is_irreducible(f: Poly) -> bool:
         return True
     ctx = f.ctx
     fv = _monic_vals(ctx, f.vals)
-    rows = _frob_rows(ctx, fv)
+    mulmod = _mulmod(ctx, fv)
     checkpoints = {m // r for r in _prime_factors(m)}
-    xv = (0, 1)
-    h = _trim(rows[1]) if m > 1 else xv
+    xv = h = (0, 1)
     for i in range(1, m + 1):
-        if i > 1:
-            h = _frob_apply(ctx, h, rows, m)
+        h = _pow_by(mulmod, h, ctx.order)
         if i in checkpoints:
             g = _sub_vals(ctx, h, xv)
             if _gcd_vals(ctx, g, fv) != (1,):

@@ -6,9 +6,10 @@ import random
 import pytest
 
 from invstab import errors
+from invstab.criterion import decide_inverse_stability
 from invstab.fields import extension_field, finite_field
+from invstab.iteration import denominator
 from invstab.polys import (
-    KARATSUBA_CUTOFF,
     Poly,
     artin_schreier,
     find_irreducible,
@@ -148,19 +149,68 @@ def test_derivative():
         assert (f * g).derivative() == f.derivative() * g + f * g.derivative()
 
 
-def test_karatsuba_matches_schoolbook():
-    rng = random.Random(808)
-    n = KARATSUBA_CUTOFF + 40
-    a = tuple(rng.randrange(3) for _ in range(n))
-    b = tuple(rng.randrange(3) for _ in range(n - 7))
-    got = _mul_vals(F3, a, b)
-    out = [0] * (len(a) + len(b) - 1)
+def naive_product(ctx, a, b):
+    """Oracle: the double loop over field operations, no trailing zeros."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % 3
-    while len(out) > 1 and out[-1] == 0:
+            out[i + j] = ctx.add_v(out[i + j], ctx.mul_v(ai, bj))
+    while out and out[-1] == 0:
         out.pop()
-    assert list(got) == out
+    return tuple(out)
+
+
+def non_residue_quadratic(p):
+    """X^2 - r for the least quadratic non-residue r mod the odd prime p."""
+    r = next(r for r in range(2, p) if pow(r, (p - 1) // 2, p) == p - 1)
+    return (-r % p, 0, 1)
+
+
+def test_packed_product_matches_double_loop():
+    """Kronecker-packed products against the naive double loop.
+
+    F_1048573 needs the widest slots; F_{1048573^2} needs more than 8-byte
+    slots and the F_9 tower is depth 2, so those two take the closure loop.
+    """
+    rng = random.Random(808)
+    big = 1048573
+    fields = [
+        (F2, 300), (F3, 300), (finite_field(big), 300),
+        (finite_field(2, 2), 300), (F9, 300), (finite_field(2, 4), 300),
+        (finite_field(3, 3), 300), (finite_field(7, 2), 300),
+        (finite_field(big, 2, modulus=non_residue_quadratic(big)), 40),
+        (extension_field(F9, artin_schreier(F9.modulus_root)), 40),
+    ]
+    lengths = (1, 2, 3, 5, 16, 33, 64, 65, 129, 300)
+    for ctx, longest in fields:
+        sizes = [n for n in lengths if n <= longest]
+        pairs = [(n, rng.choice(sizes)) for n in sizes] + [(longest, longest)]
+        for la, lb in pairs:
+            a = tuple(rng.randrange(ctx.order) for _ in range(la - 1))
+            b = tuple(rng.randrange(ctx.order) for _ in range(lb - 1))
+            a += (rng.randrange(1, ctx.order),)
+            b += (rng.randrange(1, ctx.order),)
+            want = naive_product(ctx, a, b)
+            assert _mul_vals(ctx, a, b) == want, (ctx, la, lb)
+            # trailing zeros on the inputs, and a zero operand
+            assert _mul_vals(ctx, a + (0, 0), b + (0,)) == want, (ctx, la, lb)
+            assert _mul_vals(ctx, a, ()) == () == _mul_vals(ctx, (), b)
+        zero, f = Poly.zero(ctx), Poly(ctx, [ctx.element(1), ctx.element(1)])
+        assert zero * f == zero == f * zero
+
+
+def test_barrett_product_with_extreme_coefficients():
+    """Every digit of a * a at its maximum, and the modulus negated to the
+    largest digits, at the degree where the slot sum of the Barrett step
+    needs one more byte than a single product."""
+    for ctx, m in ((F2, 200), (F3, 50), (F9, 8)):
+        top = ctx.order - 1                      # every base-p digit p - 1
+        ones = sum(ctx.p ** j for j in range(ctx.degree))
+        a = (top,) * m
+        f = Poly._make(ctx, (ones,) * m + (1,))  # -f_i has every digit p - 1
+        square = Poly._make(ctx, naive_product(ctx, a, a))
+        want = square % f
+        assert powmod(Poly._make(ctx, a), 2, f) == want, ctx
 
 
 # -- gcd and powmod -------------------------------------------------------------
@@ -212,6 +262,14 @@ def test_powmod_matches_naive():
         f = rand_poly(rng, F5, 3)
         k = rng.randrange(60)
         assert powmod(f, k, m) == (f ** k) % m
+    # over F_9, a modulus of degree > 64 that is not monic
+    m = rand_poly(rng, F9, 70, monic=True)
+    while m.degree <= 64:
+        m = rand_poly(rng, F9, 70, monic=True)
+    m = m * F9.element(5)
+    for k in (0, 1, 2, 3, 5, 12):
+        f = rand_poly(rng, F9, 90)
+        assert powmod(f, k, m) == (f ** k) % m, k
 
 
 # -- irreducibility ---------------------------------------------------------------
@@ -246,6 +304,72 @@ def test_rabin_over_extension_field():
         if f.degree < 1:
             continue
         assert is_irreducible(f) == irreducible_by_trial_division(f), f
+
+
+def mobius(n):
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+def monic_polys(ctx, deg):
+    for tail in itertools.product(range(ctx.order), repeat=deg):
+        yield Poly(ctx, [ctx.element(v) for v in tail] + [ctx.one])
+
+
+def test_rabin_count_matches_gauss_formula():
+    """Rabin finds (1/m) sum_{d | m} mu(d) q^(m/d) monic irreducibles of
+    degree m, counted over every monic polynomial of that degree."""
+    F4 = finite_field(2, 2)
+    for ctx, max_deg in ((F2, 10), (F3, 6), (F4, 4), (F5, 4), (F9, 3)):
+        q = ctx.order
+        for m in range(1, max_deg + 1):
+            gauss = sum(mobius(d) * q ** (m // d)
+                        for d in range(1, m + 1) if m % d == 0) // m
+            count = sum(map(is_irreducible, monic_polys(ctx, m)))
+            assert count == gauss, (ctx, m)
+
+
+def test_rabin_over_tower_against_trial_division():
+    """Depth 2: F_4(gamma), gamma^2 + gamma = u, of order 16; every monic
+    polynomial of degree <= 2 and seeded cubics."""
+    F4 = finite_field(2, 2)
+    tower = extension_field(F4, artin_schreier(F4.modulus_root))
+    assert tower.depth == 2 and tower.order == 16
+    for deg in (1, 2):
+        for f in monic_polys(tower, deg):
+            assert is_irreducible(f) == irreducible_by_trial_division(f), f
+    rng = random.Random(111)
+    for _ in range(300):
+        f = Poly(tower, [tower.element(rng.randrange(16)) for _ in range(3)]
+                 + [tower.one])
+        assert is_irreducible(f) == irreducible_by_trial_division(f), f
+
+
+def test_rabin_on_large_denominators_matches_criterion():
+    """Both verdicts at degree >= 81: D_n is irreducible exactly when the
+    criterion calls xi stable or n is below the witness index."""
+    F4 = finite_field(2, 2)
+    cases = (
+        (F3.element(1), 5),                  # stable, degree 243
+        (F9.modulus_root, 4),                # stable over F_9, degree 81
+        (F4.modulus_root, 7),                # unstable from n = 5, degree 128
+    )
+    verdicts = []
+    for xi, n in cases:
+        v = decide_inverse_stability(xi)
+        want = v.outcome == 'stable' or n < v.witness_n
+        den = denominator(xi, n)
+        assert den.degree == xi.ctx.p ** n >= 81
+        assert is_irreducible(den.monic()) == want, (xi, n)
+        verdicts.append(want)
+    assert verdicts == [True, True, False]
 
 
 def test_find_irreducible_goldens():
