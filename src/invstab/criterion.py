@@ -16,9 +16,10 @@ irreducible) exactly when it is nonzero for every n.
 
 The state space (a, c, d) is finite, of size at most q^3, so the sequence of
 states from n = 2 on is eventually periodic and the criterion terminates:
-:func:`decide_inverse_stability` walks the states with Brent's cycle
-detection, watching for a zero trace on the way.  Once the cycle closes with
-no zero trace, none can ever appear and g is stable.
+:func:`decide_inverse_stability` indexes each state by the n where it first
+appeared and stops at the first repeat, watching for a zero trace on the way.
+Once the cycle closes with no zero trace, none can ever appear and g is
+stable.
 
 The module also carries the closed-form trace of a general Moebius transform
 of a root of g (:func:`mobius_trace_formula`) and two classical
@@ -103,22 +104,37 @@ def step_state(state: CriterionState, xi: FieldElement) -> CriterionState:
     c = state.c
     if c.val == 0:
         raise CZero(f"c_{state.n} = 0, cannot advance")
-    if xi.ctx is not c.ctx:
+    ctx = xi.ctx
+    if ctx is not c.ctx:
         raise CtxMismatch("xi from a different field")
-    t = state.d / c
-    c_sq = c * c
-    new_a = -(state.a * state.d)
-    new_c = c_sq * (xi - t.frobenius() + t)
-    new_d = -c_sq
-    return CriterionState(state.n + 1, new_a, new_c, new_d)
+    a, c, d = _step_v(ctx, xi.val, state.a.val, c.val, state.d.val)
+    return CriterionState(state.n + 1, FieldElement(ctx, a),
+                          FieldElement(ctx, c), FieldElement(ctx, d))
+
+
+def _step_v(ctx: FieldCtx, xi_v: int, a: int, c: int, d: int) -> tuple:
+    """The recurrence on packed values: (a_n, c_n, d_n) -> (a_(n+1), ...).
+    Needs c != 0."""
+    mul = ctx.mul_v
+    t = mul(d, ctx.inv_v(c))
+    c_sq = mul(c, c)
+    return (ctx.neg_v(mul(a, d)),
+            mul(c_sq, ctx.add_v(ctx.sub_v(xi_v, ctx.frobenius_v(t)), t)),
+            ctx.neg_v(c_sq))
 
 
 def _row(state: CriterionState) -> TraceRow:
-    """The table row of a state.  Needs c_n != 0, as on every state when
-    Tr(xi) != 0."""
-    ratio = state.a / state.c
-    return TraceRow(state.n, state.a, state.c, state.d, ratio,
-                    abs_trace(ratio))
+    """The table row of a state."""
+    return _row_v(state.c.ctx, state.n, state.a.val, state.c.val,
+                  state.d.val)
+
+
+def _row_v(ctx: FieldCtx, n: int, a: int, c: int, d: int) -> TraceRow:
+    """The table row of the packed triple at index n.  Needs c != 0, as on
+    every state when Tr(xi) != 0."""
+    ratio = FieldElement(ctx, ctx.mul_v(a, ctx.inv_v(c)))
+    return TraceRow(n, FieldElement(ctx, a), FieldElement(ctx, c),
+                    FieldElement(ctx, d), ratio, abs_trace(ratio))
 
 
 def trace_rows(xi: FieldElement, n_max: int) -> list:
@@ -151,7 +167,10 @@ class StabilityVerdict:
     sequence s_2, s_3, ...: s_(2 + preperiod) is the first state on the
     cycle and s_(n + period) = s_n for every n >= 2 + preperiod.  The trace
     table then covers exactly n = 1 .. preperiod + period + 1.
-    ``state_steps`` counts evaluations of the recurrence map.
+    ``state_steps`` counts evaluations of the recurrence map.  The walk
+    evaluates it once per state past s_2, so this is preperiod + period for
+    a stable xi (the last evaluation meets the repeat) and
+    max(witness_n - 2, 0) for an unstable one.
     """
 
     outcome: str
@@ -262,40 +281,28 @@ def decide_inverse_stability(xi: FieldElement) -> StabilityVerdict:
         return StabilityVerdict(UNSTABLE, 2, None, None, tuple(rows),
                                 xi, ctx, 0)
 
-    # Brent's cycle search over s_2, s_3, ..., checking each new trace
-    steps = 0
-    power = lam = 1
-    tortoise = hare = s2
+    # index s_2, s_3, ... by first appearance until a state repeats, so
+    # each state is stepped and tabled once and no row is thrown away
+    xi_v = xi.val
+    state = s2.key()
+    first = {state: 2}
+    n = 2
     while True:
-        hare = step_state(hare, xi)
-        steps += 1
-        row = _row(hare)
+        state = _step_v(ctx, xi_v, *state)
+        n += 1
+        seen = first.get(state)
+        if seen is not None:
+            break
+        first[state] = n
+        row = _row_v(ctx, n, *state)
         rows.append(row)
         if row.trace.val == 0:
-            return StabilityVerdict(UNSTABLE, hare.n, None, None,
-                                    tuple(rows), xi, ctx, steps)
-        if tortoise.key() == hare.key():
-            break
-        if power == lam:
-            tortoise = hare
-            power <<= 1
-            lam = 0
-        lam += 1
+            return StabilityVerdict(UNSTABLE, n, None, None, tuple(rows),
+                                    xi, ctx, n - 2)
 
-    # cycle closed with no zero trace anywhere on it: stable
-    slow = fast = s2
-    for _ in range(lam):
-        fast = step_state(fast, xi)
-        steps += 1
-    mu = 0
-    while slow.key() != fast.key():
-        slow = step_state(slow, xi)
-        fast = step_state(fast, xi)
-        steps += 2
-        mu += 1
-    keep = mu + lam + 1
-    return StabilityVerdict(STABLE, None, mu, lam, tuple(rows[:keep]),
-                            xi, ctx, steps)
+    # s_n = s_seen closes the cycle with no zero trace on it: stable
+    return StabilityVerdict(STABLE, None, seen - 2, n - seen, tuple(rows),
+                            xi, ctx, n - 2)
 
 
 # ---------------------------------------------------------------------------

@@ -591,11 +591,14 @@ def find_irreducible(ctx: FieldCtx, degree: int) -> Poly:
 
     Candidates are ordered lexicographically by coefficient vector with the
     constant term most significant, so the answer is deterministic for a
-    given field.
+    given field.  Above degree 1 the candidates with f(0) = 0, which X
+    divides, are skipped without a Rabin test.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    for lower in _cartesian(range(ctx.order), repeat=degree):
+    coeffs = range(ctx.order)
+    consts = coeffs if degree == 1 else range(1, ctx.order)
+    for lower in _cartesian(consts, *[coeffs] * (degree - 1)):
         cand = Poly._make(ctx, lower + (1,))
         if is_irreducible(cand):
             return cand

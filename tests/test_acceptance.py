@@ -265,10 +265,12 @@ def test_10_cycle_bound_termination():
         q = ctx.order
         for xi in ctx.elements():
             verdict = decide_inverse_stability(xi)
-            # the walk itself must stay within the finite-state budget
-            ok = ok and verdict.state_steps <= 4 * q ** 3
+            # the walk visits each of at most q^3 states once
+            ok = ok and verdict.state_steps <= q ** 3
             if verdict.outcome == STABLE:
                 ok = ok and verdict.preperiod + verdict.period <= q ** 3
+                ok = ok and verdict.state_steps == (
+                    verdict.preperiod + verdict.period)
             else:
                 ok = ok and verdict.witness_n <= q ** 3 + 1
     assert gate.finish(ok)

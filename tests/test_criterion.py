@@ -1,7 +1,5 @@
 """Tests for the trace criterion, cycle detection, and the sparse predicates."""
 
-import random
-
 import pytest
 
 from invstab import errors
@@ -75,6 +73,24 @@ def test_step_validation():
     stuck = CriterionState(2, F9.one, F9.zero, F9.one)
     with pytest.raises(errors.CZero):
         step_state(stuck, W)
+
+
+def test_step_state_matches_recurrence():
+    """step_state on every state of every walk over F_7, F_8, F_9 and F_25,
+    against the recurrence written out with element operators."""
+    for ctx in (finite_field(7), finite_field(2, 3), F9, F25):
+        p = ctx.p
+        for xi in ctx.elements():
+            _, st = init_states(xi)
+            seen = set()
+            while st.c.val != 0 and st.key() not in seen:
+                seen.add(st.key())
+                t = st.d / st.c
+                want = (-(st.a * st.d), st.c * st.c * (xi - t ** p + t),
+                        -(st.c * st.c))
+                nxt = step_state(st, xi)
+                assert (nxt.n, nxt.a, nxt.c, nxt.d) == (st.n + 1,) + want
+                st = nxt
 
 
 def test_consecutive_state_identities():
@@ -314,17 +330,36 @@ def test_verdict_from_dict_rejects_misnumbered_rows():
         StabilityVerdict.from_dict(data)
 
 
+def _fields_up_to(order):
+    """Every finite field of at most the given order, default moduli."""
+    out = []
+    for p in range(2, order + 1):
+        if all(p % k for k in range(2, p)):
+            e = 1
+            while p ** e <= order:
+                out.append(finite_field(p, e))
+                e += 1
+    return out
+
+
 def test_decide_agrees_with_plain_walk():
-    """The Brent walk must report the same first zero as a linear scan."""
-    rng = random.Random(1202)
-    for ctx in (F9, F25):
-        for _ in range(20):
-            xi = ctx.element(rng.randrange(ctx.order))
+    """On every seed of every field of order <= 125, the decision's table is
+    the plain walk's, its cycle data is the brute-force cycle, and it takes
+    one step per state past s_2."""
+    for ctx in _fields_up_to(125) + [F9, F25]:
+        for xi in ctx.elements():
             verdict = decide_inverse_stability(xi)
-            if verdict.outcome == UNSTABLE and verdict.witness_n > 1:
-                rows = trace_rows(xi, verdict.witness_n)
-                assert [r.trace.val == 0 for r in rows].index(True) == (
-                    verdict.witness_n - 1)
+            table = verdict.trace_table
+            plain = trace_rows(xi, len(table))
+            assert [r.cells() for r in table] == [r.cells() for r in plain]
+            if verdict.outcome == STABLE:
+                assert (verdict.preperiod, verdict.period) == brute_cycle(xi)
+                assert verdict.state_steps == (
+                    verdict.preperiod + verdict.period)
+            else:
+                traces = [r.trace.val for r in plain]
+                assert traces.index(0) == verdict.witness_n - 1
+                assert verdict.state_steps == max(verdict.witness_n - 2, 0)
 
 
 # -- Moebius trace formula ---------------------------------------------------------------

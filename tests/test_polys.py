@@ -386,8 +386,13 @@ def test_find_irreducible_goldens():
 
 
 def test_find_irreducible_is_first_in_order():
-    """The chosen modulus must be minimal in the documented candidate order."""
-    for ctx, deg in ((F2, 3), (F2, 4), (F3, 2), (F3, 3), (F5, 2)):
+    """The chosen modulus must be minimal in the documented candidate order,
+    found here by trial division over every candidate, f(0) = 0 included."""
+    F4 = finite_field(2, 2)
+    cases = [(F2, e) for e in range(1, 11)] + [(F3, e) for e in range(1, 7)]
+    cases += [(F5, e) for e in range(1, 5)] + [(finite_field(11), 2)]
+    cases += [(F4, e) for e in range(1, 4)]
+    for ctx, deg in cases:
         first = None
         for tail in itertools.product(range(ctx.order), repeat=deg):
             f = Poly(ctx, [ctx.element(v) for v in tail] + [ctx.one])
