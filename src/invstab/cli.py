@@ -77,8 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument('--format', choices=('text', 'json', 'csv'),
                         default='text', help='output format')
         sp.add_argument('--out', help='write output to this path')
-        sp.add_argument('--cap', type=int, default=DEFAULT_DEGREE_CAP,
-                        help='bound on deg D_n = p^n')
         sp.add_argument('--quiet', action='store_true',
                         help='data rows only, no headers or summaries')
 
@@ -89,8 +87,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser('search', help='decide stability for every xi')
     common(sp)
 
+    cap = {'type': int, 'default': DEFAULT_DEGREE_CAP,
+           'help': 'bound on deg D_n = p^n'}
+
     sp = sub.add_parser('generate', help='emit the denominator iterate D_n')
     common(sp)
+    sp.add_argument('--cap', **cap)
     sp.add_argument('--xi', required=True, help='element text encoding')
     sp.add_argument('--n', type=int, required=True, help='iterate index')
     sp.add_argument('--verify', action='store_true', dest='rabin_verify',
@@ -98,6 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser('verify', help='run oracle cross-check suites')
     common(sp)
+    sp.add_argument('--cap', **cap)
     sp.add_argument('--suite', choices=_SUITES, default='all')
     sp.add_argument('--nmax', type=int,
                     help='iterate range for the criterion suite '

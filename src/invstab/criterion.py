@@ -107,16 +107,18 @@ def step_state(state: CriterionState, xi: FieldElement) -> CriterionState:
     ctx = xi.ctx
     if ctx is not c.ctx:
         raise CtxMismatch("xi from a different field")
-    a, c, d = _step_v(ctx, xi.val, state.a.val, c.val, state.d.val)
+    a, c, d = _step_v(ctx, xi.val, state.a.val, c.val, state.d.val,
+                      ctx.inv_v(c.val))
     return CriterionState(state.n + 1, FieldElement(ctx, a),
                           FieldElement(ctx, c), FieldElement(ctx, d))
 
 
-def _step_v(ctx: FieldCtx, xi_v: int, a: int, c: int, d: int) -> tuple:
-    """The recurrence on packed values: (a_n, c_n, d_n) -> (a_(n+1), ...).
-    Needs c != 0."""
+def _step_v(ctx: FieldCtx, xi_v: int, a: int, c: int, d: int,
+            c_inv: int) -> tuple:
+    """The recurrence on packed values: (a_n, c_n, d_n) -> (a_(n+1), ...),
+    given c_inv = 1/c (c != 0), which the row of the same state shares."""
     mul = ctx.mul_v
-    t = mul(d, ctx.inv_v(c))
+    t = mul(d, c_inv)
     c_sq = mul(c, c)
     return (ctx.neg_v(mul(a, d)),
             mul(c_sq, ctx.add_v(ctx.sub_v(xi_v, ctx.frobenius_v(t)), t)),
@@ -125,14 +127,15 @@ def _step_v(ctx: FieldCtx, xi_v: int, a: int, c: int, d: int) -> tuple:
 
 def _row(state: CriterionState) -> TraceRow:
     """The table row of a state."""
-    return _row_v(state.c.ctx, state.n, state.a.val, state.c.val,
-                  state.d.val)
+    ctx, c = state.c.ctx, state.c.val
+    return _row_v(ctx, state.n, state.a.val, c, state.d.val, ctx.inv_v(c))
 
 
-def _row_v(ctx: FieldCtx, n: int, a: int, c: int, d: int) -> TraceRow:
-    """The table row of the packed triple at index n.  Needs c != 0, as on
-    every state when Tr(xi) != 0."""
-    ratio = FieldElement(ctx, ctx.mul_v(a, ctx.inv_v(c)))
+def _row_v(ctx: FieldCtx, n: int, a: int, c: int, d: int,
+           c_inv: int) -> TraceRow:
+    """The table row of the packed triple at index n, given c_inv = 1/c.
+    Needs c != 0, as on every state when Tr(xi) != 0."""
+    ratio = FieldElement(ctx, ctx.mul_v(a, c_inv))
     return TraceRow(n, FieldElement(ctx, a), FieldElement(ctx, c),
                     FieldElement(ctx, d), ratio, abs_trace(ratio))
 
@@ -276,25 +279,26 @@ def decide_inverse_stability(xi: FieldElement) -> StabilityVerdict:
         # Tr(xi) = 0: D_1 = g is already reducible
         return StabilityVerdict(UNSTABLE, 1, None, None, tuple(rows),
                                 xi, ctx, 0)
-    rows.append(_row(s2))
+    # index s_2, s_3, ... by first appearance until a state repeats, so each
+    # state is stepped, tabled and has its c inverted once
+    xi_v = xi.val
+    state = s2.key()
+    c_inv = ctx.inv_v(state[1])
+    rows.append(_row_v(ctx, 2, *state, c_inv))
     if rows[1].trace.val == 0:
         return StabilityVerdict(UNSTABLE, 2, None, None, tuple(rows),
                                 xi, ctx, 0)
-
-    # index s_2, s_3, ... by first appearance until a state repeats, so
-    # each state is stepped and tabled once and no row is thrown away
-    xi_v = xi.val
-    state = s2.key()
     first = {state: 2}
     n = 2
     while True:
-        state = _step_v(ctx, xi_v, *state)
+        state = _step_v(ctx, xi_v, *state, c_inv)
         n += 1
         seen = first.get(state)
         if seen is not None:
             break
         first[state] = n
-        row = _row_v(ctx, n, *state)
+        c_inv = ctx.inv_v(state[1])
+        row = _row_v(ctx, n, *state, c_inv)
         rows.append(row)
         if row.trace.val == 0:
             return StabilityVerdict(UNSTABLE, n, None, None, tuple(rows),

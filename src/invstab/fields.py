@@ -21,6 +21,11 @@ vector and a Frobenius matrix over those coordinates, built on first use
 of Frobenius conjugates survives only in :func:`rel_trace`, the reference
 that builds the trace vector and that the ``xcheck`` oracles compare with.
 
+The same digits make add, sub and neg one digit-wise loop mod p at every
+depth.  A tower element is a polynomial over the base, so tower products
+and inverses come from :mod:`.polys`: the Barrett product modulo the tower
+modulus and an extended Euclid.  F_p[X]/(m) keeps its own flat-int loops.
+
 Contexts are cached, so two requests for the same field (same prime, same
 modulus chain) return the identical object and context checks are identity
 checks.  Elements are immutable; contexts only add lazily built caches
@@ -68,15 +73,16 @@ def _is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 # packed-value operation factories
 #
-# Each factory returns closures working on packed integers.  The prime and
-# extension-over-prime cases get hand-specialised loops because they carry
-# all the hot arithmetic; the generic case (extension over an extension) goes
-# through the base context's own closures and is only exercised by oracle
-# code on towers of total degree <= a few dozen.  The generic inversion
-# divides with the polynomial layer's divmod over the base context (``polys``
-# imports this module at load time, so the factory imports it lazily).  The
-# extension-over-prime inversion keeps its own flat-int divmod: the shared
-# one made search over GF(3^6), GF(2^10) and GF(11^2) about 4.5% slower.
+# Each factory returns closures working on packed integers.  Both extension
+# factories share one digit codec and add/sub/neg on the flat base-p digits.
+# The extension over the prime field keeps hand-specialised product and
+# inversion loops on plain ints, because they carry all the hot arithmetic
+# of a search: the shared divmod made search over GF(3^6), GF(2^10) and
+# GF(11^2) about 4.5% slower, and the Barrett product is slower per call on
+# these short operands.  A tower (extension over an extension) multiplies
+# with ``polys._mulmod``'s Barrett product over its base and inverts by an
+# extended Euclid on ``polys`` (which imports this module at load time, so
+# the factory imports it lazily).
 
 def _prime_ops(p):
     def add(x, y):
@@ -96,13 +102,45 @@ def _prime_ops(p):
             raise DivisionByZero("0 is not invertible")
         return pow(x, p - 2, p)
 
+    return (add, sub, neg, mul, inv, *_codec(p, 1))
+
+
+def _codec(radix, n):
+    """decode/encode between a packed value and its n base-``radix`` digits,
+    low first; encode accepts fewer digits (missing high ones are zero)."""
+    idx = range(n)
+
     def decode(v):
-        return [v]
+        out = []
+        for _ in idx:
+            v, r = divmod(v, radix)
+            out.append(r)
+        return out
 
     def encode(digits):
-        return digits[0]
+        v = 0
+        for c in reversed(digits):
+            v = v * radix + c
+        return v
 
-    return add, sub, neg, mul, inv, decode, encode
+    return decode, encode
+
+
+def _linear_ops(p, n):
+    """add, sub, neg of packed values with n flat base-p digits, digit-wise
+    over F_p."""
+    decode, encode = _codec(p, n)
+
+    def add(x, y):
+        return encode([(a + b) % p for a, b in zip(decode(x), decode(y))])
+
+    def sub(x, y):
+        return encode([(a - b) % p for a, b in zip(decode(x), decode(y))])
+
+    def neg(x):
+        return encode([-c % p for c in decode(x)])
+
+    return add, sub, neg
 
 
 def _list_divmod_mod_p(a, b, p):
@@ -130,30 +168,7 @@ def _prime_ext_ops(p, d, modulus_digits):
     """Closures for F_p[X]/(m) with m monic of degree d, digits as plain ints."""
     mod_low = tuple(modulus_digits[:d])
     idx = range(d)
-
-    def decode(v):
-        out = []
-        for _ in idx:
-            v, r = divmod(v, p)
-            out.append(r)
-        return out
-
-    def encode(digits):
-        v = 0
-        for c in reversed(digits):
-            v = v * p + c
-        return v
-
-    def add(x, y):
-        a, b = decode(x), decode(y)
-        return encode([(a[i] + b[i]) % p for i in idx])
-
-    def sub(x, y):
-        a, b = decode(x), decode(y)
-        return encode([(a[i] - b[i]) % p for i in idx])
-
-    def neg(x):
-        return encode([-c % p for c in decode(x)])
+    decode, encode = _codec(p, d)
 
     def mul(x, y):
         a, b = decode(x), decode(y)
@@ -185,9 +200,7 @@ def _prime_ext_ops(p, d, modulus_digits):
         while True:
             if len(r1) == 1:
                 c_inv = pow(r1[0], p - 2, p)
-                out = [c * c_inv % p for c in t1]
-                out.extend([0] * (d - len(out)))
-                return encode(out[:d])
+                return encode([c * c_inv % p for c in t1])
             quo, rem = _list_divmod_mod_p(r0, r1, p)
             r0, r1 = r1, rem
             if r1 == [0]:
@@ -206,94 +219,38 @@ def _prime_ext_ops(p, d, modulus_digits):
                 new_t.pop()
             t0, t1 = t1, new_t
 
-    return add, sub, neg, mul, inv, decode, encode
+    return (*_linear_ops(p, d), mul, inv, decode, encode)
 
 
 def _generic_ext_ops(base: "FieldCtx", d, modulus_digits):
-    """Closures for base[X]/(m); digits are packed base values."""
-    from .polys import _divmod_vals
-    order = base.order
-    badd, bsub, bneg, bmul, binv = (
-        base.add_v, base.sub_v, base.neg_v, base.mul_v, base.inv_v)
-    mod_low = tuple(modulus_digits[:d])
-    idx = range(d)
-
-    def decode(v):
-        out = []
-        for _ in idx:
-            v, r = divmod(v, order)
-            out.append(r)
-        return out
-
-    def encode(digits):
-        v = 0
-        for c in reversed(digits):
-            v = v * order + c
-        return v
-
-    def add(x, y):
-        a, b = decode(x), decode(y)
-        return encode([badd(a[i], b[i]) for i in idx])
-
-    def sub(x, y):
-        a, b = decode(x), decode(y)
-        return encode([bsub(a[i], b[i]) for i in idx])
-
-    def neg(x):
-        return encode([bneg(c) for c in decode(x)])
+    """Closures for base[X]/(m); digits are packed base values.  Products
+    and inverses are polynomial arithmetic over ``base``."""
+    from .polys import _divmod_vals, _mul_vals, _mulmod, _sub_vals, _trim
+    decode, encode = _codec(base.order, d)
+    mulmod = _mulmod(base, modulus_digits)
 
     def mul(x, y):
-        a, b = decode(x), decode(y)
-        prod = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] = badd(prod[i + j], bmul(ai, bj))
-        for k in range(2 * d - 2, d - 1, -1):
-            c = prod[k]
-            if c:
-                lo = k - d
-                for j in idx:
-                    if mod_low[j]:
-                        prod[lo + j] = bsub(prod[lo + j], bmul(c, mod_low[j]))
-        return encode(prod[:d])
-
-    full_mod = list(modulus_digits)
+        a = decode(x)
+        return encode(mulmod(a, a if x == y else decode(y)))
 
     def inv(x):
         if x == 0:
             raise DivisionByZero("0 is not invertible")
-        r0, r1 = full_mod, decode(x)
-        while len(r1) > 1 and r1[-1] == 0:
-            r1.pop()
-        t0, t1 = [0], [1]
-        while True:
-            if len(r1) == 1:
-                c_inv = binv(r1[0])
-                out = [bmul(c, c_inv) for c in t1]
-                out.extend([0] * (d - len(out)))
-                return encode(out[:d])
+        # extended Euclid against the modulus, tracking only the cofactor
+        # of x; it ends at a nonzero constant because the modulus is
+        # irreducible
+        r0, r1 = modulus_digits, _trim(decode(x))
+        t0, t1 = (), (1,)
+        while len(r1) > 1:
             quo, rem = _divmod_vals(base, r0, r1)
-            r0, r1 = r1, rem
-            if not r1:
+            if not rem:
                 raise ArithmeticError("modulus is not irreducible")
-            prod = [0] * (len(quo) + len(t1) - 1)
-            for i, qi in enumerate(quo):
-                if qi:
-                    for j, tj in enumerate(t1):
-                        if tj:
-                            prod[i + j] = badd(prod[i + j], bmul(qi, tj))
-            new_t = [0] * max(len(t0), len(prod))
-            for i, c in enumerate(t0):
-                new_t[i] = c
-            for i, c in enumerate(prod):
-                new_t[i] = bsub(new_t[i], c)
-            while len(new_t) > 1 and new_t[-1] == 0:
-                new_t.pop()
-            t0, t1 = t1, new_t
+            r0, r1 = r1, rem
+            t0, t1 = t1, _sub_vals(base, t0, _mul_vals(base, quo, t1))
+        return encode(_mul_vals(base, t1, (base.inv_v(r1[0]),)))
 
-    return add, sub, neg, mul, inv, decode, encode
+    return (*_linear_ops(base.p, d * base.total_degree), mul, inv, decode,
+            encode)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +413,6 @@ class FieldCtx:
         if len(digits) > self.degree:
             raise ValueError(
                 f"{len(digits)} coefficients for degree {self.degree}")
-        digits.extend([0] * (self.degree - len(digits)))
         return FieldElement(self, self.encode_v(digits))
 
     @property
@@ -798,5 +754,4 @@ def element_from_text(ctx: FieldCtx, text: str) -> FieldElement:
     if len(digits) > ctx.degree:
         raise ValueError(
             f"{len(digits)} coefficients for a degree {ctx.degree} field")
-    digits.extend([0] * (ctx.degree - len(digits)))
     return FieldElement(ctx, ctx.encode_v(digits))

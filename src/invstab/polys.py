@@ -11,9 +11,10 @@ carries, so one C bigint multiply forms the whole product.  Over F_{p^e}
 the packing is bivariate in X and the modulus root y.  The product's
 y-powers e .. 2e - 2 are folded back with y^k mod the field modulus on the
 packed integer, and each slot is then reduced mod p (see :class:`_Kron`).
-Depth-2 towers, and fields whose slots would need more than 8 bytes, use
-the schoolbook loop over the field's closures.  Division and gcd are the
-classical algorithms.
+The schoolbook loop over the field's closures remains only for polynomials
+over depth-2 towers and over fields whose slots would need more than 8
+bytes.  A tower's own element product is a Barrett product over its base
+field (see :mod:`.fields`).  Division and gcd are the classical algorithms.
 
 Products modulo a fixed monic f of degree m use Barrett reduction: mu =
 X^(2m - 2) // f is found once by division, and each reduced product then

@@ -341,6 +341,24 @@ def test_argparse_rejects_unknown(capsys):
     assert exc.value.code == 2
 
 
+def test_cap_only_where_a_degree_bound_is_read(capsys):
+    """--cap bounds deg D_n, so only generate and verify accept it."""
+    for command in (['check', '--xi', '1'], ['search'],
+                    ['trace-table', '--xi', '1', '--nmax', '2']):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(command[:1] + ['--p', '3'] + command[1:]
+                     + ['--cap', '5'])
+        assert exc.value.code == 2, command
+        assert 'unrecognized arguments: --cap 5' in capsys.readouterr().err
+    rc, out, err = run(capsys, ['generate', '--p', '3', '--xi', '1',
+                                '--n', '3', '--cap', '10'])
+    assert rc == cli.EXIT_USAGE
+    assert out == '' and err.startswith('error: deg D_3 = 3^3 exceeds the cap 10')
+    rc, _, _ = run(capsys, ['verify', '--suite', 'irreducibility',
+                            '--p', '3', '--cap', '10'])
+    assert rc == cli.EXIT_OK
+
+
 def test_exit_code_constants():
     assert (cli.EXIT_OK, cli.EXIT_DISAGREE, cli.EXIT_USAGE,
             cli.EXIT_UNSTABLE) == (0, 1, 2, 3)

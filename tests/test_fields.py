@@ -375,23 +375,15 @@ def test_element_text_rejects_oversized_vector():
 
 
 def test_generic_ops_agree_with_prime_ext_ops():
-    """The closure-based tower ops must match the flat int specialization.
+    """The polynomial-layer ops must match the flat int specialization.
 
-    The two inversions divide with different code (polys._divmod_vals and
-    the flat-int divmod).  Every nonzero element of every depth-1 field of
-    order <= 729 (default moduli, plus F_9 with modulus 2,2,1 and F_25 with
-    modulus 2,4,1) gets the same inverse from both factories, and
-    multiplication, which does no division, confirms that inverse
-    independently."""
-    fadd, fsub, fneg, fmul, _, _, _ = _prime_ext_ops(3, 2, (2, 2, 1))
-    sadd, ssub, sneg, smul, _, _, _ = _generic_ext_ops(prime_field(3), 2,
-                                                       (2, 2, 1))
-    for a in range(9):
-        for b in range(9):
-            assert fadd(a, b) == sadd(a, b)
-            assert fsub(a, b) == ssub(a, b)
-            assert fmul(a, b) == smul(a, b)
-        assert fneg(a) == sneg(a)
+    The generic product is polys._mulmod's Barrett product and the generic
+    inversion divides with polys._divmod_vals; the flat-int factory has its
+    own schoolbook product and divmod.  add/sub/neg/mul agree on every pair
+    of every depth-1 field of order <= 81.  Every nonzero element of every
+    depth-1 field of order <= 729 (default moduli, plus F_9 with modulus
+    2,2,1 and F_25 with modulus 2,4,1) gets the same inverse from both
+    factories, and multiplication confirms that inverse."""
     fields = [finite_field(p, e)
               for p in range(2, 730) if _is_prime(p)
               for e in range(2, 10) if p ** e <= 729]
@@ -399,12 +391,111 @@ def test_generic_ops_agree_with_prime_ext_ops():
     fields += [F9, F25]
     for ctx in fields:
         d, mod = ctx.degree, ctx.modulus_vals
-        _, _, _, fmul, finv, _, _ = _prime_ext_ops(ctx.p, d, mod)
-        _, _, _, smul, sinv, _, _ = _generic_ext_ops(ctx.base, d, mod)
+        fadd, fsub, fneg, fmul, finv, _, _ = _prime_ext_ops(ctx.p, d, mod)
+        sadd, ssub, sneg, smul, sinv, _, _ = _generic_ext_ops(ctx.base, d, mod)
+        for a in range(ctx.order if ctx.order <= 81 else 0):
+            for b in range(ctx.order):
+                assert fadd(a, b) == sadd(a, b), (ctx, a, b)
+                assert fsub(a, b) == ssub(a, b), (ctx, a, b)
+                assert fmul(a, b) == smul(a, b), (ctx, a, b)
+            assert fneg(a) == sneg(a), (ctx, a)
         for a in range(1, ctx.order):
             inv = finv(a)
             assert sinv(a) == inv, (ctx, a)
             assert fmul(a, inv) == 1 and smul(a, inv) == 1, (ctx, a)
+
+
+# -- tower arithmetic against a schoolbook reference -------------------------------
+
+
+def ref_product(modulus, a, b):
+    """a * b mod the monic ``modulus``, all lists of base-field elements:
+    a schoolbook product with the element operators, then reduction from
+    the top."""
+    d = len(modulus) - 1
+    prod = [modulus[0].ctx.zero] * (2 * d - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] = prod[i + j] + ai * bj
+    for k in range(2 * d - 2, d - 1, -1):
+        c = prod[k]
+        for j, mj in enumerate(modulus[:d]):
+            if mj:
+                prod[k - d + j] = prod[k - d + j] - c * mj
+    return prod[:d]
+
+
+def tower_over(base):
+    """K(gamma) = K[X]/(X^p - X + xi) for the last xi of K with Tr(xi) != 0."""
+    xi = next(x for x in reversed(list(base.elements())) if abs_trace(x))
+    return extension_field(base, artin_schreier(xi))
+
+
+def unpacked(K, d, v):
+    """The d base-field coefficients of the packed value v, low first."""
+    return [K.element(v // K.order ** i % K.order) for i in range(d)]
+
+
+def packed(coeffs):
+    return sum(c.val * c.ctx.order ** i for i, c in enumerate(coeffs))
+
+
+def test_tower_product_matches_schoolbook_reference():
+    """Tower mul_v (polys._mulmod over the base) against ref_product, and
+    add_v/sub_v (flat F_p digits) against coefficient-wise base operators:
+    every pair of F_4(gamma) and F_8(gamma); seeded pairs, squares, 0, 1
+    and lifted base elements of F_9(gamma), F_16(gamma), F_25(gamma) and
+    F_49(gamma)."""
+    rng = random.Random(6060)
+    for base in (finite_field(2, 2), finite_field(2, 3),
+                 F9, finite_field(2, 4), F25, finite_field(7, 2)):
+        L = tower_over(base)
+        modulus = [base.element(v) for v in L.modulus_vals]
+        if L.order <= 64:
+            pairs = [(x, y) for x in range(L.order) for y in range(L.order)]
+        else:
+            special = [0, 1] + [rng.randrange(base.order) for _ in range(5)]
+            pairs = [(rng.randrange(L.order), rng.randrange(L.order))
+                     for _ in range(2000)]
+            for x, _ in pairs[:50]:
+                pairs += [(x, x)] + [(x, c) for c in special]
+                pairs += [(c, x) for c in special]
+        for x, y in pairs:
+            u, v = unpacked(base, L.degree, x), unpacked(base, L.degree, y)
+            assert L.mul_v(x, y) == packed(ref_product(modulus, u, v)), (L, x, y)
+            assert L.add_v(x, y) == packed([s + t for s, t in zip(u, v)])
+            assert L.sub_v(x, y) == packed([s - t for s, t in zip(u, v)])
+
+
+def test_generic_product_without_packed_layout():
+    """Over F_{1048573^2} a degree-5 product needs slots over 8 bytes, so
+    polys._mulmod falls back to the closure loops; the modulus need not be
+    irreducible for products."""
+    from invstab.polys import _Kron
+    big = 1048573
+    r = next(r for r in range(2, big) if pow(r, (big - 1) // 2, big) == big - 1)
+    K = finite_field(big, 2, modulus=(-r % big, 0, 1))
+    assert _Kron.fit(K, 5, 9) is None
+    rng = random.Random(6061)
+    modulus = [rand_elt(rng, K) for _ in range(5)] + [K.one]
+    mul = _generic_ext_ops(K, 5, tuple(c.val for c in modulus))[3]
+    for _ in range(200):
+        a = [rand_elt(rng, K) for _ in range(5)]
+        b = a if rng.random() < 0.1 else [rand_elt(rng, K) for _ in range(5)]
+        assert mul(packed(a), packed(b)) == packed(ref_product(modulus, a, b))
+
+
+def test_tower_inverse_against_reference_product():
+    """ref_product(x, inv_v(x)) = 1 on every nonzero x of F_4(gamma),
+    F_8(gamma) and F_9(gamma) (order 729)."""
+    for base in (finite_field(2, 2), finite_field(2, 3), F9):
+        L = tower_over(base)
+        d = L.degree
+        modulus = [base.element(v) for v in L.modulus_vals]
+        for x in range(1, L.order):
+            prod = ref_product(modulus, unpacked(base, d, x),
+                               unpacked(base, d, L.inv_v(x)))
+            assert packed(prod) == 1, (L, x)
 
 
 def test_hash_and_bool():
