@@ -1,6 +1,7 @@
 """End-to-end tests for the command line front end."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -313,6 +314,142 @@ def test_out_to_unwritable_path_is_usage_error(capsys, tmp_path):
     assert rc == cli.EXIT_USAGE
     assert out == '' and err.startswith('error: cannot write')
     assert 'Traceback' not in err
+
+
+# -- pinned bytes --------------------------------------------------------------------
+
+_PINNED_FIELDS = {'F9': F9_ARGS, 'F4': ['--p', '2', '--e', '2'],
+                  'F2': ['--p', '2']}
+
+#: exit code and sha256 of stdout for each command line in text, json and
+#: csv, each first without and then with --quiet
+_PINNED_CLI = {
+    'check F9 --xi 0,1': (
+        '0:16a55a5d1b3ff18547af8c28d87f9eed9c83668600d7a986a9ae290a9658107f',
+        '0:118deaaeecf0ebe41aa092840c65a26bb9844d1df5adb532f0ea88b361a4f06b',
+        '0:a76f8ace7273466bdb1ba4025e8f5a8d61e51f40d94577814ccd95ac2442c845',
+        '0:a76f8ace7273466bdb1ba4025e8f5a8d61e51f40d94577814ccd95ac2442c845',
+        '0:9ee874cf196b5c398d8029f2b2fab6a4aac4bf03ced9a5ad7dd95f57a063b35c',
+        '0:9ee874cf196b5c398d8029f2b2fab6a4aac4bf03ced9a5ad7dd95f57a063b35c',
+    ),
+    'check F9 --xi 1,1': (
+        '3:45978be1a461d6ade2de76084f122ab8fb012b743892c4ddb4c128fd9e4acda4',
+        '3:d11b832844e932c825fa7abff4a159075bca5dc78c858aaa1de0b74e744764c7',
+        '3:c4a6b0121db170b712309f0bacd94ec5f238919e8324e10ad665cafad5196380',
+        '3:c4a6b0121db170b712309f0bacd94ec5f238919e8324e10ad665cafad5196380',
+        '3:afa16178b5e48e5b646d46e896202b600598a317e6803288caaf66e56fe918e3',
+        '3:afa16178b5e48e5b646d46e896202b600598a317e6803288caaf66e56fe918e3',
+    ),
+    'search F9': (
+        '0:ee659e0acb857da2a0d43f50323e1962dc46f9cc4b49841e4ccb810633144d2f',
+        '0:8f5693d68ba2fe92aaefa47a62d69d0670795633c9fd5953ddf28b229e798c7a',
+        '0:bf6859f8ea3b0b789bbe884b49163efb449485d02619e6454da3bbe7dd5087fa',
+        '0:bf6859f8ea3b0b789bbe884b49163efb449485d02619e6454da3bbe7dd5087fa',
+        '0:dae09134ed915265be851e769dc5c52fe3f759675fbf892a7800c101ed4e8c47',
+        '0:dae09134ed915265be851e769dc5c52fe3f759675fbf892a7800c101ed4e8c47',
+    ),
+    'generate F9 --xi 0,1 --n 2': (
+        '0:c54529df6dc1260851ce1660143804fd6a19c22d153b93a8aa3b38710ca74bf3',
+        '0:dd1b7048eb58dcb6b4dc3152737ace4cdce66e2c88ea68ce5b802340ef655859',
+        '0:da6430287e8b9e20e3072cc0b971be034f4b8e75d1216a7e8777d0a1c0a9dfb8',
+        '0:da6430287e8b9e20e3072cc0b971be034f4b8e75d1216a7e8777d0a1c0a9dfb8',
+        '0:1e9ee344e6d81542cf742588f0cf56d6200f45a8e4a73fc18c449ab107bee58f',
+        '0:1e9ee344e6d81542cf742588f0cf56d6200f45a8e4a73fc18c449ab107bee58f',
+    ),
+    'generate F9 --xi 0,1 --n 2 --verify': (
+        '0:ccf37c1852e08c4df2b304580cb2e764c5962db9b549b58bec8ac3b7e207a242',
+        '0:dd1b7048eb58dcb6b4dc3152737ace4cdce66e2c88ea68ce5b802340ef655859',
+        '0:cfcf45aba4409c2414b141301053876c6c9c9e1bf51bf38e4fe272b668008345',
+        '0:cfcf45aba4409c2414b141301053876c6c9c9e1bf51bf38e4fe272b668008345',
+        '0:d356c79c568d0a27abb96d69fd1d57f01ed07dd120e54cd034d452f67bd20315',
+        '0:d356c79c568d0a27abb96d69fd1d57f01ed07dd120e54cd034d452f67bd20315',
+    ),
+    'trace-table F9 --xi 0,1 --nmax 6': (
+        '0:a4fc2e6cabd683e67cc80f7dde4fa33a4c315c14168082fe4357fb6bd7871e85',
+        '0:bc19bb4d05b2f9d589d4577e62760bae6150df1faf6124977b8a977a8b44c80f',
+        '0:75f5c139524f2a8abff6746f8aa9e5726b3dad5255e540cf9612bcb076c5410f',
+        '0:75f5c139524f2a8abff6746f8aa9e5726b3dad5255e540cf9612bcb076c5410f',
+        '0:bbca0d20246242d8b8aa2eed5b0deed6fb516d912f780afbc5d7340a267a7c26',
+        '0:bbca0d20246242d8b8aa2eed5b0deed6fb516d912f780afbc5d7340a267a7c26',
+    ),
+    'check F4 --xi 0,1': (
+        '3:d41ae3f4a35368cfb65e45464cd8e74904e0306fbca467f66c416904652f2a82',
+        '3:8237a8a65dbc570991665df32ddea599ec763aad6f6c3a13e2b5dd752961c21e',
+        '3:16f19f19f82c073e770d94ec4a3fa4f260f5704d7c4571640dccae2af2f20ba3',
+        '3:16f19f19f82c073e770d94ec4a3fa4f260f5704d7c4571640dccae2af2f20ba3',
+        '3:f64386c8220e52bac4edb0eb4fd4663a0eaf4cc1e142f9ea40f79f44c2de6f6a',
+        '3:f64386c8220e52bac4edb0eb4fd4663a0eaf4cc1e142f9ea40f79f44c2de6f6a',
+    ),
+    'check F4 --xi 1,0': (
+        '3:3dabb3b455a7b44433b25b40ef3fdef1f8e28aafdd9fa95f88a0da46101f5c68',
+        '3:d11b832844e932c825fa7abff4a159075bca5dc78c858aaa1de0b74e744764c7',
+        '3:a6488a922a97b41eb3401512b6ea62d7f25b1568e8d80a14073a7365778e1b5c',
+        '3:a6488a922a97b41eb3401512b6ea62d7f25b1568e8d80a14073a7365778e1b5c',
+        '3:f7e0398d21595d17b6d94a63b3ef7df9057eb970e27c8556ce55f66c5788494b',
+        '3:f7e0398d21595d17b6d94a63b3ef7df9057eb970e27c8556ce55f66c5788494b',
+    ),
+    'search F4': (
+        '0:ec3b0f6186415095bb3cde08e57043f389ed8d3bc6a76718b599a7d51ca89b25',
+        '0:2fab8e7da831b5a766ca00a80233469179f62a7cc4444321c0a6eaf9f03899bf',
+        '0:8519b6c27ce1bfb8d4e435221e373e5000d6f76cd0910b546a894673cff5a20e',
+        '0:8519b6c27ce1bfb8d4e435221e373e5000d6f76cd0910b546a894673cff5a20e',
+        '0:985a01087cf3b71d902c1d66ac4cc038ebaf2b8944d06ebd4fe61f56d89dba4f',
+        '0:985a01087cf3b71d902c1d66ac4cc038ebaf2b8944d06ebd4fe61f56d89dba4f',
+    ),
+    'generate F4 --xi 0,1 --n 5': (
+        '0:9b098e4c9b3babf872b86e40d49a7aca76b7493e46aa4b672a18d013767d4311',
+        '0:57e6730a7f1943e653042c4f66f3ff90459c4e846a36a9129b8e26cd85f81b2e',
+        '0:771777000e4462ba9d0495109bd060ac6890845d7b576951109aff09a74a85ed',
+        '0:771777000e4462ba9d0495109bd060ac6890845d7b576951109aff09a74a85ed',
+        '0:48a24627759e61f29d2a62e9a2b8d618292117435e63e81092367ffa06a99d53',
+        '0:48a24627759e61f29d2a62e9a2b8d618292117435e63e81092367ffa06a99d53',
+    ),
+    'generate F4 --xi 0,1 --n 5 --verify': (
+        '0:7adc26dabfbc147c729ff4e04fc931fe6588a9549ae1a1eda93ebec95ceaf6f1',
+        '0:57e6730a7f1943e653042c4f66f3ff90459c4e846a36a9129b8e26cd85f81b2e',
+        '0:7c0791a82fde7c6a20c68bb085aba4c96744ee87badbe360739b4dbece7501f5',
+        '0:7c0791a82fde7c6a20c68bb085aba4c96744ee87badbe360739b4dbece7501f5',
+        '0:33ed227f0a33547381aa27692397dd29af2db47e689a4e86b55dd51a26451e3d',
+        '0:33ed227f0a33547381aa27692397dd29af2db47e689a4e86b55dd51a26451e3d',
+    ),
+    'trace-table F4 --xi 1,0 --nmax 4': (
+        '0:c2fba6e5e09b7ff60a65f7d97bbabb9cc002a943fc3402bd47c9b698ac80791d',
+        '0:54056c028b954e8d370a0fad8b3716166fdb93d70b7166fb69efc592fac1193b',
+        '0:e59dae8a5ab6070b56f1632cf22caa55b676b6a1295ccbc20667171a0c15bf23',
+        '0:e59dae8a5ab6070b56f1632cf22caa55b676b6a1295ccbc20667171a0c15bf23',
+        '0:97eb4d052551197cc2fa2c651a660d45b82646fcba297235396c3ea7505a6f2d',
+        '0:97eb4d052551197cc2fa2c651a660d45b82646fcba297235396c3ea7505a6f2d',
+    ),
+    'verify F4 --suite all --nmax 4': (
+        '0:9abed65ba7217f6c81db792a114ba2dc89e0e65ce9d125cb163d24b6a25b2a9d',
+        '0:c681daac707998f87fa4680db6cd7790eea2aec1c8cf72d922b350329679783d',
+        '0:e3b49aa756c7da98d60de5ad2eb48dcc489d1912ff41d7b5cdb2485377bab0b8',
+        '0:e3b49aa756c7da98d60de5ad2eb48dcc489d1912ff41d7b5cdb2485377bab0b8',
+        '0:b6cdc8a6b65a90840386a3cbfbbbf7bd6ee4ad931fd62687fde12905e6b5620e',
+        '0:b6cdc8a6b65a90840386a3cbfbbbf7bd6ee4ad931fd62687fde12905e6b5620e',
+    ),
+    'verify F2 --suite all --nmax 4': (
+        '0:c9e69e142e87b947a7bb264def361c283ebfa4e4ad286474380d58c8251cebd7',
+        '0:0f7fd01be9e28b071c43807e1af57cbd0e03d593beb6a84fd29718a4c688a52a',
+        '0:1970db598343af7639edf62e0bdcc15328b673dffb7b3761e7ec593616b58ed2',
+        '0:1970db598343af7639edf62e0bdcc15328b673dffb7b3761e7ec593616b58ed2',
+        '0:eef17a2cc3d25a5b5263ca90ec562725593bbf6ac383a51e1133c32d58259aaf',
+        '0:eef17a2cc3d25a5b5263ca90ec562725593bbf6ac383a51e1133c32d58259aaf',
+    ),
+}
+
+
+def test_cli_bytes_pinned(capsys):
+    """Every command, format and --quiet setting writes the pinned bytes."""
+    for line, expected in _PINNED_CLI.items():
+        command, field, *rest = line.split()
+        got = []
+        for fmt in ('text', 'json', 'csv'):
+            for quiet in ([], ['--quiet']):
+                rc, out, _ = run(capsys, [command] + _PINNED_FIELDS[field]
+                                 + rest + ['--format', fmt] + quiet)
+                got.append(f"{rc}:{hashlib.sha256(out.encode()).hexdigest()}")
+        assert tuple(got) == expected, line
 
 
 # -- errors --------------------------------------------------------------------------
