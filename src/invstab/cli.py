@@ -134,16 +134,28 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + '\n'
+def _render(args, payload: dict, header, rows, text=None) -> None:
+    """Write a command's result in the --format asked for.
 
-
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator='\n')
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    json is ``payload`` after the schema and command keys; csv is ``header``
+    and ``rows``.  text is ``text()`` when given, which is only called for
+    text output, and otherwise the aligned table of ``header`` and ``rows``
+    (rows only under --quiet).  This is the one place that reads --format.
+    """
+    if args.format == 'json':
+        out = json.dumps({'schema': SCHEMA_VERSION, 'command': args.command,
+                          **payload}, indent=2) + '\n'
+    elif args.format == 'csv':
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator='\n')
+        writer.writerow(header)
+        writer.writerows(rows)
+        out = buf.getvalue()
+    elif text is not None:
+        out = text()
+    else:
+        out = _table_text(header, rows, args.quiet)
+    _emit(args, out)
 
 
 def _table_text(header, rows, quiet: bool) -> str:
@@ -163,6 +175,11 @@ def _opt(value):
     return '' if value is None else value
 
 
+def _cells(record: dict, keys) -> tuple:
+    """The values of ``keys`` in ``record`` as table cells."""
+    return tuple(_opt(record[k]) for k in keys)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -171,18 +188,11 @@ def _cmd_check(args) -> int:
     xi = element_from_text(ctx, args.xi)
     verdict = decide_inverse_stability(xi)
     stable = verdict.outcome == STABLE
-    if args.format == 'json':
-        payload = {'schema': SCHEMA_VERSION, 'command': 'check'}
-        payload.update(verdict.to_dict())
-        _emit(args, _json_text(payload))
-    elif args.format == 'csv':
-        header = ('xi', 'outcome', 'witness_n', 'preperiod', 'period',
-                  'state_steps')
-        row = (element_to_text(xi), verdict.outcome, _opt(verdict.witness_n),
-               _opt(verdict.preperiod), _opt(verdict.period),
-               verdict.state_steps)
-        _emit(args, _csv_text(header, [row]))
-    else:
+    payload = verdict.to_dict()
+    header = ('xi', 'outcome', 'witness_n', 'preperiod', 'period',
+              'state_steps')
+
+    def text():
         lines = []
         if not args.quiet:
             field = ctx.describe()
@@ -197,7 +207,9 @@ def _cmd_check(args) -> int:
         if not args.quiet:
             lines.append('')
             lines.append(_rows_text(verdict.trace_table, quiet=False).rstrip())
-        _emit(args, '\n'.join(lines) + '\n')
+        return '\n'.join(lines) + '\n'
+
+    _render(args, payload, header, [_cells(payload, header)], text)
     return EXIT_OK if stable else EXIT_UNSTABLE
 
 
@@ -220,18 +232,9 @@ def _cmd_search(args) -> int:
             'preperiod': verdict.preperiod,
             'period': verdict.period,
         })
-    if args.format == 'json':
-        payload = {'schema': SCHEMA_VERSION, 'command': 'search',
-                   'field': ctx.describe(), 'results': rows}
-        _emit(args, _json_text(payload))
-        return EXIT_OK
     header = ('xi', 'trace', 'outcome', 'witness_n', 'preperiod', 'period')
-    table = [(r['xi'], r['trace'], r['outcome'], _opt(r['witness_n']),
-              _opt(r['preperiod']), _opt(r['period'])) for r in rows]
-    if args.format == 'csv':
-        _emit(args, _csv_text(header, table))
-    else:
-        _emit(args, _table_text(header, table, args.quiet))
+    table = [_cells(r, header) for r in rows]
+    _render(args, {'field': ctx.describe(), 'results': rows}, header, table)
     return EXIT_OK
 
 
@@ -245,32 +248,28 @@ def _cmd_generate(args) -> int:
     criterion_irr = (verdict.outcome == STABLE
                      or verdict.witness_n > args.n)
     rabin_irr = is_irreducible(den) if args.rabin_verify else None
-    text = poly_to_text(den)
-    if args.format == 'json':
-        payload = {
-            'schema': SCHEMA_VERSION, 'command': 'generate',
-            'field': ctx.describe(), 'xi': element_to_text(xi),
-            'n': args.n, 'degree': den.degree,
-            'criterion_irreducible': criterion_irr,
-            'rabin_irreducible': rabin_irr,
-            'poly': text,
-        }
-        _emit(args, _json_text(payload))
-    elif args.format == 'csv':
-        header = ('xi', 'n', 'degree', 'criterion_irreducible',
-                  'rabin_irreducible', 'poly')
-        row = (element_to_text(xi), args.n, den.degree, criterion_irr,
-               _opt(rabin_irr), text)
-        _emit(args, _csv_text(header, [row]))
-    else:
+    poly = poly_to_text(den)
+    payload = {
+        'field': ctx.describe(), 'xi': element_to_text(xi),
+        'n': args.n, 'degree': den.degree,
+        'criterion_irreducible': criterion_irr,
+        'rabin_irreducible': rabin_irr,
+        'poly': poly,
+    }
+    header = ('xi', 'n', 'degree', 'criterion_irreducible',
+              'rabin_irreducible', 'poly')
+
+    def text():
         lines = []
         if not args.quiet:
             lines.append(f"D_{args.n} degree={den.degree}"
                          f" criterion_irreducible={criterion_irr}"
                          + (f" rabin_irreducible={rabin_irr}"
                             if rabin_irr is not None else ''))
-        lines.append(text)
-        _emit(args, '\n'.join(lines) + '\n')
+        lines.append(poly)
+        return '\n'.join(lines) + '\n'
+
+    _render(args, payload, header, [_cells(payload, header)], text)
     return EXIT_OK
 
 
@@ -343,19 +342,12 @@ def _cmd_verify(args) -> int:
     if args.suite in ('minpoly', 'all'):
         reports.append(_minpoly_suite(ctx))
     all_agree = all(r.agree for r in reports)
-    if args.format == 'json':
-        payload = {'schema': SCHEMA_VERSION, 'command': 'verify',
-                   'suite': args.suite, 'field': ctx.describe(),
-                   'agree': all_agree,
-                   'reports': [r.to_dict() for r in reports]}
-        _emit(args, _json_text(payload))
-    elif args.format == 'csv':
-        header = ('label', 'params', 'n_max', 'pairs', 'agree',
-                  'first_disagreement')
-        table = [(r.label, _opt(r.params), _opt(r.n_max), len(r.pairs),
-                  r.agree, _opt(r.first_disagreement)) for r in reports]
-        _emit(args, _csv_text(header, table))
-    else:
+    header = ('label', 'params', 'n_max', 'pairs', 'agree',
+              'first_disagreement')
+    table = [(r.label, _opt(r.params), _opt(r.n_max), len(r.pairs),
+              r.agree, _opt(r.first_disagreement)) for r in reports]
+
+    def text():
         lines = []
         for r in reports:
             tag = 'ok  ' if r.agree else 'FAIL'
@@ -367,7 +359,11 @@ def _cmd_verify(args) -> int:
         if not args.quiet:
             verdict = 'agree' if all_agree else 'DISAGREE'
             lines.append(f"{len(reports)} report(s): {verdict}")
-        _emit(args, '\n'.join(lines) + '\n')
+        return '\n'.join(lines) + '\n'
+
+    payload = {'suite': args.suite, 'field': ctx.describe(),
+               'agree': all_agree, 'reports': [r.to_dict() for r in reports]}
+    _render(args, payload, header, table, text)
     return EXIT_OK if all_agree else EXIT_DISAGREE
 
 
@@ -377,19 +373,14 @@ def _cmd_trace_table(args) -> int:
     if args.nmax < 1:
         raise ValueError("--nmax must be >= 1")
     rows = trace_rows(xi, args.nmax)
-    if args.format == 'json':
-        payload = {
-            'schema': SCHEMA_VERSION, 'command': 'trace-table',
-            'field': ctx.describe(), 'xi': element_to_text(xi),
-            'n_max': args.nmax,
-            'rows': [dict(zip(TraceRow._fields, r.cells())) for r in rows],
-        }
-        _emit(args, _json_text(payload))
-    elif args.format == 'csv':
-        _emit(args, _csv_text(TraceRow._fields,
-                              [r.cells() for r in rows]))
-    else:
-        _emit(args, _rows_text(rows, args.quiet))
+    cells = [r.cells() for r in rows]
+    payload = {
+        'field': ctx.describe(), 'xi': element_to_text(xi),
+        'n_max': args.nmax,
+        'rows': [dict(zip(TraceRow._fields, c)) for c in cells],
+    }
+    _render(args, payload, TraceRow._fields, cells,
+            lambda: _rows_text(rows, args.quiet))
     return EXIT_OK
 
 

@@ -203,15 +203,19 @@ class StabilityVerdict:
     def from_dict(cls, data: dict) -> "StabilityVerdict":
         """Rebuild a verdict from :meth:`to_dict` output.
 
-        Raises ValueError when the data cannot be a verdict: an unknown
-        outcome, a witness or cycle data that does not fit the outcome, a
-        trace table of the wrong length or not numbered 1, 2, ..., or a
-        negative ``state_steps``.
+        Raises ValueError when the data cannot be a verdict: a missing key
+        (named in the message), a trace table that is not a list of row
+        dicts, an unknown outcome, a witness or cycle data that does not fit
+        the outcome, a trace table of the wrong length or not numbered 1, 2,
+        ..., or a negative ``state_steps``.
         """
-        outcome = data['outcome']
-        witness_n = data['witness_n']
-        mu, lam = data['preperiod'], data['period']
-        table = data['trace_table']
+        outcome, witness_n, mu, lam, steps, field, xi, table = _values(
+            data, 'verdict', ('outcome', 'witness_n', 'preperiod', 'period',
+                              'state_steps', 'field', 'xi', 'trace_table'))
+        if not isinstance(table, list):
+            raise ValueError(f"trace_table must be a list, got {table!r}")
+        table = [_values(r, 'trace_table row', TraceRow._fields)
+                 for r in table]
         if outcome == STABLE:
             ok = (witness_n is None and _is_count(mu, 0)
                   and _is_count(lam, 1) and len(table) == mu + lam + 1)
@@ -224,38 +228,48 @@ class StabilityVerdict:
             raise ValueError(
                 f"inconsistent {outcome} verdict: witness_n={witness_n!r}, "
                 f"preperiod={mu!r}, period={lam!r}, {len(table)} rows")
-        if not _is_count(data['state_steps'], 0):
-            raise ValueError(
-                f"state_steps must be >= 0, got {data['state_steps']!r}")
-        if [r['n'] for r in table] != list(range(1, len(table) + 1)):
+        if not _is_count(steps, 0):
+            raise ValueError(f"state_steps must be >= 0, got {steps!r}")
+        if [r[0] for r in table] != list(range(1, len(table) + 1)):
             raise ValueError("trace table rows are not numbered 1, 2, ...")
-        field = data['field']
+        p, e = _values(field, 'field', ('p', 'e'))
         modulus = field.get('modulus')
         if modulus is not None:
             modulus = [int(s) for s in modulus.split(',')]
-        ctx = finite_field(field['p'], field['e'], modulus)
+        ctx = finite_field(p, e, modulus)
         prime = ctx.prime_ctx
         rows = tuple(
             TraceRow(
-                r['n'],
-                element_from_text(ctx, r['a']),
-                element_from_text(ctx, r['c']),
-                element_from_text(ctx, r['d']),
-                element_from_text(ctx, r['ratio']),
-                element_from_text(prime, r['trace']),
+                n,
+                element_from_text(ctx, a),
+                element_from_text(ctx, c),
+                element_from_text(ctx, d),
+                element_from_text(ctx, ratio),
+                element_from_text(prime, trace),
             )
-            for r in data['trace_table']
+            for n, a, c, d, ratio, trace in table
         )
         return cls(
-            outcome=data['outcome'],
-            witness_n=data['witness_n'],
-            preperiod=data['preperiod'],
-            period=data['period'],
+            outcome=outcome,
+            witness_n=witness_n,
+            preperiod=mu,
+            period=lam,
             trace_table=rows,
-            xi=element_from_text(ctx, data['xi']),
+            xi=element_from_text(ctx, xi),
             ctx=ctx,
-            state_steps=data['state_steps'],
+            state_steps=steps,
         )
+
+
+def _values(data, what: str, keys) -> list:
+    """The values of ``keys`` in the dict ``data``; ValueError, naming the
+    key, when one is missing or ``data`` is not a dict."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a dict, got {data!r}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} has no {key!r}")
+    return [data[key] for key in keys]
 
 
 def _is_count(v, least: int) -> bool:
@@ -282,20 +296,8 @@ def decide_inverse_stability(xi: FieldElement) -> StabilityVerdict:
     # index s_2, s_3, ... by first appearance until a state repeats, so each
     # state is stepped, tabled and has its c inverted once
     xi_v = xi.val
-    state = s2.key()
-    c_inv = ctx.inv_v(state[1])
-    rows.append(_row_v(ctx, 2, *state, c_inv))
-    if rows[1].trace.val == 0:
-        return StabilityVerdict(UNSTABLE, 2, None, None, tuple(rows),
-                                xi, ctx, 0)
-    first = {state: 2}
-    n = 2
-    while True:
-        state = _step_v(ctx, xi_v, *state, c_inv)
-        n += 1
-        seen = first.get(state)
-        if seen is not None:
-            break
+    state, n, first = s2.key(), 2, {}
+    while state not in first:
         first[state] = n
         c_inv = ctx.inv_v(state[1])
         row = _row_v(ctx, n, *state, c_inv)
@@ -303,8 +305,11 @@ def decide_inverse_stability(xi: FieldElement) -> StabilityVerdict:
         if row.trace.val == 0:
             return StabilityVerdict(UNSTABLE, n, None, None, tuple(rows),
                                     xi, ctx, n - 2)
+        state = _step_v(ctx, xi_v, *state, c_inv)
+        n += 1
 
     # s_n = s_seen closes the cycle with no zero trace on it: stable
+    seen = first[state]
     return StabilityVerdict(STABLE, None, seen - 2, n - seen, tuple(rows),
                             xi, ctx, n - 2)
 

@@ -79,10 +79,17 @@ def _is_prime(n: int) -> bool:
 # inversion loops on plain ints, because they carry all the hot arithmetic
 # of a search: the shared divmod made search over GF(3^6), GF(2^10) and
 # GF(11^2) about 4.5% slower, and the Barrett product is slower per call on
-# these short operands.  A tower (extension over an extension) multiplies
+# these short operands.  Its Euclid divides with _list_divmod_mod_p, which
+# is also the F_p branch of ``polys._divmod_vals``: there is one long
+# division over F_p.  A tower (extension over an extension) multiplies
 # with ``polys._mulmod``'s Barrett product over its base and inverts by an
 # extended Euclid on ``polys`` (which imports this module at load time, so
 # the factory imports it lazily).
+#
+# Two helpers serve every layer: _power is the one square-and-multiply loop
+# (FieldCtx.pow_v, Poly ** k, powmod and the Rabin test pass it their own
+# product), and _coerce_vals is the one map from elements and integers to
+# packed values (from_coeffs, moduli and Poly coefficients).
 
 def _prime_ops(p):
     def add(x, y):
@@ -103,6 +110,27 @@ def _prime_ops(p):
         return pow(x, p - 2, p)
 
     return (add, sub, neg, mul, inv, *_codec(p, 1))
+
+
+def _power(mul, x, k):
+    """x**k for k >= 1, by left-to-right square-and-multiply through ``mul``.
+
+    The one powering loop: field elements, polynomials and products modulo a
+    polynomial all pass their own ``mul``.
+    """
+    result = x
+    for bit in bin(k)[3:]:
+        result = mul(result, result)
+        if bit == '1':
+            result = mul(result, x)
+    return result
+
+
+def _trim(vals):
+    """A list the caller owns, trailing zeros popped in place, as a tuple."""
+    while vals and vals[-1] == 0:
+        vals.pop()
+    return tuple(vals)
 
 
 def _codec(radix, n):
@@ -225,7 +253,7 @@ def _prime_ext_ops(p, d, modulus_digits):
 def _generic_ext_ops(base: "FieldCtx", d, modulus_digits):
     """Closures for base[X]/(m); digits are packed base values.  Products
     and inverses are polynomial arithmetic over ``base``."""
-    from .polys import _divmod_vals, _mul_vals, _mulmod, _sub_vals, _trim
+    from .polys import _coeffwise, _divmod_vals, _mul_vals, _mulmod
     decode, encode = _codec(base.order, d)
     mulmod = _mulmod(base, modulus_digits)
 
@@ -246,7 +274,8 @@ def _generic_ext_ops(base: "FieldCtx", d, modulus_digits):
             if not rem:
                 raise ArithmeticError("modulus is not irreducible")
             r0, r1 = r1, rem
-            t0, t1 = t1, _sub_vals(base, t0, _mul_vals(base, quo, t1))
+            t0, t1 = t1, _coeffwise(base.sub_v, t0,
+                                    _mul_vals(base, quo, t1))
         return encode(_mul_vals(base, t1, (base.inv_v(r1[0]),)))
 
     return (*_linear_ops(base.p, d * base.total_degree), mul, inv, decode,
@@ -309,14 +338,7 @@ class FieldCtx:
         if k < 0:
             x = self.inv_v(x)
             k = -k
-        result = 1
-        while k:
-            if k & 1:
-                result = self.mul_v(result, x)
-            k >>= 1
-            if k:
-                x = self.mul_v(x, x)
-        return result
+        return _power(self.mul_v, x, k) if k else 1
 
     # -- F_p-linear maps -------------------------------------------------------
     #
@@ -395,21 +417,12 @@ class FieldCtx:
     def from_coeffs(self, coeffs: Iterable) -> "FieldElement":
         """Build an element from base-field coefficients, low degree first.
 
-        Entries may be base-field elements or plain integers (reduced mod p
-        when the base is the prime field).  Missing high coefficients are
+        Entries may be base-field elements or plain integers, which embed
+        through the prime field (see :func:`_coerce_vals`); a prime field
+        takes a one-entry vector over itself.  Missing high coefficients are
         taken as zero.
         """
-        digits = []
-        for c in coeffs:
-            if isinstance(c, FieldElement):
-                if self.kind == 'prime' or c.ctx is not self.base:
-                    raise CtxMismatch("coefficient from a different field")
-                digits.append(c.val)
-            else:
-                if self.kind != 'prime' and self.base.kind != 'prime':
-                    raise CtxMismatch(
-                        "integer coefficients only embed over a prime base")
-                digits.append(int(c) % self.p)
+        digits = _coerce_vals(self.base or self, coeffs)
         if len(digits) > self.degree:
             raise ValueError(
                 f"{len(digits)} coefficients for degree {self.degree}")
@@ -619,25 +632,31 @@ def extension_field(base: FieldCtx, modulus) -> FieldCtx:
 
 
 def _modulus_vals(base: FieldCtx, modulus) -> tuple:
-    vals = getattr(modulus, 'vals', None)
-    if vals is not None:
-        if modulus.ctx is not base:
-            raise CtxMismatch("modulus is defined over a different field")
-        return tuple(vals)
+    if hasattr(modulus, 'vals'):  # a Poly
+        modulus = modulus.coeffs
+    return _trim(_coerce_vals(base, modulus))
+
+
+def _coerce_vals(ctx: FieldCtx, coeffs) -> list:
+    """Packed values of a sequence of elements of ``ctx`` and integers.
+
+    An integer k embeds through the prime field as k % p, at every depth.
+    An element of another field raises CtxMismatch; anything else raises
+    TypeError.  This is the one coercion for field, modulus and polynomial
+    coefficients.
+    """
     out = []
-    for c in modulus:
+    for c in coeffs:
         if isinstance(c, FieldElement):
-            if c.ctx is not base:
-                raise CtxMismatch("modulus coefficient from a different field")
-            out.append(c.val)
-        else:
-            if base.kind != 'prime':
+            if c.ctx is not ctx:
                 raise CtxMismatch(
-                    "integer modulus coefficients need a prime base")
-            out.append(int(c) % base.p)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+                    f"coefficient from {c.ctx!r}, expected {ctx!r}")
+            out.append(c.val)
+        elif isinstance(c, int):
+            out.append(c % ctx.p)
+        else:
+            raise TypeError(f"bad coefficient {c!r}")
+    return out
 
 
 def finite_field(p: int, e: int = 1, modulus=None) -> FieldCtx:
@@ -746,12 +765,8 @@ def element_from_text(ctx: FieldCtx, text: str) -> FieldElement:
     """
     if ctx.depth > 1:
         raise ValueError("no text encoding for towers above depth 1")
-    parts = [s.strip() for s in text.split(',')]
     try:
-        digits = [int(s) % ctx.p for s in parts]
+        digits = [int(s) for s in text.split(',')]
     except ValueError:
         raise ValueError(f"bad element text {text!r}") from None
-    if len(digits) > ctx.degree:
-        raise ValueError(
-            f"{len(digits)} coefficients for a degree {ctx.degree} field")
-    return FieldElement(ctx, ctx.encode_v(digits))
+    return ctx.from_coeffs(digits)

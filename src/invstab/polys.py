@@ -2,7 +2,9 @@
 
 Coefficients are stored little-endian as packed field values (see
 :mod:`.fields`) with no trailing zeros, so the zero polynomial is the empty
-tuple and its degree is None.
+tuple and its degree is None.  Coefficients given to :class:`Poly`, as
+elements or integers, are packed by ``fields._coerce_vals``, the same
+coercion that field elements and moduli use.
 
 Products over F_p and over an extension F_{p^e} of F_p use Kronecker
 substitution: a coefficient vector packs into one Python integer with one
@@ -14,12 +16,16 @@ packed integer, and each slot is then reduced mod p (see :class:`_Kron`).
 The schoolbook loop over the field's closures remains only for polynomials
 over depth-2 towers and over fields whose slots would need more than 8
 bytes.  A tower's own element product is a Barrett product over its base
-field (see :mod:`.fields`).  Division and gcd are the classical algorithms.
+field (see :mod:`.fields`).  Division and gcd are the classical algorithms;
+over F_p the long division is ``fields._list_divmod_mod_p``, the one F_p
+division that the flat extension fields invert with as well.
 
 Products modulo a fixed monic f of degree m use Barrett reduction: mu =
 X^(2m - 2) // f is found once by division, and each reduced product then
 costs three packed multiplies (the product, its quotient by f, and the
 quotient times f).  :func:`powmod` and the irreducibility test go through it.
+Every power, ``Poly ** k`` included, is ``fields._power``, the one
+square-and-multiply loop, run with the product it is given.
 
 Irreducibility testing is deterministic: f of degree m over F_q is
 irreducible iff X^(q^m) = X mod f and gcd(X^(q^(m/r)) - X, f) = 1 for every
@@ -33,6 +39,7 @@ from __future__ import annotations
 import sys
 from array import array
 from itertools import product as _cartesian
+from itertools import starmap, zip_longest
 
 from .errors import (
     BothZero,
@@ -41,36 +48,24 @@ from .errors import (
     DivisionByZero,
     ZeroModulus,
 )
-from .fields import FieldCtx, FieldElement, element_from_text, element_to_text
+from .fields import (
+    FieldCtx,
+    FieldElement,
+    _coerce_vals,
+    _list_divmod_mod_p,
+    _power,
+    _trim,
+    element_from_text,
+    element_to_text,
+)
 
 # ---------------------------------------------------------------------------
 # low-level routines on packed-value tuples
 
-def _trim(vals):
-    """A list the caller owns, trailing zeros popped in place, as a tuple."""
-    while vals and vals[-1] == 0:
-        vals.pop()
-    return tuple(vals)
-
-
-def _add_vals(ctx, a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    add = ctx.add_v
-    out = [add(a[i], b[i]) for i in range(len(b))]
-    out.extend(a[len(b):])
-    return _trim(out)
-
-
-def _sub_vals(ctx, a, b):
-    sub = ctx.sub_v
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out.append(sub(x, y))
-    return _trim(out)
+def _coeffwise(op, a, b):
+    """op (``ctx.add_v`` or ``ctx.sub_v``) coefficient by coefficient, the
+    shorter operand padded with zeros."""
+    return _trim(list(starmap(op, zip_longest(a, b, fillvalue=0))))
 
 
 def _neg_vals(ctx, a):
@@ -213,30 +208,23 @@ def _divmod_vals(ctx, a, b):
         raise DivisionByZero("polynomial division by zero")
     if len(a) < len(b):
         return (), tuple(a)
+    if ctx.kind == 'prime':
+        quo, rem = _list_divmod_mod_p(a, b, ctx.p)
+        return _trim(quo), _trim(rem)
     db = len(b) - 1
     inv_lead = ctx.inv_v(b[-1])
     rem = list(a)
     quo = [0] * (len(a) - db)
-    if ctx.kind == 'prime':
-        p = ctx.p
-        for k in range(len(a) - 1, db - 1, -1):
-            c = rem[k]
-            if c:
-                f = c * inv_lead % p
-                quo[k - db] = f
-                for j in range(db):
-                    rem[k - db + j] = (rem[k - db + j] - f * b[j]) % p
-    else:
-        mul = ctx.mul_v
-        sub = ctx.sub_v
-        for k in range(len(a) - 1, db - 1, -1):
-            c = rem[k]
-            if c:
-                f = mul(c, inv_lead)
-                quo[k - db] = f
-                for j in range(db):
-                    if b[j]:
-                        rem[k - db + j] = sub(rem[k - db + j], mul(f, b[j]))
+    mul = ctx.mul_v
+    sub = ctx.sub_v
+    for k in range(len(a) - 1, db - 1, -1):
+        c = rem[k]
+        if c:
+            f = mul(c, inv_lead)
+            quo[k - db] = f
+            for j in range(db):
+                if b[j]:
+                    rem[k - db + j] = sub(rem[k - db + j], mul(f, b[j]))
     del rem[db:]
     return _trim(quo), _trim(rem)
 
@@ -294,24 +282,13 @@ def _mulmod(ctx, f):
     return mulmod
 
 
-def _pow_by(mulmod, base, k):
-    """base**k, k >= 1, by square-and-multiply through ``mulmod``; base is
-    reduced."""
-    result = base
-    for bit in bin(k)[3:]:
-        result = mulmod(result, result)
-        if bit == '1':
-            result = mulmod(result, base)
-    return result
-
-
 def _powmod_vals(ctx, base, k, mod):
     if not mod:
         raise ZeroModulus("modulus polynomial is zero")
     f = _monic_vals(ctx, mod)
     if k == 0:
         return _rem_vals(ctx, (1,), f)
-    return _pow_by(_mulmod(ctx, f), _rem_vals(ctx, base, f), k)
+    return _power(_mulmod(ctx, f), _rem_vals(ctx, base, f), k)
 
 
 def _prime_factors(m):
@@ -343,18 +320,8 @@ class Poly:
     __slots__ = ('ctx', 'vals')
 
     def __init__(self, ctx: FieldCtx, coeffs=()):
-        vals = []
-        for c in coeffs:
-            if isinstance(c, FieldElement):
-                if c.ctx is not ctx:
-                    raise CtxMismatch("coefficient from a different field")
-                vals.append(c.val)
-            elif isinstance(c, int):
-                vals.append(c % ctx.p)
-            else:
-                raise TypeError(f"bad coefficient {c!r}")
         self.ctx = ctx
-        self.vals = _trim(vals)
+        self.vals = _trim(_coerce_vals(ctx, coeffs))
 
     @classmethod
     def _make(cls, ctx, vals):
@@ -419,14 +386,11 @@ class Poly:
     def __call__(self, x) -> FieldElement:
         """Evaluate by Horner's rule at a field element (or integer)."""
         ctx = self.ctx
-        if isinstance(x, int):
-            x = ctx.from_int(x)
-        elif x.ctx is not ctx:
-            raise CtxMismatch("evaluation point from a different field")
+        xv, = _coerce_vals(ctx, (x,))
         acc = 0
         mul, add = ctx.mul_v, ctx.add_v
         for c in reversed(self.vals):
-            acc = add(mul(acc, x.val), c)
+            acc = add(mul(acc, xv), c)
         return FieldElement(ctx, acc)
 
     # -- ring operations ------------------------------------------------------
@@ -436,19 +400,16 @@ class Poly:
             if other.ctx is not self.ctx:
                 raise CtxMismatch("polynomials over different fields")
             return other
-        if isinstance(other, FieldElement):
-            if other.ctx is not self.ctx:
-                raise CtxMismatch("scalar from a different field")
-            return Poly.constant(other)
-        if isinstance(other, int):
-            return Poly.constant(self.ctx.from_int(other))
+        if isinstance(other, (FieldElement, int)):
+            return Poly(self.ctx, (other,))
         return None
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Poly._make(self.ctx, _add_vals(self.ctx, self.vals, other.vals))
+        return Poly._make(self.ctx,
+                          _coeffwise(self.ctx.add_v, self.vals, other.vals))
 
     __radd__ = __add__
 
@@ -456,13 +417,15 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Poly._make(self.ctx, _sub_vals(self.ctx, self.vals, other.vals))
+        return Poly._make(self.ctx,
+                          _coeffwise(self.ctx.sub_v, self.vals, other.vals))
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Poly._make(self.ctx, _sub_vals(self.ctx, other.vals, self.vals))
+        return Poly._make(self.ctx,
+                          _coeffwise(self.ctx.sub_v, other.vals, self.vals))
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -493,15 +456,7 @@ class Poly:
             return NotImplemented
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.one(self.ctx)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return _power(Poly.__mul__, self, k) if k else Poly.one(self.ctx)
 
     def __eq__(self, other):
         if isinstance(other, Poly):
@@ -579,9 +534,9 @@ def is_irreducible(f: Poly) -> bool:
     checkpoints = {m // r for r in _prime_factors(m)}
     xv = h = (0, 1)
     for i in range(1, m + 1):
-        h = _pow_by(mulmod, h, ctx.order)
+        h = _power(mulmod, h, ctx.order)
         if i in checkpoints:
-            g = _sub_vals(ctx, h, xv)
+            g = _coeffwise(ctx.sub_v, h, xv)
             if _gcd_vals(ctx, g, fv) != (1,):
                 return False
     return h == xv

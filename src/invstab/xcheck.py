@@ -37,6 +37,7 @@ from .errors import (
 from .fields import (
     FieldCtx,
     FieldElement,
+    _codec,
     abs_trace,
     element_to_text,
     extension_field,
@@ -184,25 +185,14 @@ def minimal_polynomial(alpha: FieldElement, sub: FieldCtx) -> Poly:
     """
     field = alpha.ctx
     dim = relative_degree(field, sub)
-
-    def coords(ctx, packed):
-        if ctx is sub:
-            return [packed]
-        out = []
-        for digit in ctx.decode_v(packed):
-            out.extend(coords(ctx.base, digit))
-        return out
-
-    def coords_top(packed):
-        vec = coords(field, packed)
-        assert len(vec) == dim
-        return vec
-
+    # each level packs its coefficients base |its base|, a power of |sub|,
+    # so the base-|sub| digits of a packed value are its coordinates over sub
+    coords, _ = _codec(sub.order, dim)
     smul, ssub, sinv = sub.mul_v, sub.sub_v, sub.inv_v
     rows = []  # (pivot index, reduced vector, combination over powers)
     power = 1  # packed value of alpha**j
     for j in range(dim + 1):
-        vec = coords_top(power)
+        vec = coords(power)
         combo = [0] * j + [1]
         for pivot, rvec, rcombo in rows:
             f = vec[pivot]

@@ -290,6 +290,15 @@ def test_verdict_round_trip():
         assert back.trace_table == verdict.trace_table
 
 
+#: marks a key that a from_dict test drops from the verdict data
+MISSING = object()
+
+
+def _changed(data, change):
+    data = dict(data, **change)
+    return {k: v for k, v in data.items() if v is not MISSING}
+
+
 @pytest.mark.parametrize('change', [
     {'outcome': 'bogus'},
     {'state_steps': -3},
@@ -300,9 +309,14 @@ def test_verdict_round_trip():
     {'preperiod': None},
     {'trace_table': []},                    # too few rows for the cycle
     {'outcome': 'unstable'},                # stable cycle data, no witness
+    {'outcome': MISSING},
+    {'state_steps': MISSING},
+    {'trace_table': None},
+    {'trace_table': [None] * 5},            # right length, rows not dicts
+    {'field': {'p': 3}},
 ])
 def test_verdict_from_dict_rejects_bad_stable(change):
-    data = dict(decide_inverse_stability(W).to_dict(), **change)
+    data = _changed(decide_inverse_stability(W).to_dict(), change)
     with pytest.raises(ValueError):
         StabilityVerdict.from_dict(data)
 
@@ -315,10 +329,25 @@ def test_verdict_from_dict_rejects_bad_stable(change):
     {'period': 1},
     {'preperiod': 0},
     {'outcome': 'stable'},
+    {'witness_n': MISSING},
+    {'xi': MISSING},
+    {'trace_table': ['row'] * 8},           # right length, rows not dicts
+    {'trace_table': [{'n': k} for k in range(1, 9)]},
 ])
 def test_verdict_from_dict_rejects_bad_unstable(change):
-    data = dict(decide_inverse_stability(V).to_dict(), **change)
+    data = _changed(decide_inverse_stability(V).to_dict(), change)
     with pytest.raises(ValueError):
+        StabilityVerdict.from_dict(data)
+
+
+def test_verdict_from_dict_names_the_missing_key():
+    data = decide_inverse_stability(V).to_dict()
+    del data['witness_n']
+    with pytest.raises(ValueError, match="'witness_n'"):
+        StabilityVerdict.from_dict(data)
+    data = decide_inverse_stability(V).to_dict()
+    del data['trace_table'][3]['ratio']
+    with pytest.raises(ValueError, match="'ratio'"):
         StabilityVerdict.from_dict(data)
 
 

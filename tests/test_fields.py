@@ -247,6 +247,63 @@ def test_int_operand_coercion():
     assert 1 / (w + 2) == w
 
 
+def _tower_f4():
+    K = finite_field(2, 2)
+    return extension_field(K, find_irreducible(K, 2))
+
+
+@pytest.mark.parametrize('make', [
+    lambda: finite_field(2),
+    lambda: finite_field(2, 2),
+    lambda: F9,
+    _tower_f4,
+], ids=['F2', 'F4', 'F9', 'F4(gamma)'])
+def test_pow_matches_repeated_multiplication(make):
+    """x ** k and pow_v against a running product, for k = -q .. 2q + 1."""
+    ctx = make()
+    q = ctx.order
+    for x in ctx.elements():
+        acc = ctx.one
+        for k in range(2 * q + 2):
+            assert x ** k == acc and ctx.pow_v(x.val, k) == acc.val, (x, k)
+            acc = acc * x
+        if not x:
+            with pytest.raises(errors.DivisionByZero):
+                x ** -1
+            continue
+        inv = next(y for y in ctx.elements() if x * y == ctx.one)
+        acc = ctx.one
+        for k in range(1, q + 1):
+            acc = acc * inv
+            assert x ** -k == acc and ctx.pow_v(x.val, -k) == acc.val, (x, k)
+
+
+@pytest.mark.parametrize('base', [F3, F9], ids=['depth1', 'depth2'])
+def test_one_coercion_for_polys_elements_and_moduli(base):
+    """Poly, from_coeffs and extension_field read integers (through the
+    prime field, at every depth) and elements alike, and reject the same
+    bad coefficients."""
+    f = find_irreducible(base, 3)
+    # the constant term as an element, every other value below p as an
+    # unreduced integer
+    mixed = [base.element(f.vals[0])] + [
+        v + base.p if v < base.p else base.element(v) for v in f.vals[1:]]
+    L = extension_field(base, mixed)
+    assert L is extension_field(base, f)
+    assert L.modulus_vals == Poly(base, mixed).vals == f.vals
+    assert L.decode_v(L.from_coeffs(mixed[:3]).val) == list(f.vals[:3])
+    assert L.from_coeffs([-1]) == L.from_int(-1)
+    stranger = finite_field(5).one
+    builders = (lambda cs: Poly(base, cs), L.from_coeffs,
+                lambda cs: extension_field(base, cs + [1]))
+    for build in builders:
+        with pytest.raises(errors.CtxMismatch):
+            build([stranger])
+        for bad in ("1", 1.5):
+            with pytest.raises(TypeError):
+                build([bad])
+
+
 # -- towers, lifting, relative traces -----------------------------------------
 
 

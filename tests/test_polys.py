@@ -66,6 +66,23 @@ def test_product_example():
     assert (X + 1) * (X + 2) == X ** 2 + 2
 
 
+def test_pow_matches_repeated_multiplication():
+    K = finite_field(2, 2)
+    tower = extension_field(K, find_irreducible(K, 2))
+    rng = random.Random(1618)
+    for ctx in (F3, F9, tower):
+        polys = [Poly.zero(ctx), Poly.one(ctx), Poly.x(ctx)]
+        polys += [rand_poly(rng, ctx, 3) for _ in range(4)]
+        for f in polys:
+            acc = Poly.one(ctx)
+            for k in range(7):
+                assert f ** k == acc, (f, k)
+                acc = acc * f
+            with pytest.raises(ValueError):
+                f ** -1
+    assert Poly.zero(F3) ** 0 == Poly.one(F3)
+
+
 def test_divmod_examples():
     X = Poly.x(F5)
     q, r = divmod(X ** 3, X)
@@ -79,7 +96,7 @@ def test_divmod_examples():
 
 def test_divmod_round_trip():
     rng = random.Random(314)
-    for ctx in (F5, F9):
+    for ctx in (F2, F3, F5, F9, finite_field(1048573)):
         for _ in range(300):
             a = rand_poly(rng, ctx, 8)
             b = rand_poly(rng, ctx, 4)
@@ -88,6 +105,15 @@ def test_divmod_round_trip():
             q, r = divmod(a, b)
             assert q * b + r == a
             assert r.is_zero or r.degree < b.degree
+        for _ in range(30):
+            a = rand_poly(rng, ctx, 8)
+            c = Poly.constant(ctx.element(rng.randrange(1, ctx.order)))
+            q, r = divmod(a, c)                  # constant divisor
+            assert q * c == a and r.is_zero
+            longer = Poly(ctx, a.coeffs + (ctx.one,)) * Poly.x(ctx)
+            assert divmod(a, longer) == (Poly.zero(ctx), a)
+            b = rand_poly(rng, ctx, 4, monic=True)
+            assert divmod(a * b, b) == (a, Poly.zero(ctx))   # exact
 
 
 def test_division_by_zero_poly():
