@@ -22,6 +22,7 @@ from invstab.polys import Poly, artin_schreier, find_irreducible
 
 
 F3 = finite_field(3)
+F4 = finite_field(2, 2)
 F5 = finite_field(5)
 F9 = finite_field(3, 2, modulus=(2, 2, 1))
 F25 = finite_field(5, 2, modulus=(2, 4, 1))
@@ -247,20 +248,11 @@ def test_int_operand_coercion():
     assert 1 / (w + 2) == w
 
 
-def _tower_f4():
-    K = finite_field(2, 2)
-    return extension_field(K, find_irreducible(K, 2))
-
-
-@pytest.mark.parametrize('make', [
-    lambda: finite_field(2),
-    lambda: finite_field(2, 2),
-    lambda: F9,
-    _tower_f4,
+@pytest.mark.parametrize('ctx', [
+    finite_field(2), F4, F9, extension_field(F4, find_irreducible(F4, 2)),
 ], ids=['F2', 'F4', 'F9', 'F4(gamma)'])
-def test_pow_matches_repeated_multiplication(make):
+def test_pow_matches_repeated_multiplication(ctx):
     """x ** k and pow_v against a running product, for k = -q .. 2q + 1."""
-    ctx = make()
     q = ctx.order
     for x in ctx.elements():
         acc = ctx.one
