@@ -225,8 +225,7 @@ def _cmd_search(args) -> int:
         verdict = decide_inverse_stability(xi)
         rows.append({
             'xi': element_to_text(xi),
-            # row 1 holds a_1/c_1 = xi, so this is Tr(xi)
-            'trace': element_to_text(verdict.trace_table[0].trace),
+            'trace': element_to_text(abs_trace(xi)),
             'outcome': verdict.outcome,
             'witness_n': verdict.witness_n,
             'preperiod': verdict.preperiod,

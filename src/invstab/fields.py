@@ -20,6 +20,9 @@ vector and a Frobenius matrix over those coordinates, built on first use
 (:meth:`FieldCtx.trace_v`, :meth:`FieldCtx.frobenius_v`).  The literal sum
 of Frobenius conjugates survives only in :func:`rel_trace`, the reference
 that builds the trace vector and that the ``xcheck`` oracles compare with.
+A context also builds, on first use, a discrete-log table of its
+multiplicative group with a trace-zero flag per log
+(:meth:`FieldCtx.log_table`), on which the criterion walks small fields.
 
 The same digits make add, sub and neg one digit-wise loop mod p at every
 depth.  A tower element is a polynomial over the base, so tower products
@@ -68,6 +71,21 @@ def _is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def _prime_factors(n: int) -> list:
+    """The distinct prime factors of n >= 1, by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +318,14 @@ class FieldCtx:
         'kind', 'p', 'base', 'modulus_vals', 'degree', 'total_degree',
         'depth', 'order', 'prime_ctx',
         'add_v', 'sub_v', 'neg_v', 'mul_v', 'inv_v', 'decode_v', 'encode_v',
-        '_trace_vec', '_frob',
+        '_trace_vec', '_frob', '_logs',
     )
 
     def __init__(self, p, base=None, modulus_vals=None):
         self.p = p
         self.base = base
         self.modulus_vals = modulus_vals
-        self._trace_vec = self._frob = None
+        self._trace_vec = self._frob = self._logs = None
         if base is None:
             self.kind = 'prime'
             self.degree = 1
@@ -401,6 +419,40 @@ class FieldCtx:
             rows.append(row)
         shifts = tuple(slot * i for i in reversed(range(n)))
         return tuple(rows), shifts, (1 << slot) - 1
+
+    # -- discrete logs ---------------------------------------------------------
+
+    def log_table(self) -> tuple:
+        """(logs, exps, trace_zero) for the cyclic group of nonzero elements.
+
+        With g the least packed value that generates the group, ``exps[k]``
+        is g^k for k in [0, q - 1), ``logs[x]`` is the k with g^k = x (None
+        for x = 0), and ``trace_zero[k]`` is 1 exactly when Tr(g^k) = 0.
+        Built on first use with q - 1 products and traces, and kept on the
+        context like the trace vector.
+        """
+        table = self._logs
+        if table is None:
+            table = self._logs = self._build_logs()
+        return table
+
+    def _build_logs(self):
+        m = self.order - 1
+        primes = _prime_factors(m)
+        g = next(v for v in range(1, self.order)
+                 if all(self.pow_v(v, m // ell) != 1 for ell in primes))
+        mul, trace = self.mul_v, self.trace_v
+        logs = [None] * self.order
+        exps = []
+        trace_zero = bytearray(m)
+        x = 1
+        for k in range(m):
+            logs[x] = k
+            exps.append(x)
+            if not trace(x):
+                trace_zero[k] = 1
+            x = mul(x, g)
+        return logs, exps, trace_zero
 
     # -- element construction --------------------------------------------------
 
@@ -613,7 +665,7 @@ def extension_field(base: FieldCtx, modulus) -> FieldCtx:
     if base.depth >= MAX_DEPTH:
         raise DepthExceeded(
             f"cannot extend beyond {MAX_DEPTH} levels above the prime field")
-    vals = _modulus_vals(base, modulus)
+    vals = _trim(_coerce_vals(base, modulus))
     if len(vals) < 2:
         raise NotMonic("modulus must have degree >= 1")
     if vals[-1] != 1:
@@ -629,12 +681,6 @@ def extension_field(base: FieldCtx, modulus) -> FieldCtx:
     ctx = FieldCtx(base.p, base, vals)
     _extension_cache[key] = ctx
     return ctx
-
-
-def _modulus_vals(base: FieldCtx, modulus) -> tuple:
-    if hasattr(modulus, 'vals'):  # a Poly
-        modulus = modulus.coeffs
-    return _trim(_coerce_vals(base, modulus))
 
 
 def _coerce_vals(ctx: FieldCtx, coeffs) -> list:
@@ -677,7 +723,7 @@ def finite_field(p: int, e: int = 1, modulus=None) -> FieldCtx:
     if modulus is None:
         from . import polys
         modulus = polys.find_irreducible(base, e)
-    vals = _modulus_vals(base, modulus)
+    vals = _trim(_coerce_vals(base, modulus))
     if len(vals) - 1 != e:
         raise ValueError(
             f"modulus degree {len(vals) - 1} does not match e = {e}")

@@ -372,6 +372,11 @@ class Poly:
             return FieldElement(self.ctx, self.vals[i])
         return FieldElement(self.ctx, 0)
 
+    def __iter__(self):
+        """The coefficients 0 .. degree, low first, as ``f[k]`` gives them;
+        none for the zero polynomial."""
+        return iter(self.coeffs)
+
     def monic(self) -> "Poly":
         """This polynomial scaled to leading coefficient 1 (zero stays zero)."""
         return Poly._make(self.ctx, _monic_vals(self.ctx, self.vals))

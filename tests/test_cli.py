@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from invstab import cli
+from invstab import cli, criterion
 from invstab.criterion import StabilityVerdict, decide_inverse_stability
 from invstab.fields import finite_field
 from invstab.iteration import denominator
@@ -97,6 +97,16 @@ def test_search_table(capsys):
     assert byxi['0,1'][2:] == ['stable', '1', '3']
     unstable = [r for r in byxi.values() if r[2] == 'unstable']
     assert len(unstable) == 3                    # exactly the trace-zero xi
+
+
+def test_search_builds_no_rows(capsys, monkeypatch):
+    """search prints Tr(xi) and the cycle data, so it needs no table row."""
+    def no_rows(*args):
+        raise AssertionError("search built a trace table row")
+    monkeypatch.setattr(criterion, 'trace_rows', no_rows)
+    monkeypatch.setattr(criterion, '_row_v', no_rows)
+    for argv in (F9_ARGS, F25_ARGS, ['--p', '7']):
+        assert run(capsys, ['search'] + argv)[0] == cli.EXIT_OK
 
 
 def test_search_prime_field(capsys):

@@ -1,8 +1,11 @@
 """Tests for the trace criterion, cycle detection, and the sparse predicates."""
 
+import functools
+import gc
+
 import pytest
 
-from invstab import errors
+from invstab import criterion, errors, fields
 from invstab.criterion import (
     STABLE,
     UNSTABLE,
@@ -17,8 +20,13 @@ from invstab.criterion import (
     trace_rows,
     wan_irreducible_p,
 )
-from invstab.fields import FieldElement, abs_trace, finite_field
-from invstab.polys import Poly, is_irreducible
+from invstab.fields import (
+    FieldElement,
+    abs_trace,
+    extension_field,
+    finite_field,
+)
+from invstab.polys import Poly, artin_schreier, is_irreducible
 
 
 F3 = finite_field(3)
@@ -242,6 +250,15 @@ def test_decide_unstable_example():
     assert all(r.trace.val for r in rows[:-1])
 
 
+def test_decide_builds_rows_on_first_read():
+    verdict = decide_inverse_stability(V)
+    assert verdict._rows is None
+    rows = verdict.trace_table
+    assert verdict.trace_table is rows            # built once
+    assert [r.cells() for r in rows] == [
+        r.cells() for r in trace_rows(V, verdict.witness_n)]
+
+
 def test_decide_trace_zero_seed():
     F4 = finite_field(2, 2)
     verdict = decide_inverse_stability(F4.one)    # Tr(1) = 0 over F_4
@@ -314,6 +331,8 @@ def _changed(data, change):
     {'trace_table': None},
     {'trace_table': [None] * 5},            # right length, rows not dicts
     {'field': {'p': 3}},
+    {'xi': 5},                              # not text
+    {'field': {'p': 3, 'e': 2, 'modulus': 7}},
 ])
 def test_verdict_from_dict_rejects_bad_stable(change):
     data = _changed(decide_inverse_stability(W).to_dict(), change)
@@ -333,6 +352,8 @@ def test_verdict_from_dict_rejects_bad_stable(change):
     {'xi': MISSING},
     {'trace_table': ['row'] * 8},           # right length, rows not dicts
     {'trace_table': [{'n': k} for k in range(1, 9)]},
+    {'xi': 5},                              # not text
+    {'field': {'p': 5, 'e': 2, 'modulus': 7}},
 ])
 def test_verdict_from_dict_rejects_bad_unstable(change):
     data = _changed(decide_inverse_stability(V).to_dict(), change)
@@ -389,6 +410,48 @@ def test_decide_agrees_with_plain_walk():
                 traces = [r.trace.val for r in plain]
                 assert traces.index(0) == verdict.witness_n - 1
                 assert verdict.state_steps == max(verdict.witness_n - 2, 0)
+
+
+def _walk_results(ctx):
+    return [(v.outcome, v.witness_n, v.preperiod, v.period, v.state_steps)
+            for v in map(decide_inverse_stability, ctx.elements())]
+
+
+def test_log_walk_agrees_with_packed_walk(monkeypatch):
+    """Outcome, witness, cycle data and state_steps of the log walk equal
+    the packed walk's on every seed of every field of order <= 125, of
+    F_9, F_25, GF(13^2), GF(7^3) and GF(31^2), and of the depth-2 tower
+    F_9(gamma) with gamma^3 - gamma + w = 0."""
+    ctxs = _fields_up_to(125) + [F9, F25, finite_field(13, 2),
+                                 finite_field(7, 3), finite_field(31, 2),
+                                 extension_field(F9, artin_schreier(W))]
+    assert max(ctx.order for ctx in ctxs) <= criterion.LOG_WALK_MAX_ORDER
+    on_logs = [_walk_results(ctx) for ctx in ctxs]
+    monkeypatch.setattr(criterion, 'LOG_WALK_MAX_ORDER', 0)
+    for ctx, got in zip(ctxs, on_logs):
+        assert got == _walk_results(ctx), ctx
+
+
+def test_log_walk_on_fresh_contexts(monkeypatch):
+    """Contexts built after the context caches are emptied, as the benchmark
+    does before every command, get their own log tables: verdicts stay
+    right when a new context takes the place of a dropped one."""
+    # fresh caches for this test only, so the module's contexts stay cached
+    monkeypatch.setattr(fields, '_extension_cache', {})
+    monkeypatch.setattr(fields, 'prime_field',
+                        functools.lru_cache(fields.prime_field.__wrapped__))
+    for p, e in ((5, 2), (7, 2), (5, 2), (2, 5), (3, 3), (7, 2), (11, 1)):
+        fields._extension_cache.clear()
+        fields.prime_field.cache_clear()
+        gc.collect()
+        ctx = finite_field(p, e)
+        assert ctx._logs is None
+        for xi in ctx.elements():
+            if ctx.trace_v(xi.val):
+                got = decide_inverse_stability(xi)
+                assert (got.outcome, got.witness_n, got.preperiod, got.period,
+                        got.state_steps) == criterion._packed_walk(ctx, xi.val)
+        assert ctx._logs is not None
 
 
 # -- Moebius trace formula ---------------------------------------------------------------

@@ -208,6 +208,32 @@ def test_frobenius_matches_pth_power():
             assert abs_trace(x) == rel_trace(x, prime)
 
 
+def test_log_table_exhaustive():
+    """On every field of order <= 729 (default modulus), F_9 with modulus
+    2,2,1, F_25 with modulus 2,4,1 and a depth-2 tower above F_9: the
+    generator g = exps[1] has order q - 1, exps[k] = g^k by plain powering,
+    exps[log x] = x for every x != 0, and the trace-zero flag of log x says
+    whether Tr(x) = 0."""
+    fields = [finite_field(p, e)
+              for p in range(2, 730) if _is_prime(p)
+              for e in range(1, 10) if p ** e <= 729]
+    w = F9.modulus_root
+    fields += [F9, F25, extension_field(F9, artin_schreier(w))]
+    for ctx in fields:
+        logs, exps, trace_zero = ctx.log_table()
+        assert ctx.log_table()[0] is logs          # built once per context
+        m = ctx.order - 1
+        g = exps[1 % m]
+        assert ctx.pow_v(g, m) == 1
+        assert all(ctx.pow_v(g, m // ell) != 1 for ell in range(2, m + 1)
+                   if m % ell == 0 and _is_prime(ell))
+        assert len(exps) == len(trace_zero) == m and logs[0] is None
+        assert exps == [ctx.pow_v(g, k) for k in range(m)]
+        for x in range(1, ctx.order):
+            assert exps[logs[x]] == x
+            assert trace_zero[logs[x]] == (ctx.trace_v(x) == 0)
+
+
 # -- field axioms (seeded sweeps) --------------------------------------------
 
 

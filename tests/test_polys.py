@@ -150,6 +150,14 @@ def test_degree_and_leading():
     assert f[0].val == 0 and f[1].val == 1 and f[5].val == 0
 
 
+def test_iteration_stops_at_the_degree():
+    assert list(Poly.x(F3)) == [F3.zero, F3.one]
+    assert list(Poly.zero(F3)) == []
+    f = Poly(F9, [2, 0, 1])
+    assert list(f) == [f[k] for k in range(f.degree + 1)]
+    assert Poly(F9, f) == f                     # a Poly is a coefficient list
+
+
 def test_evaluation_horner():
     w = F9.modulus_root
     f = Poly(F9, [2, 0, 1])                      # X^2 + 2
