@@ -134,17 +134,19 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _render(args, payload: dict, header, rows, text=None) -> None:
+def _render(args, payload, header, rows, text=None) -> None:
     """Write a command's result in the --format asked for.
 
-    json is ``payload`` after the schema and command keys; csv is ``header``
-    and ``rows``.  text is ``text()`` when given, which is only called for
-    text output, and otherwise the aligned table of ``header`` and ``rows``
-    (rows only under --quiet).  This is the one place that reads --format.
+    json is the dict ``payload()`` after the schema and command keys; csv is
+    ``header`` and ``rows``.  text is ``text()`` when given, and otherwise
+    the aligned table of ``header`` and ``rows`` (rows only under --quiet).
+    ``payload`` and ``text`` are only called for their own format, so a
+    command can leave out of them what the other formats do not print.
+    This is the one place that reads --format.
     """
     if args.format == 'json':
         out = json.dumps({'schema': SCHEMA_VERSION, 'command': args.command,
-                          **payload}, indent=2) + '\n'
+                          **payload()}, indent=2) + '\n'
     elif args.format == 'csv':
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator='\n')
@@ -188,9 +190,12 @@ def _cmd_check(args) -> int:
     xi = element_from_text(ctx, args.xi)
     verdict = decide_inverse_stability(xi)
     stable = verdict.outcome == STABLE
-    payload = verdict.to_dict()
     header = ('xi', 'outcome', 'witness_n', 'preperiod', 'period',
               'state_steps')
+    # the trace table is only printed by json and non-quiet text, so the
+    # csv row reads the verdict, not to_dict()
+    cells = (element_to_text(xi),) + tuple(
+        _opt(getattr(verdict, k)) for k in header[1:])
 
     def text():
         lines = []
@@ -209,7 +214,7 @@ def _cmd_check(args) -> int:
             lines.append(_rows_text(verdict.trace_table, quiet=False).rstrip())
         return '\n'.join(lines) + '\n'
 
-    _render(args, payload, header, [_cells(payload, header)], text)
+    _render(args, verdict.to_dict, header, [cells], text)
     return EXIT_OK if stable else EXIT_UNSTABLE
 
 
@@ -233,7 +238,8 @@ def _cmd_search(args) -> int:
         })
     header = ('xi', 'trace', 'outcome', 'witness_n', 'preperiod', 'period')
     table = [_cells(r, header) for r in rows]
-    _render(args, {'field': ctx.describe(), 'results': rows}, header, table)
+    _render(args, lambda: {'field': ctx.describe(), 'results': rows},
+            header, table)
     return EXIT_OK
 
 
@@ -268,7 +274,7 @@ def _cmd_generate(args) -> int:
         lines.append(poly)
         return '\n'.join(lines) + '\n'
 
-    _render(args, payload, header, [_cells(payload, header)], text)
+    _render(args, lambda: payload, header, [_cells(payload, header)], text)
     return EXIT_OK
 
 
@@ -362,7 +368,7 @@ def _cmd_verify(args) -> int:
 
     payload = {'suite': args.suite, 'field': ctx.describe(),
                'agree': all_agree, 'reports': [r.to_dict() for r in reports]}
-    _render(args, payload, header, table, text)
+    _render(args, lambda: payload, header, table, text)
     return EXIT_OK if all_agree else EXIT_DISAGREE
 
 
@@ -378,7 +384,7 @@ def _cmd_trace_table(args) -> int:
         'n_max': args.nmax,
         'rows': [dict(zip(TraceRow._fields, c)) for c in cells],
     }
-    _render(args, payload, TraceRow._fields, cells,
+    _render(args, lambda: payload, TraceRow._fields, cells,
             lambda: _rows_text(rows, args.quiet))
     return EXIT_OK
 

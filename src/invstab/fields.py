@@ -25,9 +25,13 @@ multiplicative group with a trace-zero flag per log
 (:meth:`FieldCtx.log_table`), on which the criterion walks small fields.
 
 The same digits make add, sub and neg one digit-wise loop mod p at every
-depth.  A tower element is a polynomial over the base, so tower products
-and inverses come from :mod:`.polys`: the Barrett product modulo the tower
-modulus and an extended Euclid.  F_p[X]/(m) keeps its own flat-int loops.
+depth.  They are also what a tower product needs: a tower value's digits
+spread into one Kronecker-packed integer, one integer multiply forms every
+coefficient of X^I y^J, and a precomputed row per reducible slot, X^I y^J
+mod both moduli, reduces the result as an F_p-linear map, ending in the
+same slots-to-digits step as the Frobenius matrix.  Tower inverses are an
+extended Euclid over the base on :mod:`.polys`.  F_p[X]/(m) keeps its own
+flat-int loops.
 
 Contexts are cached, so two requests for the same field (same prime, same
 modulus chain) return the identical object and context checks are identity
@@ -99,10 +103,10 @@ def _prime_factors(n: int) -> list:
 # GF(11^2) about 4.5% slower, and the Barrett product is slower per call on
 # these short operands.  Its Euclid divides with _list_divmod_mod_p, which
 # is also the F_p branch of ``polys._divmod_vals``: there is one long
-# division over F_p.  A tower (extension over an extension) multiplies
-# with ``polys._mulmod``'s Barrett product over its base and inverts by an
-# extended Euclid on ``polys`` (which imports this module at load time, so
-# the factory imports it lazily).
+# division over F_p.  A tower (extension over an extension) multiplies its
+# flat digits as one packed integer and reduces with F_p-linear rows
+# (_tower_product), and inverts by an extended Euclid on ``polys`` (which
+# imports this module at load time, so the factory imports it lazily).
 #
 # Two helpers serve every layer: _power is the one square-and-multiply loop
 # (FieldCtx.pow_v, Poly ** k, powmod and the Rabin test pass it their own
@@ -268,16 +272,101 @@ def _prime_ext_ops(p, d, modulus_digits):
     return (*_linear_ops(p, d), mul, inv, decode, encode)
 
 
+def _spread(v, p, shifts):
+    """The base-p digits of v, low first, placed at the bit offsets
+    ``shifts``: v as a slot-packed integer."""
+    out = 0
+    for shift in shifts:
+        v, c = divmod(v, p)
+        if c:
+            out |= c << shift
+    return out
+
+
+def _gather(acc, shifts, mask, p):
+    """The packed value whose base-p digits, high first, are the slots of
+    ``acc`` at the bit offsets ``shifts``, each reduced mod p.
+
+    This turns a sum of slot-packed rows of an F_p-linear map back into
+    digits: the Frobenius matrix and the tower product both end here.
+    """
+    v = 0
+    for shift in shifts:
+        v = v * p + (acc >> shift & mask) % p
+    return v
+
+
+def _tower_product(base, f, encode):
+    """The slot layout and reduction rows of the product in base[X]/(f).
+
+    With K = base of degree e over F_p, m = deg f and a tower value's flat
+    base-p digit i*e + j the coefficient of X^i y^j (y the root of K's
+    modulus), a value spreads into slot i*(2e - 1) + j: X-major blocks of
+    2e - 1 slots of ``width`` bits.  The product of two spread values then
+    holds the coefficient of X^I y^J in slot (I, J) for I < 2m - 1, J <
+    2e - 1, each at most m*e*(p - 1)^2.  Slots with I < m and J < e are
+    already reduced and stay in place (the ``low`` mask); every other slot
+    is replaced by its value times the row X^I y^J mod (K's modulus, f),
+    spread the same way.  The width bounds a kept slot plus every row's
+    contribution, so no slot carries into the next.
+
+    The rows come from f and K's own closures (K's product and y^J), never
+    from a tower product.  Returns (in_shifts, low, folds, out_shifts,
+    mask), where folds pairs each reduced slot's bit offset with its row.
+    """
+    p, e, m = base.p, base.total_degree, len(f) - 1
+    stride = 2 * e - 1
+    folded = (2 * m - 1) * stride - m * e
+    width = (m * e * (p - 1) ** 2 * (1 + folded * (p - 1))).bit_length()
+    in_shifts = tuple(width * (i * stride + j)
+                      for i in range(m) for j in range(e))
+    mask = (1 << width) - 1
+    low = sum(mask << shift for shift in in_shifts)
+    kmul, ksub = base.mul_v, base.sub_v
+    y_pows = [1]
+    for _ in range(stride - 1):
+        y_pows.append(kmul(y_pows[-1], p))
+    x_pow = [1] + [0] * (m - 1)
+    folds = []
+    for i in range(2 * m - 1):
+        if i:
+            # X^i mod f = X * X^(i-1), with X^m = -(f_0 + ... + f_{m-1} X^(m-1))
+            top = x_pow[-1]
+            x_pow = [ksub(c, kmul(top, fj))
+                     for c, fj in zip([0] + x_pow[:-1], f)]
+        for j in range(stride):
+            if i >= m or j >= e:
+                row = encode([kmul(c, y_pows[j]) for c in x_pow])
+                folds.append((width * (i * stride + j),
+                              _spread(row, p, in_shifts)))
+    return in_shifts, low, tuple(folds), in_shifts[::-1], mask
+
+
 def _generic_ext_ops(base: "FieldCtx", d, modulus_digits):
-    """Closures for base[X]/(m); digits are packed base values.  Products
-    and inverses are polynomial arithmetic over ``base``."""
-    from .polys import _coeffwise, _divmod_vals, _mul_vals, _mulmod
+    """Closures for base[X]/(m); digits are packed base values.
+
+    A product is one multiply of Kronecker-packed flat digits and an
+    F_p-linear reduction by precomputed rows, built on the first product
+    (see :func:`_tower_product`).  Inverses are an extended Euclid over
+    ``base`` on :mod:`.polys`."""
+    from .polys import _coeffwise, _divmod_vals, _mul_vals
     decode, encode = _codec(base.order, d)
-    mulmod = _mulmod(base, modulus_digits)
+    p = base.p
+    layout = None
 
     def mul(x, y):
-        a = decode(x)
-        return encode(mulmod(a, a if x == y else decode(y)))
+        nonlocal layout
+        if layout is None:
+            layout = _tower_product(base, modulus_digits, encode)
+        in_shifts, low, folds, out_shifts, mask = layout
+        a = _spread(x, p, in_shifts)
+        c = a * (a if x == y else _spread(y, p, in_shifts))
+        acc = c & low
+        for shift, row in folds:
+            k = c >> shift & mask
+            if k:
+                acc += k * row
+        return _gather(acc, out_shifts, mask, p)
 
     def inv(x):
         if x == 0:
@@ -402,23 +491,15 @@ class FieldCtx:
         for row in rows:
             x, d = divmod(x, p)
             acc += d * row
-        v = 0
-        for shift in shifts:
-            v = v * p + (acc >> shift & mask) % p
-        return v
+        return _gather(acc, shifts, mask, p)
 
     def _build_frobenius(self):
         p, n = self.p, self.total_degree
         slot = (n * (p - 1) ** 2).bit_length()
-        rows = []
-        for k in range(n):
-            v, row = self.pow_v(p ** k, p), 0
-            for i in range(n):
-                v, c = divmod(v, p)
-                row |= c << (slot * i)
-            rows.append(row)
-        shifts = tuple(slot * i for i in reversed(range(n)))
-        return tuple(rows), shifts, (1 << slot) - 1
+        shifts = tuple(slot * i for i in range(n))
+        rows = tuple(_spread(self.pow_v(p ** k, p), p, shifts)
+                     for k in range(n))
+        return rows, shifts[::-1], (1 << slot) - 1
 
     # -- discrete logs ---------------------------------------------------------
 

@@ -15,8 +15,9 @@ y-powers e .. 2e - 2 are folded back with y^k mod the field modulus on the
 packed integer, and each slot is then reduced mod p (see :class:`_Kron`).
 The schoolbook loop over the field's closures remains only for polynomials
 over depth-2 towers and over fields whose slots would need more than 8
-bytes.  A tower's own element product is a Barrett product over its base
-field (see :mod:`.fields`).  Division and gcd are the classical algorithms;
+bytes.  A tower's own element product does not come from here: it packs
+the tower value's flat digits and reduces by F_p-linear rows in
+:mod:`.fields`.  Division and gcd are the classical algorithms;
 over F_p the long division is ``fields._list_divmod_mod_p``, the one F_p
 division that the flat extension fields invert with as well.
 

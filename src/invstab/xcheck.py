@@ -10,10 +10,12 @@ Nothing in this module shares a code path with the formula it is checking:
   formula (:func:`rel_trace <.fields.rel_trace>` sums powers computed by
   plain powering, never the precomputed trace vector or Frobenius matrix
   that the fast paths use).  In :func:`rel_trace_oracle` the direct side
-  multiplies in K(gamma) with the Barrett product of ``polys._mulmod``
-  over K and divides with the tower's extended Euclid over ``polys``; the
-  formula side runs in K alone, on K's flat-int product and inversion, its
-  Frobenius matrix and trace vector, and never calls ``_mulmod``;
+  multiplies in K(gamma) with the tower product (one packed multiply of
+  the flat digits, reduced by rows X^I y^J mod both moduli) and divides
+  with the tower's extended Euclid over ``polys``; the formula side runs
+  in K alone, on K's flat-int product and inversion, its Frobenius matrix
+  and trace vector.  The two sides share only K's closures, from which the
+  tower's reduction rows and Euclid are built;
 * traces are also recovered from the second-highest coefficient of a
   minimal polynomial found by plain linear algebra over the subfield.
 

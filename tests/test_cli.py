@@ -84,6 +84,22 @@ def test_check_csv(capsys):
     assert rows[1][3] == rows[1][4] == ''
 
 
+def test_check_builds_rows_only_when_printed(capsys, monkeypatch):
+    """csv and text --quiet print no trace table, so check builds no row;
+    their bytes are those of the same commands with rows allowed."""
+    argvs = [['check'] + args + ['--xi', '0,1'] + extra
+             for args in (F9_ARGS, F25_ARGS)
+             for extra in (['--format', 'csv'], ['--quiet'])]
+    expected = [run(capsys, argv) for argv in argvs]
+
+    def no_rows(*args):
+        raise AssertionError("check built a trace table row")
+    monkeypatch.setattr(criterion, 'trace_rows', no_rows)
+    monkeypatch.setattr(criterion, '_row_v', no_rows)
+    for argv, want in zip(argvs, expected):
+        assert run(capsys, argv) == want, argv
+
+
 # -- search ---------------------------------------------------------------------
 
 

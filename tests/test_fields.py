@@ -450,15 +450,16 @@ def test_element_text_rejects_oversized_vector():
 
 
 def test_generic_ops_agree_with_prime_ext_ops():
-    """The polynomial-layer ops must match the flat int specialization.
+    """The tower factory's ops must match the flat int specialization.
 
-    The generic product is polys._mulmod's Barrett product and the generic
-    inversion divides with polys._divmod_vals; the flat-int factory has its
-    own schoolbook product and divmod.  add/sub/neg/mul agree on every pair
-    of every depth-1 field of order <= 81.  Every nonzero element of every
-    depth-1 field of order <= 729 (default moduli, plus F_9 with modulus
-    2,2,1 and F_25 with modulus 2,4,1) gets the same inverse from both
-    factories, and multiplication confirms that inverse."""
+    The generic product is one packed multiply of the flat digits reduced
+    by F_p-linear rows, and the generic inversion divides with
+    polys._divmod_vals; the flat-int factory has its own schoolbook product
+    and divmod.  add/sub/neg/mul agree on every pair of every depth-1 field
+    of order <= 81.  Every nonzero element of every depth-1 field of order
+    <= 729 (default moduli, plus F_9 with modulus 2,2,1 and F_25 with
+    modulus 2,4,1) gets the same inverse from both factories, and
+    multiplication confirms that inverse."""
     fields = [finite_field(p, e)
               for p in range(2, 730) if _is_prime(p)
               for e in range(2, 10) if p ** e <= 729]
@@ -515,16 +516,30 @@ def packed(coeffs):
     return sum(c.val * c.ctx.order ** i for i, c in enumerate(coeffs))
 
 
+def slot_bound_pairs(order):
+    """Operand pairs at the tower product's slot bounds: t = order - 1 has
+    every base-p digit p - 1, so t * t fills every product slot to its
+    largest value; then t times 0 and 1, both ways round."""
+    t = order - 1
+    return [(t, t), (t, 0), (0, t), (t, 1), (1, t)]
+
+
 def test_tower_product_matches_schoolbook_reference():
-    """Tower mul_v (polys._mulmod over the base) against ref_product, and
-    add_v/sub_v (flat F_p digits) against coefficient-wise base operators:
-    every pair of F_4(gamma) and F_8(gamma); seeded pairs, squares, 0, 1
-    and lifted base elements of F_9(gamma), F_16(gamma), F_25(gamma) and
-    F_49(gamma)."""
+    """Tower mul_v (one packed multiply of the flat digits, reduced by
+    F_p-linear rows) against ref_product, and add_v/sub_v (flat F_p digits)
+    against coefficient-wise base operators: every pair of F_4(gamma) and
+    F_8(gamma); seeded pairs, squares, 0, 1 and lifted base elements of
+    F_9(gamma), F_16(gamma), F_25(gamma), F_49(gamma) and of F_16 as
+    F_4[X]/(f) with the non-Artin-Schreier f of test_field_axioms; and on
+    every tower the slot-bound pairs of slot_bound_pairs."""
     rng = random.Random(6060)
-    for base in (finite_field(2, 2), finite_field(2, 3),
-                 F9, finite_field(2, 4), F25, finite_field(7, 2)):
-        L = tower_over(base)
+    K4 = finite_field(2, 2)
+    towers = [tower_over(base)
+              for base in (K4, finite_field(2, 3), F9, finite_field(2, 4),
+                           F25, finite_field(7, 2))]
+    towers.append(extension_field(K4, find_irreducible(K4, 2)))
+    for L in towers:
+        base = L.base
         modulus = [base.element(v) for v in L.modulus_vals]
         if L.order <= 64:
             pairs = [(x, y) for x in range(L.order) for y in range(L.order)]
@@ -535,6 +550,7 @@ def test_tower_product_matches_schoolbook_reference():
             for x, _ in pairs[:50]:
                 pairs += [(x, x)] + [(x, c) for c in special]
                 pairs += [(c, x) for c in special]
+        pairs += slot_bound_pairs(L.order)
         for x, y in pairs:
             u, v = unpacked(base, L.degree, x), unpacked(base, L.degree, y)
             assert L.mul_v(x, y) == packed(ref_product(modulus, u, v)), (L, x, y)
@@ -542,10 +558,35 @@ def test_tower_product_matches_schoolbook_reference():
             assert L.sub_v(x, y) == packed([s - t for s, t in zip(u, v)])
 
 
+def test_tower_product_never_calls_barrett(monkeypatch):
+    """Tower mul_v, its reduction rows included, runs without
+    polys._mulmod: fresh closures for five tower shapes of the test above
+    give the context's own products while _mulmod raises."""
+    from invstab import polys
+    K4 = finite_field(2, 2)
+    towers = [tower_over(base) for base in (K4, F9, finite_field(2, 4), F25)]
+    towers.append(extension_field(K4, find_irreducible(K4, 2)))
+    rng = random.Random(6062)
+    cases = [(L, [(rng.randrange(L.order), rng.randrange(L.order))
+                  for _ in range(50)] + slot_bound_pairs(L.order))
+             for L in towers]
+    expected = [[L.mul_v(x, y) for x, y in pairs] for L, pairs in cases]
+
+    def no_barrett(*args):
+        raise AssertionError("tower product called polys._mulmod")
+    monkeypatch.setattr(polys, '_mulmod', no_barrett)
+    for (L, pairs), want in zip(cases, expected):
+        mul = _generic_ext_ops(L.base, L.degree, L.modulus_vals)[3]
+        assert [mul(x, y) for x, y in pairs] == want, L
+
+
 def test_generic_product_without_packed_layout():
-    """Over F_{1048573^2} a degree-5 product needs slots over 8 bytes, so
-    polys._mulmod falls back to the closure loops; the modulus need not be
-    irreducible for products."""
+    """Over F_{1048573^2} a degree-5 tower product has 68-bit slots, the
+    widest in these tests; polys has no packed layout there (its _Kron
+    slots would need more than 8 bytes) and keeps its closure loops.
+    Seeded pairs, squares and the slot-bound operands (every coefficient
+    -1, times itself, 0 and 1); the modulus need not be irreducible for
+    products."""
     from invstab.polys import _Kron
     big = 1048573
     r = next(r for r in range(2, big) if pow(r, (big - 1) // 2, big) == big - 1)
@@ -554,9 +595,14 @@ def test_generic_product_without_packed_layout():
     rng = random.Random(6061)
     modulus = [rand_elt(rng, K) for _ in range(5)] + [K.one]
     mul = _generic_ext_ops(K, 5, tuple(c.val for c in modulus))[3]
+    cases = []
     for _ in range(200):
         a = [rand_elt(rng, K) for _ in range(5)]
         b = a if rng.random() < 0.1 else [rand_elt(rng, K) for _ in range(5)]
+        cases.append((a, b))
+    for x, y in slot_bound_pairs(K.order ** 5):
+        cases.append((unpacked(K, 5, x), unpacked(K, 5, y)))
+    for a, b in cases:
         assert mul(packed(a), packed(b)) == packed(ref_product(modulus, a, b))
 
 
