@@ -26,7 +26,9 @@ logs: with r = a/c and t = d/c a state is (log t, log r, log c), t follows
 its own short orbit t_(n+1) = -1/(xi - t_n^p + t_n), and the rest of a step
 is two additions mod q - 1 and a lookup in the field's trace-zero flags
 (:meth:`FieldCtx.log_table <invstab.fields.FieldCtx.log_table>`, built on
-first use).  Larger fields walk the packed triples with field arithmetic.
+first use).  The bound lives in :mod:`.fields`, because it is also the one
+below which F_p[X]/(m) computes on a Zech-log table; the walk shares that
+table's logs.  Larger fields walk the packed triples with field arithmetic.
 Both walks visit the same states in the same order, so the verdict and
 ``state_steps`` do not depend on which one ran.  The decision builds no
 table row; :attr:`StabilityVerdict.trace_table` is computed by
@@ -53,6 +55,7 @@ from .errors import (
     NotCharTwo,
 )
 from .fields import (
+    LOG_WALK_MAX_ORDER,
     FieldCtx,
     FieldElement,
     abs_trace,
@@ -63,13 +66,6 @@ from .fields import (
 
 STABLE = 'stable'
 UNSTABLE = 'unstable'
-
-#: Largest field order decided on discrete logs.  The walk first builds the
-#: field's log table: 0.08-0.1 s for GF(3^8) and GF(2^12), the slowest
-#: below the bound, and 0.13-0.16 s for GF(2^13), the next order up
-#: (CPython 3.11 on a 2-vCPU Linux container).
-LOG_WALK_MAX_ORDER = 8000
-
 
 @dataclass(frozen=True)
 class CriterionState:

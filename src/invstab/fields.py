@@ -30,8 +30,16 @@ spread into one Kronecker-packed integer, one integer multiply forms every
 coefficient of X^I y^J, and a precomputed row per reducible slot, X^I y^J
 mod both moduli, reduces the result as an F_p-linear map, ending in the
 same slots-to-digits step as the Frobenius matrix.  Tower inverses are an
-extended Euclid over the base on :mod:`.polys`.  F_p[X]/(m) keeps its own
-flat-int loops.
+extended Euclid over the base on :mod:`.polys`.
+
+F_p[X]/(m) has a flat-int schoolbook product and Euclid on plain digit
+lists.  Up to order LOG_WALK_MAX_ORDER those only build, on the first
+arithmetic call, one table of discrete logs, antilogs and Zech logarithms
+Z(k) = log(1 + g^k), and every add, sub, neg, mul and inv is a lookup in
+it: x + y = g^(log x + Z(log y - log x)) (Lidl & Niederreiter, Finite
+Fields, section 9.3).  Larger fields compute on the flat-int closures, which
+also stay the reference the table is tested against.  The same logs and
+antilogs serve :meth:`FieldCtx.log_table`, so a context builds one table.
 
 Contexts are cached, so two requests for the same field (same prime, same
 modulus chain) return the identical object and context checks are identity
@@ -60,6 +68,14 @@ MAX_PRIME = 1 << 20
 
 #: Number of extension levels allowed above the prime field.
 MAX_DEPTH = 2
+
+#: Largest order of a field that computes on a table of discrete logs: the
+#: arithmetic of F_p[X]/(m) (:func:`_zech_ops`) and the criterion's log
+#: walk (:meth:`FieldCtx.log_table`).  A single ``check`` pays for the
+#: whole table: with its trace-zero flags, 20-35 ms for GF(3^8) and
+#: GF(2^12), the largest below the bound (CPython 3.11 on a 2-vCPU Linux
+#: container).
+LOG_WALK_MAX_ORDER = 8000
 
 
 def _is_prime(n: int) -> bool:
@@ -97,16 +113,19 @@ def _prime_factors(n: int) -> list:
 #
 # Each factory returns closures working on packed integers.  Both extension
 # factories share one digit codec and add/sub/neg on the flat base-p digits.
-# The extension over the prime field keeps hand-specialised product and
-# inversion loops on plain ints, because they carry all the hot arithmetic
-# of a search: the shared divmod made search over GF(3^6), GF(2^10) and
-# GF(11^2) about 4.5% slower, and the Barrett product is slower per call on
-# these short operands.  Its Euclid divides with _list_divmod_mod_p, which
-# is also the F_p branch of ``polys._divmod_vals``: there is one long
-# division over F_p.  A tower (extension over an extension) multiplies its
-# flat digits as one packed integer and reduces with F_p-linear rows
-# (_tower_product), and inverts by an extended Euclid on ``polys`` (which
-# imports this module at load time, so the factory imports it lazily).
+# The extension over the prime field has hand-specialised product and
+# inversion loops on plain ints: the shared divmod made search over
+# GF(3^6), GF(2^10) and GF(11^2) about 4.5% slower, and the Barrett product
+# is slower per call on these short operands.  Its Euclid divides with
+# _list_divmod_mod_p, which is also the F_p branch of
+# ``polys._divmod_vals``: there is one long division over F_p.  Up to
+# LOG_WALK_MAX_ORDER those flat-int closures build the log/antilog/Zech
+# table of _zech_ops, whose lookups are the field's arithmetic; above it
+# they are the field's arithmetic themselves.  A tower (extension over an
+# extension) multiplies its flat digits as one packed integer and reduces
+# with F_p-linear rows (_tower_product), and inverts by an extended Euclid
+# on ``polys`` (which imports this module at load time, so the factory
+# imports it lazily).
 #
 # Two helpers serve every layer: _power is the one square-and-multiply loop
 # (FieldCtx.pow_v, Poly ** k, powmod and the Rabin test pass it their own
@@ -272,6 +291,136 @@ def _prime_ext_ops(p, d, modulus_digits):
     return (*_linear_ops(p, d), mul, inv, decode, encode)
 
 
+def _linear_map(p, images):
+    """The F_p-linear map sending the basis p^k to the packed value
+    ``images[k]``, as a closure on packed values.
+
+    Row k holds the digits of images[k], packed into one integer with a
+    fixed-width bit slot per digit (:func:`_spread`).  The slots are wide
+    enough that the sum of d_k * row_k over the digits d_k of x never
+    carries from one slot into the next, so :func:`_gather` reduces each
+    slot of the sum mod p to give one digit of the image of x.
+    """
+    n = len(images)
+    slot = (n * (p - 1) ** 2).bit_length()
+    shifts = tuple(slot * i for i in range(n))
+    rows = tuple(_spread(v, p, shifts) for v in images)
+    out_shifts, mask = shifts[::-1], (1 << slot) - 1
+
+    def apply(x):
+        acc = 0
+        for row in rows:
+            x, d = divmod(x, p)
+            acc += d * row
+        return _gather(acc, out_shifts, mask, p)
+
+    return apply
+
+
+def _log_exp(q, p, n, mul):
+    """(logs, exps) of the cyclic group F_q^*, q = p^n, by the product
+    ``mul``.
+
+    With g the least packed value that generates the group (found from the
+    prime factors of q - 1), ``exps[k]`` is g^k for k in [0, q - 1) and
+    ``logs[x]`` is the k with g^k = x (None for x = 0).  Multiplying by g
+    is F_p-linear, so above F_p the antilogs step by one
+    :func:`_linear_map` built from n products; over F_p the product itself
+    is cheaper."""
+    m = q - 1
+    primes = _prime_factors(m)
+    g = next(v for v in range(1, q)
+             if all(_power(mul, v, m // ell) != 1 for ell in primes))
+    times_g = (_linear_map(p, [mul(p ** k, g) for k in range(n)]) if n > 1
+               else functools.partial(mul, g))
+    logs = [None] * q
+    exps = []
+    x = 1
+    for k in range(m):
+        logs[x] = k
+        exps.append(x)
+        x = times_g(x)
+    return logs, exps
+
+
+def _zech_ops(p, d, flat_ops):
+    """Closures for F_p[X]/(m), m of degree d, as lookups in one table.
+
+    The table, built by the flat-int product of ``flat_ops`` on the first
+    call that needs it, holds logs and antilogs (:func:`_log_exp`) and the
+    Zech logarithms Z(k) = log(1 + g^k), None where 1 + g^k = 0.  With
+    q = p^d and m = q - 1, x y = g^(log x + log y), 1/x = g^(-log x) and
+    x + y = x (1 + y/x) = g^(log x + Z(log y - log x)); x - y adds
+    log(-y) = log y + log(-1).  Every list index lies in [-m, m), and a
+    negative one counts from the end, which is the same residue mod m.
+    Returns the field closures (with the flat codec) and a function giving
+    (logs, exps, zech).
+    """
+    flat_mul, decode, encode = flat_ops[3], flat_ops[5], flat_ops[6]
+    q = p ** d
+    m = q - 1
+    logs = exps = zech = neg_logs = None
+
+    def build():
+        nonlocal logs, exps, zech, neg_logs
+        logs, exps = _log_exp(q, p, d, flat_mul)
+        # 1 + x changes only the lowest base-p digit of x
+        zech = [logs[x - x % p + (x + 1) % p] for x in exps]
+        log_neg_one = logs[p - 1]
+        neg_logs = [None] + [(k + log_neg_one) % m for k in logs[1:]]
+
+    def tables():
+        if exps is None:
+            build()
+        return logs, exps, zech
+
+    def add(x, y):
+        if not x:
+            return y
+        if not y:
+            return x
+        if exps is None:
+            build()
+        lx = logs[x]
+        z = zech[logs[y] - lx]
+        return 0 if z is None else exps[lx + z - m]
+
+    def sub(x, y):
+        if not y:
+            return x
+        if exps is None:
+            build()
+        ly = neg_logs[y]
+        if not x:
+            return exps[ly]
+        lx = logs[x]
+        z = zech[ly - lx]
+        return 0 if z is None else exps[lx + z - m]
+
+    def neg(x):
+        if not x:
+            return 0
+        if exps is None:
+            build()
+        return exps[neg_logs[x]]
+
+    def mul(x, y):
+        if not x or not y:
+            return 0
+        if exps is None:
+            build()
+        return exps[logs[x] + logs[y] - m]
+
+    def inv(x):
+        if not x:
+            raise DivisionByZero("0 is not invertible")
+        if exps is None:
+            build()
+        return exps[-logs[x]]
+
+    return (add, sub, neg, mul, inv, decode, encode), tables
+
+
 def _spread(v, p, shifts):
     """The base-p digits of v, low first, placed at the bit offsets
     ``shifts``: v as a slot-packed integer."""
@@ -407,14 +556,14 @@ class FieldCtx:
         'kind', 'p', 'base', 'modulus_vals', 'degree', 'total_degree',
         'depth', 'order', 'prime_ctx',
         'add_v', 'sub_v', 'neg_v', 'mul_v', 'inv_v', 'decode_v', 'encode_v',
-        '_trace_vec', '_frob', '_logs',
+        '_trace_vec', '_frob', '_logs', '_zech_table',
     )
 
     def __init__(self, p, base=None, modulus_vals=None):
         self.p = p
         self.base = base
         self.modulus_vals = modulus_vals
-        self._trace_vec = self._frob = self._logs = None
+        self._trace_vec = self._frob = self._logs = self._zech_table = None
         if base is None:
             self.kind = 'prime'
             self.degree = 1
@@ -433,6 +582,8 @@ class FieldCtx:
             self.prime_ctx = base.prime_ctx
             if base.kind == 'prime':
                 ops = _prime_ext_ops(p, d, modulus_vals)
+                if self.order <= LOG_WALK_MAX_ORDER:
+                    ops, self._zech_table = _zech_ops(p, d, ops)
             else:
                 ops = _generic_ext_ops(base, d, modulus_vals)
         (self.add_v, self.sub_v, self.neg_v, self.mul_v, self.inv_v,
@@ -472,34 +623,16 @@ class FieldCtx:
         return acc % p
 
     def frobenius_v(self, x: int) -> int:
-        """x**p on packed values: the Frobenius matrix applied to x's digits.
-
-        Row k of the matrix holds the digits of (p^k)^p, packed into one
-        integer with a fixed-width bit slot per digit.  The slots are wide
-        enough that the sum of d_k * row_k over all k never carries from one
-        slot into the next, so each slot of the sum is reduced mod p to give
-        one digit of x^p.
-        """
+        """x**p on packed values: the Frobenius matrix applied to x's digits
+        (see :func:`_linear_map`); row k holds the digits of (p^k)^p."""
         if self.kind == 'prime':
             return x
         frob = self._frob
         if frob is None:
-            frob = self._frob = self._build_frobenius()
-        rows, shifts, mask = frob
-        p = self.p
-        acc = 0
-        for row in rows:
-            x, d = divmod(x, p)
-            acc += d * row
-        return _gather(acc, shifts, mask, p)
-
-    def _build_frobenius(self):
-        p, n = self.p, self.total_degree
-        slot = (n * (p - 1) ** 2).bit_length()
-        shifts = tuple(slot * i for i in range(n))
-        rows = tuple(_spread(self.pow_v(p ** k, p), p, shifts)
-                     for k in range(n))
-        return rows, shifts[::-1], (1 << slot) - 1
+            p = self.p
+            frob = self._frob = _linear_map(
+                p, [self.pow_v(p ** k, p) for k in range(self.total_degree)])
+        return frob(x)
 
     # -- discrete logs ---------------------------------------------------------
 
@@ -509,31 +642,22 @@ class FieldCtx:
         With g the least packed value that generates the group, ``exps[k]``
         is g^k for k in [0, q - 1), ``logs[x]`` is the k with g^k = x (None
         for x = 0), and ``trace_zero[k]`` is 1 exactly when Tr(g^k) = 0.
-        Built on first use with q - 1 products and traces, and kept on the
-        context like the trace vector.
+        Built on first use and kept on the context like the trace vector.
+        A context that computes on a Zech table (:func:`_zech_ops`) shares
+        its logs and antilogs and adds only the flags; any other builds
+        them with :func:`_log_exp` on its own product.
         """
         table = self._logs
         if table is None:
-            table = self._logs = self._build_logs()
+            if self._zech_table is not None:
+                logs, exps, _ = self._zech_table()
+            else:
+                logs, exps = _log_exp(self.order, self.p, self.total_degree,
+                                      self.mul_v)
+            trace = self.trace_v
+            trace_zero = bytearray(not trace(x) for x in exps)
+            table = self._logs = (logs, exps, trace_zero)
         return table
-
-    def _build_logs(self):
-        m = self.order - 1
-        primes = _prime_factors(m)
-        g = next(v for v in range(1, self.order)
-                 if all(self.pow_v(v, m // ell) != 1 for ell in primes))
-        mul, trace = self.mul_v, self.trace_v
-        logs = [None] * self.order
-        exps = []
-        trace_zero = bytearray(m)
-        x = 1
-        for k in range(m):
-            logs[x] = k
-            exps.append(x)
-            if not trace(x):
-                trace_zero[k] = 1
-            x = mul(x, g)
-        return logs, exps, trace_zero
 
     # -- element construction --------------------------------------------------
 

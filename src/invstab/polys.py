@@ -55,6 +55,7 @@ from .fields import (
     _coerce_vals,
     _list_divmod_mod_p,
     _power,
+    _prime_factors,
     _trim,
     element_from_text,
     element_to_text,
@@ -290,20 +291,6 @@ def _powmod_vals(ctx, base, k, mod):
     if k == 0:
         return _rem_vals(ctx, (1,), f)
     return _power(_mulmod(ctx, f), _rem_vals(ctx, base, f), k)
-
-
-def _prime_factors(m):
-    out = set()
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.add(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.add(m)
-    return out
 
 
 # ---------------------------------------------------------------------------

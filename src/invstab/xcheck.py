@@ -13,9 +13,14 @@ Nothing in this module shares a code path with the formula it is checking:
   multiplies in K(gamma) with the tower product (one packed multiply of
   the flat digits, reduced by rows X^I y^J mod both moduli) and divides
   with the tower's extended Euclid over ``polys``; the formula side runs
-  in K alone, on K's flat-int product and inversion, its Frobenius matrix
-  and trace vector.  The two sides share only K's closures, from which the
-  tower's reduction rows and Euclid are built;
+  in K alone, on K's closures, its Frobenius matrix and trace vector.  The
+  two sides share only K's closures, from which the tower's reduction rows
+  and Euclid are built.  On fields up to ``fields.LOG_WALK_MAX_ORDER``
+  those closures are lookups in a Zech-log table.  Exhaustive tests check
+  them against the flat-int closures that larger fields use: every sum,
+  difference, negation and product on fields of order <= 81, and every
+  antilog step, Zech entry and inverse on fields of order <= 729 and on
+  GF(3^8), GF(2^12) and GF(89^2), the largest below the bound;
 * traces are also recovered from the second-highest coefficient of a
   minimal polynomial found by plain linear algebra over the subfield.
 

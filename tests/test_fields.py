@@ -1,11 +1,13 @@
 """Tests for field construction, arithmetic, traces, and the packed encoding."""
 
+import functools
 import random
 
 import pytest
 
-from invstab import errors
+from invstab import errors, fields
 from invstab.fields import (
+    LOG_WALK_MAX_ORDER,
     MAX_PRIME,
     abs_trace,
     element_from_text,
@@ -17,7 +19,7 @@ from invstab.fields import (
     rel_trace,
     relative_degree,
 )
-from invstab.fields import _generic_ext_ops, _is_prime, _prime_ext_ops
+from invstab.fields import _generic_ext_ops, _is_prime, _power, _prime_ext_ops
 from invstab.polys import Poly, artin_schreier, find_irreducible
 
 
@@ -208,12 +210,20 @@ def test_frobenius_matches_pth_power():
             assert abs_trace(x) == rel_trace(x, prime)
 
 
+def flat_ops(ctx):
+    """The flat-int closures of a depth-1 context: the reference for its
+    table arithmetic."""
+    return _prime_ext_ops(ctx.p, ctx.degree, ctx.modulus_vals)
+
+
 def test_log_table_exhaustive():
     """On every field of order <= 729 (default modulus), F_9 with modulus
     2,2,1, F_25 with modulus 2,4,1 and a depth-2 tower above F_9: the
-    generator g = exps[1] has order q - 1, exps[k] = g^k by plain powering,
-    exps[log x] = x for every x != 0, and the trace-zero flag of log x says
-    whether Tr(x) = 0."""
+    generator g = exps[1] has order q - 1, exps[k] = g^k by plain powering
+    (through the flat-int product on depth-1 fields, whose own product
+    runs on this table), exps[log x] = x for every x != 0, and the
+    trace-zero flag of log x says whether Tr(x) = 0.  A depth-1 context
+    shares its logs and antilogs with its Zech table."""
     fields = [finite_field(p, e)
               for p in range(2, 730) if _is_prime(p)
               for e in range(1, 10) if p ** e <= 729]
@@ -222,16 +232,105 @@ def test_log_table_exhaustive():
     for ctx in fields:
         logs, exps, trace_zero = ctx.log_table()
         assert ctx.log_table()[0] is logs          # built once per context
+        if ctx.depth == 1:
+            mul = flat_ops(ctx)[3]
+            zech_logs, zech_exps, _ = ctx._zech_table()
+            assert zech_logs is logs and zech_exps is exps
+        else:
+            assert ctx._zech_table is None
+            mul = ctx.mul_v
         m = ctx.order - 1
         g = exps[1 % m]
-        assert ctx.pow_v(g, m) == 1
-        assert all(ctx.pow_v(g, m // ell) != 1 for ell in range(2, m + 1)
+        assert _power(mul, g, m) == 1
+        assert all(_power(mul, g, m // ell) != 1 for ell in range(2, m + 1)
                    if m % ell == 0 and _is_prime(ell))
         assert len(exps) == len(trace_zero) == m and logs[0] is None
-        assert exps == [ctx.pow_v(g, k) for k in range(m)]
+        assert exps == [_power(mul, g, k) if k else 1 for k in range(m)]
         for x in range(1, ctx.order):
             assert exps[logs[x]] == x
             assert trace_zero[logs[x]] == (ctx.trace_v(x) == 0)
+
+
+def depth1_fields(bound):
+    """Every depth-1 field of order <= bound (default moduli), F_9 with
+    modulus 2,2,1 and F_25 with modulus 2,4,1."""
+    return [finite_field(p, e)
+            for p in range(2, bound + 1) if _is_prime(p)
+            for e in range(2, 14) if p ** e <= bound] + [F9, F25]
+
+
+def test_zech_table_against_flat_product():
+    """On every depth-1 field of order <= 729 and on GF(3^8), GF(2^12) and
+    GF(89^2), the largest below LOG_WALK_MAX_ORDER: exps[k + 1] is the
+    flat-int product of exps[k] and g, every Zech entry is the log of the
+    flat-int 1 + g^k (None where that is 0), and inv_v(x) times x is 1
+    under the flat-int product for every x != 0."""
+    ctxs = depth1_fields(729) + [finite_field(3, 8), finite_field(2, 12),
+                                 finite_field(89, 2)]
+    assert len(ctxs) == 28
+    assert max(ctx.order for ctx in ctxs) <= LOG_WALK_MAX_ORDER
+    for ctx in ctxs:
+        fadd, _, _, fmul = flat_ops(ctx)[:4]
+        logs, exps, zech = ctx._zech_table()
+        m = ctx.order - 1
+        g = exps[1 % m]
+        assert exps[0] == 1 and fmul(exps[-1], g) == 1
+        for k in range(m - 1):
+            assert exps[k + 1] == fmul(exps[k], g), (ctx, k)
+        assert len(zech) == m
+        for k, z in enumerate(zech):
+            one_plus = fadd(1, exps[k])
+            assert z == logs[one_plus], (ctx, k)
+            assert (z is None) == (one_plus == 0)
+        for x in range(1, ctx.order):
+            assert fmul(x, ctx.inv_v(x)) == 1, (ctx, x)
+    with pytest.raises(errors.DivisionByZero):
+        F9.inv_v(0)
+
+
+@pytest.fixture
+def fresh_caches(monkeypatch):
+    """Empty context caches for one test, so the module's contexts stay
+    cached."""
+    monkeypatch.setattr(fields, '_extension_cache', {})
+    monkeypatch.setattr(fields, 'prime_field',
+                        functools.lru_cache(fields.prime_field.__wrapped__))
+
+
+def test_context_construction_builds_no_table(monkeypatch, fresh_caches):
+    """Building a depth-1 context, its default modulus search included,
+    builds no log table; its first product does."""
+    def no_table(*args):
+        raise AssertionError("log table built")
+    with monkeypatch.context() as patch:
+        patch.setattr(fields, '_log_exp', no_table)
+        ctxs = [finite_field(p, e) for p, e in ((3, 8), (2, 12), (89, 2),
+                                                 (5, 3))]
+        assert all(ctx._logs is None for ctx in ctxs)
+        assert ctxs[0].add_v(0, 5) == 5 and ctxs[0].mul_v(0, 5) == 0
+        with pytest.raises(AssertionError, match="log table built"):
+            ctxs[0].mul_v(3, 5)
+    ctx = ctxs[-1]
+    assert ctx.mul_v(5, 7) == flat_ops(ctx)[3](5, 7)
+
+
+def test_fresh_context_gets_its_own_table(fresh_caches):
+    """A context built after the caches are emptied, as the benchmark does
+    before every command, is a new object with its own table, and its
+    arithmetic agrees with the flat-int closures."""
+    old = finite_field(5, 2)
+    old_logs = old._zech_table()[0]
+    fields._extension_cache.clear()
+    fields.prime_field.cache_clear()
+    new = finite_field(5, 2)
+    assert new is not old and new.modulus_vals == old.modulus_vals
+    logs, exps, _ = new._zech_table()
+    assert logs is not old_logs and logs == old_logs
+    assert new.log_table()[0] is logs
+    fadd, fsub, fneg, fmul, finv = flat_ops(new)[:5]
+    for a in range(1, new.order):
+        assert new.inv_v(a) == finv(a)
+        assert new.sub_v(a, 7) == fsub(a, 7) and new.mul_v(a, 7) == fmul(a, 7)
 
 
 # -- field axioms (seeded sweeps) --------------------------------------------
@@ -450,7 +549,8 @@ def test_element_text_rejects_oversized_vector():
 
 
 def test_generic_ops_agree_with_prime_ext_ops():
-    """The tower factory's ops must match the flat int specialization.
+    """The tower factory's ops, and a depth-1 context's own ops (lookups in
+    its Zech table), must match the flat int specialization.
 
     The generic product is one packed multiply of the flat digits reduced
     by F_p-linear rows, and the generic inversion divides with
@@ -458,26 +558,25 @@ def test_generic_ops_agree_with_prime_ext_ops():
     and divmod.  add/sub/neg/mul agree on every pair of every depth-1 field
     of order <= 81.  Every nonzero element of every depth-1 field of order
     <= 729 (default moduli, plus F_9 with modulus 2,2,1 and F_25 with
-    modulus 2,4,1) gets the same inverse from both factories, and
+    modulus 2,4,1) gets the same inverse from all three, and
     multiplication confirms that inverse."""
-    fields = [finite_field(p, e)
-              for p in range(2, 730) if _is_prime(p)
-              for e in range(2, 10) if p ** e <= 729]
-    assert len(fields) == 23
-    fields += [F9, F25]
-    for ctx in fields:
+    ctxs = depth1_fields(729)
+    assert len(ctxs) == 25
+    for ctx in ctxs:
+        assert ctx._zech_table is not None
         d, mod = ctx.degree, ctx.modulus_vals
         fadd, fsub, fneg, fmul, finv, _, _ = _prime_ext_ops(ctx.p, d, mod)
         sadd, ssub, sneg, smul, sinv, _, _ = _generic_ext_ops(ctx.base, d, mod)
         for a in range(ctx.order if ctx.order <= 81 else 0):
             for b in range(ctx.order):
-                assert fadd(a, b) == sadd(a, b), (ctx, a, b)
-                assert fsub(a, b) == ssub(a, b), (ctx, a, b)
-                assert fmul(a, b) == smul(a, b), (ctx, a, b)
-            assert fneg(a) == sneg(a), (ctx, a)
+                want = fadd(a, b), fsub(a, b), fmul(a, b)
+                assert (sadd(a, b), ssub(a, b), smul(a, b)) == want, (ctx, a, b)
+                assert (ctx.add_v(a, b), ctx.sub_v(a, b),
+                        ctx.mul_v(a, b)) == want, (ctx, a, b)
+            assert fneg(a) == sneg(a) == ctx.neg_v(a), (ctx, a)
         for a in range(1, ctx.order):
             inv = finv(a)
-            assert sinv(a) == inv, (ctx, a)
+            assert sinv(a) == inv == ctx.inv_v(a), (ctx, a)
             assert fmul(a, inv) == 1 and smul(a, inv) == 1, (ctx, a)
 
 
