@@ -29,7 +29,6 @@ from .polys import (
     frobenius_power,
     gcd,
     is_irreducible,
-    poly_from_text,
     poly_to_text,
     powmod,
     reciprocal,
@@ -80,8 +79,7 @@ __all__ = [
     'element_from_text', 'element_to_text', 'extension_field',
     'finite_field', 'lift', 'prime_field', 'rel_trace', 'relative_degree',
     'Poly', 'artin_schreier', 'find_irreducible', 'frobenius_power', 'gcd',
-    'is_irreducible', 'poly_from_text', 'poly_to_text', 'powmod',
-    'reciprocal',
+    'is_irreducible', 'poly_to_text', 'powmod', 'reciprocal',
     'DEFAULT_DEGREE_CAP', 'INFINITY', 'IterateFraction', 'denominator',
     'forward_orbit_infinity', 'initial_fraction', 'iterate_step',
     'preimage_count',

@@ -25,21 +25,20 @@ multiplicative group with a trace-zero flag per log
 (:meth:`FieldCtx.log_table`), on which the criterion walks small fields.
 
 The same digits make add, sub and neg one digit-wise loop mod p at every
-depth.  They are also what a tower product needs: a tower value's digits
-spread into one Kronecker-packed integer, one integer multiply forms every
-coefficient of X^I y^J, and a precomputed row per reducible slot, X^I y^J
-mod both moduli, reduces the result as an F_p-linear map, ending in the
-same slots-to-digits step as the Frobenius matrix.  Tower inverses are an
-extended Euclid over the base on :mod:`.polys`.
+depth.  They are also what the product needs: a value's digits spread into
+one Kronecker-packed integer, one integer multiply forms every coefficient
+of X^I y^J (y the root of the base's modulus, 1 over F_p), and a
+precomputed row per reducible slot, X^I y^J mod the moduli, reduces the
+result as an F_p-linear map, ending in the same slots-to-digits step as the
+Frobenius matrix.  Inverses are an extended Euclid: on plain digit lists
+over F_p, and over the base on :mod:`.polys` for towers.
 
-F_p[X]/(m) has a flat-int schoolbook product and Euclid on plain digit
-lists.  Up to order LOG_WALK_MAX_ORDER those only build, on the first
-arithmetic call, one table of discrete logs, antilogs and Zech logarithms
-Z(k) = log(1 + g^k), and every add, sub, neg, mul and inv is a lookup in
-it: x + y = g^(log x + Z(log y - log x)) (Lidl & Niederreiter, Finite
-Fields, section 9.3).  Larger fields compute on the flat-int closures, which
-also stay the reference the table is tested against.  The same logs and
-antilogs serve :meth:`FieldCtx.log_table`, so a context builds one table.
+Up to order LOG_WALK_MAX_ORDER, F_p[X]/(m) builds on its first arithmetic
+call one table of discrete logs, antilogs and Zech logarithms
+Z(k) = log(1 + g^k) with that product, and every add, sub, neg, mul and
+inv is a lookup in it: x + y = g^(log x + Z(log y - log x)) (Lidl &
+Niederreiter, Finite Fields, section 9.3).  The same logs and antilogs
+serve :meth:`FieldCtx.log_table`, so a context builds one table.
 
 Contexts are cached, so two requests for the same field (same prime, same
 modulus chain) return the identical object and context checks are identity
@@ -78,21 +77,6 @@ MAX_DEPTH = 2
 LOG_WALK_MAX_ORDER = 8000
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def _prime_factors(n: int) -> list:
     """The distinct prime factors of n >= 1, by trial division."""
     out = []
@@ -111,21 +95,18 @@ def _prime_factors(n: int) -> list:
 # ---------------------------------------------------------------------------
 # packed-value operation factories
 #
-# Each factory returns closures working on packed integers.  Both extension
-# factories share one digit codec and add/sub/neg on the flat base-p digits.
-# The extension over the prime field has hand-specialised product and
-# inversion loops on plain ints: the shared divmod made search over
-# GF(3^6), GF(2^10) and GF(11^2) about 4.5% slower, and the Barrett product
-# is slower per call on these short operands.  Its Euclid divides with
-# _list_divmod_mod_p, which is also the F_p branch of
-# ``polys._divmod_vals``: there is one long division over F_p.  Up to
-# LOG_WALK_MAX_ORDER those flat-int closures build the log/antilog/Zech
-# table of _zech_ops, whose lookups are the field's arithmetic; above it
-# they are the field's arithmetic themselves.  A tower (extension over an
-# extension) multiplies its flat digits as one packed integer and reduces
-# with F_p-linear rows (_tower_product), and inverts by an extended Euclid
-# on ``polys`` (which imports this module at load time, so the factory
-# imports it lazily).
+# Each factory returns closures working on packed integers.  _ext_ops
+# serves every extension base[X]/(m): add/sub/neg on the flat base-p digits
+# through one digit codec, and one product that multiplies the packed flat
+# digits and reduces with F_p-linear rows (_tower_product).  Only the
+# inverse depends on the base.  Over F_p it is an extended Euclid on plain
+# digit lists that divides with _list_divmod_mod_p, which is also the F_p
+# branch of ``polys._divmod_vals``: there is one long division over F_p.
+# The Euclid over ``polys`` took 1.8-3.4x as long per inversion there
+# (GF(3^9), GF(2^13), GF(101^2); CPython 3.11).  Over an extension it is
+# that Euclid over the base (``polys`` imports this module at load time, so
+# the factory imports it lazily).  Up to LOG_WALK_MAX_ORDER, _zech_ops
+# turns the closures of F_p[X]/(m) into the lookups of its table.
 #
 # Two helpers serve every layer: _power is the one square-and-multiply loop
 # (FieldCtx.pow_v, Poly ** k, powmod and the Rabin test pass it their own
@@ -233,64 +214,6 @@ def _list_divmod_mod_p(a, b, p):
     return quo, rem
 
 
-def _prime_ext_ops(p, d, modulus_digits):
-    """Closures for F_p[X]/(m) with m monic of degree d, digits as plain ints."""
-    mod_low = tuple(modulus_digits[:d])
-    idx = range(d)
-    decode, encode = _codec(p, d)
-
-    def mul(x, y):
-        a, b = decode(x), decode(y)
-        prod = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        for k in range(2 * d - 2, d - 1, -1):
-            c = prod[k] % p
-            if c:
-                lo = k - d
-                for j in idx:
-                    prod[lo + j] -= c * mod_low[j]
-        return encode([prod[i] % p for i in idx])
-
-    full_mod = list(modulus_digits)
-
-    def inv(x):
-        if x == 0:
-            raise DivisionByZero("0 is not invertible")
-        # extended Euclid over F_p against the modulus, tracking only the
-        # cofactor of x; terminates at a nonzero constant remainder because
-        # the modulus is irreducible
-        r0, r1 = full_mod, decode(x)
-        while len(r1) > 1 and r1[-1] == 0:
-            r1.pop()
-        t0, t1 = [0], [1]
-        while True:
-            if len(r1) == 1:
-                c_inv = pow(r1[0], p - 2, p)
-                return encode([c * c_inv % p for c in t1])
-            quo, rem = _list_divmod_mod_p(r0, r1, p)
-            r0, r1 = r1, rem
-            if r1 == [0]:
-                raise ArithmeticError("modulus is not irreducible")
-            prod = [0] * (len(quo) + len(t1) - 1)
-            for i, qi in enumerate(quo):
-                if qi:
-                    for j, tj in enumerate(t1):
-                        prod[i + j] += qi * tj
-            new_t = [0] * max(len(t0), len(prod))
-            for i, c in enumerate(t0):
-                new_t[i] = c
-            for i, c in enumerate(prod):
-                new_t[i] = (new_t[i] - c) % p
-            while len(new_t) > 1 and new_t[-1] == 0:
-                new_t.pop()
-            t0, t1 = t1, new_t
-
-    return (*_linear_ops(p, d), mul, inv, decode, encode)
-
-
 def _linear_map(p, images):
     """The F_p-linear map sending the basis p^k to the packed value
     ``images[k]``, as a closure on packed values.
@@ -343,27 +266,28 @@ def _log_exp(q, p, n, mul):
     return logs, exps
 
 
-def _zech_ops(p, d, flat_ops):
+def _zech_ops(p, d, ext_ops):
     """Closures for F_p[X]/(m), m of degree d, as lookups in one table.
 
-    The table, built by the flat-int product of ``flat_ops`` on the first
-    call that needs it, holds logs and antilogs (:func:`_log_exp`) and the
-    Zech logarithms Z(k) = log(1 + g^k), None where 1 + g^k = 0.  With
+    The table, built by the packed product of ``ext_ops`` (the closures of
+    :func:`_ext_ops`) on the first call that needs it, holds logs and
+    antilogs (:func:`_log_exp`) and the Zech logarithms
+    Z(k) = log(1 + g^k), None where 1 + g^k = 0.  With
     q = p^d and m = q - 1, x y = g^(log x + log y), 1/x = g^(-log x) and
     x + y = x (1 + y/x) = g^(log x + Z(log y - log x)); x - y adds
     log(-y) = log y + log(-1).  Every list index lies in [-m, m), and a
     negative one counts from the end, which is the same residue mod m.
-    Returns the field closures (with the flat codec) and a function giving
+    Returns the field closures (with the same codec) and a function giving
     (logs, exps, zech).
     """
-    flat_mul, decode, encode = flat_ops[3], flat_ops[5], flat_ops[6]
+    ext_mul, decode, encode = ext_ops[3], ext_ops[5], ext_ops[6]
     q = p ** d
     m = q - 1
     logs = exps = zech = neg_logs = None
 
     def build():
         nonlocal logs, exps, zech, neg_logs
-        logs, exps = _log_exp(q, p, d, flat_mul)
+        logs, exps = _log_exp(q, p, d, ext_mul)
         # 1 + x changes only the lowest base-p digit of x
         zech = [logs[x - x % p + (x + 1) % p] for x in exps]
         log_neg_one = logs[p - 1]
@@ -448,20 +372,22 @@ def _gather(acc, shifts, mask, p):
 def _tower_product(base, f, encode):
     """The slot layout and reduction rows of the product in base[X]/(f).
 
-    With K = base of degree e over F_p, m = deg f and a tower value's flat
-    base-p digit i*e + j the coefficient of X^i y^j (y the root of K's
-    modulus), a value spreads into slot i*(2e - 1) + j: X-major blocks of
-    2e - 1 slots of ``width`` bits.  The product of two spread values then
-    holds the coefficient of X^I y^J in slot (I, J) for I < 2m - 1, J <
-    2e - 1, each at most m*e*(p - 1)^2.  Slots with I < m and J < e are
-    already reduced and stay in place (the ``low`` mask); every other slot
-    is replaced by its value times the row X^I y^J mod (K's modulus, f),
-    spread the same way.  The width bounds a kept slot plus every row's
-    contribution, so no slot carries into the next.
+    With K = base of degree e over F_p, m = deg f and a value's flat base-p
+    digit i*e + j the coefficient of X^i y^j (y the root of K's modulus;
+    over K = F_p, e = 1 and only J = 0 occurs), a value spreads into slot
+    i*(2e - 1) + j: X-major blocks of 2e - 1 slots of ``width`` bits.  The
+    product of two spread values then holds the coefficient of X^I y^J in
+    slot (I, J) for I < 2m - 1, J < 2e - 1, each at most m*e*(p - 1)^2.
+    Slots with I < m and J < e are already reduced and stay in place (the
+    ``low`` mask); every other slot is replaced by its value times the row
+    X^I y^J mod (K's modulus, f), spread the same way.  The width bounds a
+    kept slot plus every row's contribution, so no slot carries into the
+    next.
 
     The rows come from f and K's own closures (K's product and y^J), never
-    from a tower product.  Returns (in_shifts, low, folds, out_shifts,
-    mask), where folds pairs each reduced slot's bit offset with its row.
+    from a product in base[X]/(f).  Returns (in_shifts, low, folds,
+    out_shifts, mask), where folds pairs each reduced slot's bit offset
+    with its row.
     """
     p, e, m = base.p, base.total_degree, len(f) - 1
     stride = 2 * e - 1
@@ -491,14 +417,16 @@ def _tower_product(base, f, encode):
     return in_shifts, low, tuple(folds), in_shifts[::-1], mask
 
 
-def _generic_ext_ops(base: "FieldCtx", d, modulus_digits):
-    """Closures for base[X]/(m); digits are packed base values.
+def _ext_ops(base: "FieldCtx", d, modulus_digits):
+    """Closures for base[X]/(m), m monic irreducible of degree d; digits are
+    packed base values.
 
     A product is one multiply of Kronecker-packed flat digits and an
     F_p-linear reduction by precomputed rows, built on the first product
-    (see :func:`_tower_product`).  Inverses are an extended Euclid over
-    ``base`` on :mod:`.polys`."""
-    from .polys import _coeffwise, _divmod_vals, _mul_vals
+    (see :func:`_tower_product`).  An inverse is an extended Euclid against
+    m that tracks only the cofactor of x and ends at a nonzero constant,
+    because m is irreducible: on plain digit lists over F_p, and over
+    ``base`` on :mod:`.polys` above it."""
     decode, encode = _codec(base.order, d)
     p = base.p
     layout = None
@@ -517,25 +445,53 @@ def _generic_ext_ops(base: "FieldCtx", d, modulus_digits):
                 acc += k * row
         return _gather(acc, out_shifts, mask, p)
 
-    def inv(x):
-        if x == 0:
-            raise DivisionByZero("0 is not invertible")
-        # extended Euclid against the modulus, tracking only the cofactor
-        # of x; it ends at a nonzero constant because the modulus is
-        # irreducible
-        r0, r1 = modulus_digits, _trim(decode(x))
-        t0, t1 = (), (1,)
-        while len(r1) > 1:
-            quo, rem = _divmod_vals(base, r0, r1)
-            if not rem:
-                raise ArithmeticError("modulus is not irreducible")
-            r0, r1 = r1, rem
-            t0, t1 = t1, _coeffwise(base.sub_v, t0,
-                                    _mul_vals(base, quo, t1))
-        return encode(_mul_vals(base, t1, (base.inv_v(r1[0]),)))
+    if base.kind == 'prime':
+        def inv(x):
+            if x == 0:
+                raise DivisionByZero("0 is not invertible")
+            r0, r1 = modulus_digits, decode(x)
+            while len(r1) > 1 and r1[-1] == 0:
+                r1.pop()
+            t0, t1 = [0], [1]
+            while True:
+                if len(r1) == 1:
+                    c_inv = pow(r1[0], p - 2, p)
+                    return encode([c * c_inv % p for c in t1])
+                quo, rem = _list_divmod_mod_p(r0, r1, p)
+                r0, r1 = r1, rem
+                if r1 == [0]:
+                    raise ArithmeticError("modulus is not irreducible")
+                prod = [0] * (len(quo) + len(t1) - 1)
+                for i, qi in enumerate(quo):
+                    if qi:
+                        for j, tj in enumerate(t1):
+                            prod[i + j] += qi * tj
+                new_t = [0] * max(len(t0), len(prod))
+                for i, c in enumerate(t0):
+                    new_t[i] = c
+                for i, c in enumerate(prod):
+                    new_t[i] = (new_t[i] - c) % p
+                while len(new_t) > 1 and new_t[-1] == 0:
+                    new_t.pop()
+                t0, t1 = t1, new_t
+    else:
+        from .polys import _coeffwise, _divmod_vals, _mul_vals
 
-    return (*_linear_ops(base.p, d * base.total_degree), mul, inv, decode,
-            encode)
+        def inv(x):
+            if x == 0:
+                raise DivisionByZero("0 is not invertible")
+            r0, r1 = modulus_digits, _trim(decode(x))
+            t0, t1 = (), (1,)
+            while len(r1) > 1:
+                quo, rem = _divmod_vals(base, r0, r1)
+                if not rem:
+                    raise ArithmeticError("modulus is not irreducible")
+                r0, r1 = r1, rem
+                t0, t1 = t1, _coeffwise(base.sub_v, t0,
+                                        _mul_vals(base, quo, t1))
+            return encode(_mul_vals(base, t1, (base.inv_v(r1[0]),)))
+
+    return (*_linear_ops(p, d * base.total_degree), mul, inv, decode, encode)
 
 
 # ---------------------------------------------------------------------------
@@ -580,12 +536,9 @@ class FieldCtx:
             self.depth = base.depth + 1
             self.order = base.order ** d
             self.prime_ctx = base.prime_ctx
-            if base.kind == 'prime':
-                ops = _prime_ext_ops(p, d, modulus_vals)
-                if self.order <= LOG_WALK_MAX_ORDER:
-                    ops, self._zech_table = _zech_ops(p, d, ops)
-            else:
-                ops = _generic_ext_ops(base, d, modulus_vals)
+            ops = _ext_ops(base, d, modulus_vals)
+            if self.depth == 1 and self.order <= LOG_WALK_MAX_ORDER:
+                ops, self._zech_table = _zech_ops(p, d, ops)
         (self.add_v, self.sub_v, self.neg_v, self.mul_v, self.inv_v,
          self.decode_v, self.encode_v) = ops
 
@@ -843,7 +796,7 @@ def prime_field(p: int) -> FieldCtx:
     Raises NotPrime for composite or negative input and PrimeTooLarge when
     p is at or above MAX_PRIME.
     """
-    if not isinstance(p, int) or not _is_prime(p):
+    if not isinstance(p, int) or p < 2 or _prime_factors(p) != [p]:
         raise NotPrime(f"{p} is not prime")
     if p >= MAX_PRIME:
         raise PrimeTooLarge(f"{p} >= {MAX_PRIME}")

@@ -76,11 +76,11 @@ def iterate_step(fr: IterateFraction, xi: FieldElement) -> IterateFraction:
     return IterateFraction(fr.n + 1, new_num, new_den)
 
 
-def denominator(xi: FieldElement, n: int,
-                cap: int = DEFAULT_DEGREE_CAP) -> Poly:
-    """The denominator D_n of the n-th iterate of 1/g; deg D_n = p^n.
+def _denominators(xi: FieldElement, n: int, cap: int):
+    """D_1, ..., D_n in turn, from :func:`initial_fraction`.
 
-    Raises IterationTooLarge when p^n would exceed ``cap``.
+    Raises ValueError for n < 1, and IterationTooLarge when deg D_n = p^n
+    would exceed ``cap``, before the first step.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -90,7 +90,18 @@ def denominator(xi: FieldElement, n: int,
     fr = initial_fraction(xi.ctx)
     for _ in range(n):
         fr = iterate_step(fr, xi)
-    return fr.den
+        yield fr.den
+
+
+def denominator(xi: FieldElement, n: int,
+                cap: int = DEFAULT_DEGREE_CAP) -> Poly:
+    """The denominator D_n of the n-th iterate of 1/g; deg D_n = p^n.
+
+    Raises IterationTooLarge when p^n would exceed ``cap``.
+    """
+    for den in _denominators(xi, n, cap):
+        pass
+    return den
 
 
 def forward_orbit_infinity(xi: FieldElement, n_max: int) -> list:

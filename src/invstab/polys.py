@@ -15,11 +15,11 @@ y-powers e .. 2e - 2 are folded back with y^k mod the field modulus on the
 packed integer, and each slot is then reduced mod p (see :class:`_Kron`).
 The schoolbook loop over the field's closures remains only for polynomials
 over depth-2 towers and over fields whose slots would need more than 8
-bytes.  A tower's own element product does not come from here: it packs
-the tower value's flat digits and reduces by F_p-linear rows in
+bytes.  An extension field's own element product does not come from here:
+it packs the value's flat digits and reduces by F_p-linear rows in
 :mod:`.fields`.  Division and gcd are the classical algorithms;
 over F_p the long division is ``fields._list_divmod_mod_p``, the one F_p
-division that the flat extension fields invert with as well.
+division that F_p[X]/(m) inverts with as well.
 
 Products modulo a fixed monic f of degree m use Barrett reduction: mu =
 X^(2m - 2) // f is found once by division, and each reduced product then
@@ -57,7 +57,6 @@ from .fields import (
     _power,
     _prime_factors,
     _trim,
-    element_from_text,
     element_to_text,
 )
 
@@ -578,8 +577,3 @@ def poly_to_text(f: Poly) -> str:
         return element_to_text(ctx.zero)
     return ';'.join(element_to_text(c) for c in f.coeffs)
 
-
-def poly_from_text(ctx: FieldCtx, text: str) -> Poly:
-    """Parse :func:`poly_to_text` output over the given context."""
-    parts = text.split(';')
-    return Poly(ctx, [element_from_text(ctx, s) for s in parts])

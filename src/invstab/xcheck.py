@@ -16,11 +16,13 @@ Nothing in this module shares a code path with the formula it is checking:
   in K alone, on K's closures, its Frobenius matrix and trace vector.  The
   two sides share only K's closures, from which the tower's reduction rows
   and Euclid are built.  On fields up to ``fields.LOG_WALK_MAX_ORDER``
-  those closures are lookups in a Zech-log table.  Exhaustive tests check
-  them against the flat-int closures that larger fields use: every sum,
-  difference, negation and product on fields of order <= 81, and every
-  antilog step, Zech entry and inverse on fields of order <= 729 and on
-  GF(3^8), GF(2^12) and GF(89^2), the largest below the bound;
+  those closures are lookups in a Zech-log table, built by the same
+  packed product that larger fields compute with.  Exhaustive tests check
+  the table against that product, and the product against a schoolbook
+  product on prime-field operators: every sum, difference, negation and
+  product on fields of order <= 81, and every antilog step, Zech entry
+  and inverse on fields of order <= 729 and on GF(3^8), GF(2^12) and
+  GF(89^2), the largest below the bound;
 * traces are also recovered from the second-highest coefficient of a
   minimal polynomial found by plain linear algebra over the subfield.
 
@@ -38,7 +40,6 @@ from .errors import (
     BothZero,
     CtxMismatch,
     IrreducibilityHypothesisViolated,
-    IterationTooLarge,
     NotGenerating,
 )
 from .fields import (
@@ -52,7 +53,7 @@ from .fields import (
     rel_trace,
     relative_degree,
 )
-from .iteration import DEFAULT_DEGREE_CAP, initial_fraction, iterate_step
+from .iteration import DEFAULT_DEGREE_CAP, _denominators
 from .polys import Poly, artin_schreier, is_irreducible
 
 
@@ -98,17 +99,8 @@ class EquivalenceReport:
 def direct_denominator_check(xi: FieldElement, n_max: int,
                              cap: int = DEFAULT_DEGREE_CAP) -> list:
     """(n, D_n irreducible?) for n = 1 .. n_max, by Rabin on the monic D_n."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if xi.ctx.p ** n_max > cap:
-        raise IterationTooLarge(
-            f"deg D_{n_max} = {xi.ctx.p}^{n_max} exceeds the cap {cap}")
-    fr = initial_fraction(xi.ctx)
-    out = []
-    for n in range(1, n_max + 1):
-        fr = iterate_step(fr, xi)
-        out.append((n, is_irreducible(fr.den.monic())))
-    return out
+    return [(n, is_irreducible(den.monic()))
+            for n, den in enumerate(_denominators(xi, n_max, cap), 1)]
 
 
 def criterion_vs_direct(ctx: FieldCtx, n_max: int,

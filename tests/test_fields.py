@@ -19,7 +19,7 @@ from invstab.fields import (
     rel_trace,
     relative_degree,
 )
-from invstab.fields import _generic_ext_ops, _is_prime, _power, _prime_ext_ops
+from invstab.fields import _ext_ops, _power, _prime_factors
 from invstab.polys import Poly, artin_schreier, find_irreducible
 
 
@@ -198,7 +198,7 @@ def test_frobenius_matches_pth_power():
     field of order <= 729 (default modulus), of F_9 with modulus 2,2,1, of
     F_25 with modulus 2,4,1 and of a depth-2 tower above F_9."""
     fields = [finite_field(p, e)
-              for p in range(2, 730) if _is_prime(p)
+              for p in range(2, 730) if _prime_factors(p) == [p]
               for e in range(1, 10) if p ** e <= 729]
     assert len(fields) == 152
     w = F9.modulus_root
@@ -210,22 +210,23 @@ def test_frobenius_matches_pth_power():
             assert abs_trace(x) == rel_trace(x, prime)
 
 
-def flat_ops(ctx):
-    """The flat-int closures of a depth-1 context: the reference for its
-    table arithmetic."""
-    return _prime_ext_ops(ctx.p, ctx.degree, ctx.modulus_vals)
+def factory_ops(ctx):
+    """Fresh closures of the extension factory for a depth-1 context: the
+    packed product and flat Euclid that build its table, and the reference
+    the table is checked against."""
+    return _ext_ops(ctx.base, ctx.degree, ctx.modulus_vals)
 
 
 def test_log_table_exhaustive():
     """On every field of order <= 729 (default modulus), F_9 with modulus
     2,2,1, F_25 with modulus 2,4,1 and a depth-2 tower above F_9: the
     generator g = exps[1] has order q - 1, exps[k] = g^k by plain powering
-    (through the flat-int product on depth-1 fields, whose own product
-    runs on this table), exps[log x] = x for every x != 0, and the
+    (through the factory's packed product on depth-1 fields, whose own
+    product runs on this table), exps[log x] = x for every x != 0, and the
     trace-zero flag of log x says whether Tr(x) = 0.  A depth-1 context
     shares its logs and antilogs with its Zech table."""
     fields = [finite_field(p, e)
-              for p in range(2, 730) if _is_prime(p)
+              for p in range(2, 730) if _prime_factors(p) == [p]
               for e in range(1, 10) if p ** e <= 729]
     w = F9.modulus_root
     fields += [F9, F25, extension_field(F9, artin_schreier(w))]
@@ -233,7 +234,7 @@ def test_log_table_exhaustive():
         logs, exps, trace_zero = ctx.log_table()
         assert ctx.log_table()[0] is logs          # built once per context
         if ctx.depth == 1:
-            mul = flat_ops(ctx)[3]
+            mul = factory_ops(ctx)[3]
             zech_logs, zech_exps, _ = ctx._zech_table()
             assert zech_logs is logs and zech_exps is exps
         else:
@@ -243,7 +244,7 @@ def test_log_table_exhaustive():
         g = exps[1 % m]
         assert _power(mul, g, m) == 1
         assert all(_power(mul, g, m // ell) != 1 for ell in range(2, m + 1)
-                   if m % ell == 0 and _is_prime(ell))
+                   if m % ell == 0 and _prime_factors(ell) == [ell])
         assert len(exps) == len(trace_zero) == m and logs[0] is None
         assert exps == [_power(mul, g, k) if k else 1 for k in range(m)]
         for x in range(1, ctx.order):
@@ -255,22 +256,22 @@ def depth1_fields(bound):
     """Every depth-1 field of order <= bound (default moduli), F_9 with
     modulus 2,2,1 and F_25 with modulus 2,4,1."""
     return [finite_field(p, e)
-            for p in range(2, bound + 1) if _is_prime(p)
+            for p in range(2, bound + 1) if _prime_factors(p) == [p]
             for e in range(2, 14) if p ** e <= bound] + [F9, F25]
 
 
 def test_zech_table_against_flat_product():
     """On every depth-1 field of order <= 729 and on GF(3^8), GF(2^12) and
     GF(89^2), the largest below LOG_WALK_MAX_ORDER: exps[k + 1] is the
-    flat-int product of exps[k] and g, every Zech entry is the log of the
-    flat-int 1 + g^k (None where that is 0), and inv_v(x) times x is 1
-    under the flat-int product for every x != 0."""
+    factory's product of exps[k] and g, every Zech entry is the log of the
+    factory's 1 + g^k (None where that is 0), and inv_v(x) times x is 1
+    under the factory's product for every x != 0."""
     ctxs = depth1_fields(729) + [finite_field(3, 8), finite_field(2, 12),
                                  finite_field(89, 2)]
     assert len(ctxs) == 28
     assert max(ctx.order for ctx in ctxs) <= LOG_WALK_MAX_ORDER
     for ctx in ctxs:
-        fadd, _, _, fmul = flat_ops(ctx)[:4]
+        fadd, _, _, fmul = factory_ops(ctx)[:4]
         logs, exps, zech = ctx._zech_table()
         m = ctx.order - 1
         g = exps[1 % m]
@@ -311,13 +312,13 @@ def test_context_construction_builds_no_table(monkeypatch, fresh_caches):
         with pytest.raises(AssertionError, match="log table built"):
             ctxs[0].mul_v(3, 5)
     ctx = ctxs[-1]
-    assert ctx.mul_v(5, 7) == flat_ops(ctx)[3](5, 7)
+    assert ctx.mul_v(5, 7) == factory_ops(ctx)[3](5, 7)
 
 
 def test_fresh_context_gets_its_own_table(fresh_caches):
     """A context built after the caches are emptied, as the benchmark does
     before every command, is a new object with its own table, and its
-    arithmetic agrees with the flat-int closures."""
+    arithmetic agrees with the factory's closures."""
     old = finite_field(5, 2)
     old_logs = old._zech_table()[0]
     fields._extension_cache.clear()
@@ -327,7 +328,7 @@ def test_fresh_context_gets_its_own_table(fresh_caches):
     logs, exps, _ = new._zech_table()
     assert logs is not old_logs and logs == old_logs
     assert new.log_table()[0] is logs
-    fadd, fsub, fneg, fmul, finv = flat_ops(new)[:5]
+    fadd, fsub, fneg, fmul, finv = factory_ops(new)[:5]
     for a in range(1, new.order):
         assert new.inv_v(a) == finv(a)
         assert new.sub_v(a, 7) == fsub(a, 7) and new.mul_v(a, 7) == fmul(a, 7)
@@ -545,39 +546,68 @@ def test_element_text_rejects_oversized_vector():
         element_from_text(F9, "1,2,1")
 
 
-# -- generic ops against the specialized fast path --------------------------------
+# -- the extension factory against a schoolbook reference -----------------
 
 
 def test_generic_ops_agree_with_prime_ext_ops():
-    """The tower factory's ops, and a depth-1 context's own ops (lookups in
-    its Zech table), must match the flat int specialization.
+    """The extension factory's ops on a depth-1 field must match a
+    schoolbook reference, and the context's own ops (lookups in its Zech
+    table) must match the factory's.
 
-    The generic product is one packed multiply of the flat digits reduced
-    by F_p-linear rows, and the generic inversion divides with
-    polys._divmod_vals; the flat-int factory has its own schoolbook product
-    and divmod.  add/sub/neg/mul agree on every pair of every depth-1 field
+    The factory's product is one packed multiply of the flat digits reduced
+    by F_p-linear rows, and its inverse a Euclid on plain digit lists;
+    ref_product multiplies and reduces with the prime field's element
+    operators.  add/sub/neg/mul agree on every pair of every depth-1 field
     of order <= 81.  Every nonzero element of every depth-1 field of order
     <= 729 (default moduli, plus F_9 with modulus 2,2,1 and F_25 with
-    modulus 2,4,1) gets the same inverse from all three, and
-    multiplication confirms that inverse."""
+    modulus 2,4,1) gets the same inverse from the factory and the table,
+    and both products confirm that inverse."""
     ctxs = depth1_fields(729)
     assert len(ctxs) == 25
     for ctx in ctxs:
         assert ctx._zech_table is not None
-        d, mod = ctx.degree, ctx.modulus_vals
-        fadd, fsub, fneg, fmul, finv, _, _ = _prime_ext_ops(ctx.p, d, mod)
-        sadd, ssub, sneg, smul, sinv, _, _ = _generic_ext_ops(ctx.base, d, mod)
+        base, d = ctx.base, ctx.degree
+        modulus = [base.element(v) for v in ctx.modulus_vals]
+        fadd, fsub, fneg, fmul, finv = factory_ops(ctx)[:5]
+        coeffs = [unpacked(base, d, a) for a in range(ctx.order)]
         for a in range(ctx.order if ctx.order <= 81 else 0):
-            for b in range(ctx.order):
-                want = fadd(a, b), fsub(a, b), fmul(a, b)
-                assert (sadd(a, b), ssub(a, b), smul(a, b)) == want, (ctx, a, b)
+            u = coeffs[a]
+            for b, v in enumerate(coeffs):
+                want = (packed([s + t for s, t in zip(u, v)]),
+                        packed([s - t for s, t in zip(u, v)]),
+                        packed(ref_product(modulus, u, v)))
+                assert (fadd(a, b), fsub(a, b),
+                        fmul(a, b)) == want, (ctx, a, b)
                 assert (ctx.add_v(a, b), ctx.sub_v(a, b),
                         ctx.mul_v(a, b)) == want, (ctx, a, b)
-            assert fneg(a) == sneg(a) == ctx.neg_v(a), (ctx, a)
+            assert packed([-c for c in u]) == fneg(a) == ctx.neg_v(a), (ctx, a)
         for a in range(1, ctx.order):
             inv = finv(a)
-            assert sinv(a) == inv == ctx.inv_v(a), (ctx, a)
-            assert fmul(a, inv) == 1 and smul(a, inv) == 1, (ctx, a)
+            assert ctx.inv_v(a) == inv, (ctx, a)
+            assert fmul(a, inv) == 1, (ctx, a)
+            assert packed(ref_product(modulus, coeffs[a], coeffs[inv])) == 1
+
+
+def test_depth1_product_above_bound_matches_schoolbook_reference():
+    """Above LOG_WALK_MAX_ORDER a depth-1 field computes on the factory's
+    closures themselves: on 200 seeded pairs each of GF(3^9), GF(2^13),
+    GF(101^2) and GF(1048573^2), mul_v equals ref_product and x times
+    inv_v(x) is 1 under both products."""
+    rng = random.Random(6063)
+    for p, e in ((3, 9), (2, 13), (101, 2), (1048573, 2)):
+        ctx = finite_field(p, e)
+        assert ctx.order > LOG_WALK_MAX_ORDER and ctx._zech_table is None
+        base = ctx.base
+        modulus = [base.element(v) for v in ctx.modulus_vals]
+        for _ in range(200):
+            x, y = rng.randrange(1, ctx.order), rng.randrange(ctx.order)
+            u, v = unpacked(base, e, x), unpacked(base, e, y)
+            assert ctx.mul_v(x, y) == packed(ref_product(modulus, u, v)), (
+                ctx, x, y)
+            inv = ctx.inv_v(x)
+            assert ctx.mul_v(x, inv) == 1, (ctx, x)
+            assert packed(ref_product(modulus, u,
+                                      unpacked(base, e, inv))) == 1, (ctx, x)
 
 
 # -- tower arithmetic against a schoolbook reference -------------------------------
@@ -675,7 +705,7 @@ def test_tower_product_never_calls_barrett(monkeypatch):
         raise AssertionError("tower product called polys._mulmod")
     monkeypatch.setattr(polys, '_mulmod', no_barrett)
     for (L, pairs), want in zip(cases, expected):
-        mul = _generic_ext_ops(L.base, L.degree, L.modulus_vals)[3]
+        mul = _ext_ops(L.base, L.degree, L.modulus_vals)[3]
         assert [mul(x, y) for x, y in pairs] == want, L
 
 
@@ -693,7 +723,7 @@ def test_generic_product_without_packed_layout():
     assert _Kron.fit(K, 5, 9) is None
     rng = random.Random(6061)
     modulus = [rand_elt(rng, K) for _ in range(5)] + [K.one]
-    mul = _generic_ext_ops(K, 5, tuple(c.val for c in modulus))[3]
+    mul = _ext_ops(K, 5, tuple(c.val for c in modulus))[3]
     cases = []
     for _ in range(200):
         a = [rand_elt(rng, K) for _ in range(5)]

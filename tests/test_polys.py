@@ -7,7 +7,7 @@ import pytest
 
 from invstab import errors
 from invstab.criterion import decide_inverse_stability
-from invstab.fields import extension_field, finite_field
+from invstab.fields import element_from_text, extension_field, finite_field
 from invstab.iteration import denominator
 from invstab.polys import (
     Poly,
@@ -16,7 +16,6 @@ from invstab.polys import (
     frobenius_power,
     gcd,
     is_irreducible,
-    poly_from_text,
     poly_to_text,
     powmod,
     reciprocal,
@@ -499,15 +498,14 @@ def test_poly_text_round_trip():
     w = F9.modulus_root
     f = Poly(F9, [F9.zero, w, F9.one])
     assert poly_to_text(f) == "0,0;0,1;1,0"
-    assert poly_from_text(F9, poly_to_text(f)) == f
     rng = random.Random(42)
     for ctx in (F3, F9):
         for _ in range(100):
             f = rand_poly(rng, ctx, 6)
-            assert poly_from_text(ctx, poly_to_text(f)) == f
+            parts = poly_to_text(f).split(';')
+            assert Poly(ctx, [element_from_text(ctx, t) for t in parts]) == f
 
 
 def test_poly_text_prime_field():
     f = Poly(F5, [1, 0, 3])
     assert poly_to_text(f) == "1;0;3"
-    assert poly_from_text(F5, "1;0;3") == f
