@@ -21,7 +21,13 @@ appeared and stops at the first repeat, watching for a zero trace on the way.
 Once the cycle closes with no zero trace, none can ever appear and g is
 stable.
 
-On fields of order at most LOG_WALK_MAX_ORDER the walk runs on discrete
+A seed xi in F_p^* needs no walk (:func:`_prime_cycle`): the Frobenius
+fixes t = -1/xi, so r_n = a_n/c_n and c_n are powers of -1/xi and xi, no
+trace vanishes when Tr(xi) != 0, and the cycle data come from the order of
+xi in F_p^*.  This decides every seed of a prime field, and the F_p seeds
+of its extensions, without a log table or a state.
+
+Other seeds of fields of order at most LOG_WALK_MAX_ORDER walk on discrete
 logs: with r = a/c and t = d/c a state is (log t, log r, log c), t follows
 its own short orbit t_(n+1) = -1/(xi - t_n^p + t_n), and the rest of a step
 is two additions mod q - 1 and a lookup in the field's trace-zero flags
@@ -29,10 +35,11 @@ is two additions mod q - 1 and a lookup in the field's trace-zero flags
 first use).  The bound lives in :mod:`.fields`, because it is also the one
 below which F_p[X]/(m) computes on a Zech-log table; the walk shares that
 table's logs.  Larger fields walk the packed triples with field arithmetic.
-Both walks visit the same states in the same order, so the verdict and
-``state_steps`` do not depend on which one ran.  The decision builds no
-table row; :attr:`StabilityVerdict.trace_table` is computed by
-:func:`trace_rows` when first read.
+Both walks visit the same states in the same order, and the closed form
+returns what they would, so the verdict and ``state_steps`` do not depend
+on which one ran.  The decision builds no table row;
+:attr:`StabilityVerdict.trace_table` is computed by :func:`trace_rows` when
+first read.
 
 The module also carries the closed-form trace of a general Moebius transform
 of a root of g (:func:`mobius_trace_formula`) and two classical
@@ -43,6 +50,7 @@ characteristic two), which serve as independent cross-checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -58,6 +66,7 @@ from .fields import (
     LOG_WALK_MAX_ORDER,
     FieldCtx,
     FieldElement,
+    _prime_factors,
     abs_trace,
     element_from_text,
     element_to_text,
@@ -182,10 +191,11 @@ class StabilityVerdict:
     cycle and s_(n + period) = s_n for every n >= 2 + preperiod.  The trace
     table then covers exactly n = 1 .. preperiod + period + 1, and n = 1 ..
     witness_n for an unstable xi.
-    ``state_steps`` counts evaluations of the recurrence map.  The walk
-    evaluates it once per state past s_2, so this is preperiod + period for
-    a stable xi (the last evaluation meets the repeat) and
-    max(witness_n - 2, 0) for an unstable one.
+    ``state_steps`` counts the evaluations of the recurrence map that the
+    walk to the first repeat or zero trace takes, one per state past s_2:
+    preperiod + period for a stable xi (the last evaluation meets the
+    repeat) and max(witness_n - 2, 0) for an unstable one.  A seed in
+    F_p^* gets this count from its closed form, with no evaluation made.
     """
 
     outcome: str
@@ -312,18 +322,71 @@ def decide_inverse_stability(xi: FieldElement) -> StabilityVerdict:
     (unstable, witness recorded), or the state cycle closes with every trace
     on it nonzero (stable).  The trace at each index is checked before the
     state is ever advanced past it, so the reported witness is minimal and
-    no state with c = 0 is stepped.  Fields of order at most
-    LOG_WALK_MAX_ORDER walk on discrete logs (:func:`_log_walk`), larger
-    ones on packed triples (:func:`_packed_walk`); both visit the same
-    states.  No row is built here: the verdict's ``trace_table`` is
-    computed on first access.
+    no state with c = 0 is stepped.  A seed in F_p^* (packed value below
+    p) is decided in closed form (:func:`_prime_cycle`), so a prime field
+    builds no log table and walks no state.  Other seeds of fields of
+    order at most LOG_WALK_MAX_ORDER walk on discrete logs
+    (:func:`_log_walk`), of larger ones on packed triples
+    (:func:`_packed_walk`); both visit the same states, and the closed form
+    gives what they would.  No row is built here: the verdict's
+    ``trace_table`` is computed on first access.
     """
     ctx = xi.ctx
     if ctx.trace_v(xi.val) == 0:
         # Tr(xi) = 0: D_1 = g is already reducible
         return StabilityVerdict(UNSTABLE, 1, None, None, 0, xi, ctx)
-    walk = _log_walk if ctx.order <= LOG_WALK_MAX_ORDER else _packed_walk
+    if xi.val < ctx.p:
+        walk = _prime_cycle
+    elif ctx.order <= LOG_WALK_MAX_ORDER:
+        walk = _log_walk
+    else:
+        walk = _packed_walk
     return StabilityVerdict(*walk(ctx, xi.val), xi, ctx)
+
+
+def _prime_cycle(ctx: FieldCtx, xi_v: int) -> tuple:
+    """:func:`_packed_walk`'s result in closed form, for xi in F_p^* (a
+    packed value below p) with Tr(xi) != 0.
+
+    The Frobenius fixes F_p, so t_n = tau = -1/xi for every n >= 2, and
+    the recurrence gives r_n = a_n/c_n = tau^(2n - 3) and
+    c_n = xi^(2^(n-1) - 1).  Tr(r_n) = e r_n for e = [F_q : F_p], and
+    Tr(xi) = e xi != 0, so no trace vanishes: xi is stable.  The r_n
+    repeat from n = 2 on with period ord(tau^2) = ord(xi^2), which is
+    ord(xi) / gcd(ord(xi), 2).  With ord(xi) = 2^s M, M odd, the powers
+    2^(n-1) mod 2^s M reach their cycle at n - 1 = s, the first that is 0
+    mod 2^s, and then repeat with period ord_M(2).  So the states s_2,
+    s_3, ... have preperiod max(s - 1, 0) and period
+    lcm(ord(tau^2), ord_M(2)), and the walk would take preperiod + period
+    steps.  Orders in the cyclic group F_p^* divide p - 1, whose prime
+    factors the prime context keeps from the first call on (Lidl and
+    Niederreiter, Finite Fields, ch. 3); ord_M(2) divides phi(M), which
+    is factored by trial division.
+    """
+    p, prime = ctx.p, ctx.prime_ctx
+    primes = prime._unit_primes
+    if primes is None:
+        primes = prime._unit_primes = _prime_factors(p - 1)
+    o = _order(xi_v, p, p - 1, primes)
+    s = (o & -o).bit_length() - 1
+    odd = o >> s
+    phi = odd
+    for ell in primes:
+        if odd % ell == 0:
+            phi = phi // ell * (ell - 1)
+    lam = math.lcm(o // math.gcd(o, 2),
+                   _order(2, odd, phi, _prime_factors(phi)))
+    mu = max(s - 1, 0)
+    return STABLE, None, mu, lam, mu + lam
+
+
+def _order(x: int, mod: int, n: int, primes) -> int:
+    """The multiplicative order of x mod ``mod``, given a multiple n of
+    it whose distinct prime factors are among ``primes``."""
+    for ell in primes:
+        while n % ell == 0 and pow(x, n // ell, mod) == 1:
+            n //= ell
+    return n
 
 
 def _packed_walk(ctx: FieldCtx, xi_v: int) -> tuple:

@@ -22,7 +22,8 @@ of Frobenius conjugates survives only in :func:`rel_trace`, the reference
 that builds the trace vector and that the ``xcheck`` oracles compare with.
 A context also builds, on first use, a discrete-log table of its
 multiplicative group with a trace-zero flag per log
-(:meth:`FieldCtx.log_table`), on which the criterion walks small fields.
+(:meth:`FieldCtx.log_table`), on which the criterion walks small
+extension fields; it decides seeds in F_p^* without one.
 
 The same digits make add, sub and neg one digit-wise loop mod p at every
 depth.  They are also what the product needs: a value's digits spread into
@@ -247,15 +248,13 @@ def _log_exp(q, p, n, mul):
     With g the least packed value that generates the group (found from the
     prime factors of q - 1), ``exps[k]`` is g^k for k in [0, q - 1) and
     ``logs[x]`` is the k with g^k = x (None for x = 0).  Multiplying by g
-    is F_p-linear, so above F_p the antilogs step by one
-    :func:`_linear_map` built from n products; over F_p the product itself
-    is cheaper."""
+    is F_p-linear, so the antilogs step by one :func:`_linear_map` built
+    from n products."""
     m = q - 1
     primes = _prime_factors(m)
     g = next(v for v in range(1, q)
              if all(_power(mul, v, m // ell) != 1 for ell in primes))
-    times_g = (_linear_map(p, [mul(p ** k, g) for k in range(n)]) if n > 1
-               else functools.partial(mul, g))
+    times_g = _linear_map(p, [mul(p ** k, g) for k in range(n)])
     logs = [None] * q
     exps = []
     x = 1
@@ -512,7 +511,7 @@ class FieldCtx:
         'kind', 'p', 'base', 'modulus_vals', 'degree', 'total_degree',
         'depth', 'order', 'prime_ctx',
         'add_v', 'sub_v', 'neg_v', 'mul_v', 'inv_v', 'decode_v', 'encode_v',
-        '_trace_vec', '_frob', '_logs', '_zech_table',
+        '_trace_vec', '_frob', '_logs', '_zech_table', '_unit_primes',
     )
 
     def __init__(self, p, base=None, modulus_vals=None):
@@ -520,6 +519,7 @@ class FieldCtx:
         self.base = base
         self.modulus_vals = modulus_vals
         self._trace_vec = self._frob = self._logs = self._zech_table = None
+        self._unit_primes = None
         if base is None:
             self.kind = 'prime'
             self.degree = 1

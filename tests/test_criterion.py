@@ -26,7 +26,12 @@ from invstab.fields import (
     extension_field,
     finite_field,
 )
-from invstab.polys import Poly, artin_schreier, is_irreducible
+from invstab.polys import (
+    Poly,
+    artin_schreier,
+    find_irreducible,
+    is_irreducible,
+)
 
 
 F3 = finite_field(3)
@@ -452,7 +457,51 @@ def test_log_walk_on_fresh_contexts(monkeypatch):
                 got = decide_inverse_stability(xi)
                 assert (got.outcome, got.witness_n, got.preperiod, got.period,
                         got.state_steps) == criterion._packed_walk(ctx, xi.val)
-        assert ctx._logs is not None
+        # a prime field's seeds are decided in closed form, with no table
+        assert (ctx._logs is None) == (ctx.kind == 'prime')
+
+
+def test_prime_cycle_agrees_with_log_walk():
+    """The closed form for xi in F_p^* returns the log walk's outcome,
+    witness, cycle data and state_steps on every seed of every prime
+    field F_p, p < 256, and on the F_p seeds with Tr(xi) != 0 of GF(3^2),
+    GF(5^3), GF(11^2), GF(2^5) and a depth-2 tower of degree 4 over F_3."""
+    ctxs = [finite_field(p) for p in range(2, 256)
+            if all(p % k for k in range(2, p))]
+    ctxs += [finite_field(3, 2), finite_field(5, 3), finite_field(11, 2),
+             finite_field(2, 5), extension_field(F9, find_irreducible(F9, 2))]
+    seeds = 0
+    for ctx in ctxs:
+        for v in range(1, ctx.p):
+            if ctx.trace_v(v):
+                assert criterion._prime_cycle(ctx, v) == (
+                    criterion._log_walk(ctx, v)), (ctx, v)
+                seeds += 1
+    assert seeds == 6027 + 2 + 4 + 10 + 1 + 2
+
+
+def test_prime_cycle_long_period():
+    """xi = 5 over F_7919 has the period 7,553,772 = lcm(3959, 1908) that a
+    walk would take 7.5M states to find."""
+    got = decide_inverse_stability(finite_field(7919).element(5))
+    assert (got.outcome, got.witness_n, got.preperiod, got.period,
+            got.state_steps) == (STABLE, None, 0, 7553772, 7553772)
+
+
+def test_prime_field_decision_builds_no_table(monkeypatch):
+    """Deciding every seed of a fresh prime field, below and above
+    LOG_WALK_MAX_ORDER, builds no log table."""
+    def no_table(*args):
+        raise AssertionError("log table built")
+    monkeypatch.setattr(fields, '_log_exp', no_table)
+    monkeypatch.setattr(fields, 'prime_field',
+                        functools.lru_cache(fields.prime_field.__wrapped__))
+    for p in (2, 3, 101, 241, 7919, 8009):
+        ctx = finite_field(p)
+        verdicts = [decide_inverse_stability(xi) for xi in ctx.elements()]
+        assert verdicts[0].outcome == UNSTABLE
+        assert all(v.outcome == STABLE for v in verdicts[1:])
+        assert ctx._logs is None
 
 
 # -- Moebius trace formula ---------------------------------------------------------------
