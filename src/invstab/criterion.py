@@ -15,31 +15,23 @@ that trace is nonzero for all m <= n, and g is inversely stable (every D_n
 irreducible) exactly when it is nonzero for every n.
 
 The state space (a, c, d) is finite, of size at most q^3, so the sequence of
-states from n = 2 on is eventually periodic and the criterion terminates:
-:func:`decide_inverse_stability` indexes each state by the n where it first
-appeared and stops at the first repeat, watching for a zero trace on the way.
-Once the cycle closes with no zero trace, none can ever appear and g is
-stable.
+states from n = 2 on is eventually periodic: once the cycle closes with no
+zero trace, none can ever appear and g is stable.  The decision never walks
+the states themselves.  Writing t = d/c and r = a/c, the state is
+c (r, 1, t); the pair (t, r) moves on its own and the trace test reads only
+r, while c follows c_(n+1) = c_n^2 (xi - t^p + t) and never feeds back.
 
-A seed xi in F_p^* needs no walk (:func:`_prime_cycle`): the Frobenius
-fixes t = -1/xi, so r_n = a_n/c_n and c_n are powers of -1/xi and xi, no
-trace vanishes when Tr(xi) != 0, and the cycle data come from the order of
-xi in F_p^*.  This decides every seed of a prime field, and the F_p seeds
-of its extensions, without a log table or a state.
-
-Other seeds of fields of order at most LOG_WALK_MAX_ORDER walk on discrete
-logs: with r = a/c and t = d/c a state is (log t, log r, log c), t follows
-its own short orbit t_(n+1) = -1/(xi - t_n^p + t_n), and the rest of a step
-is two additions mod q - 1 and a lookup in the field's trace-zero flags
-(:meth:`FieldCtx.log_table <invstab.fields.FieldCtx.log_table>`, built on
-first use).  The bound lives in :mod:`.fields`, because it is also the one
-below which F_p[X]/(m) computes on a Zech-log table; the walk shares that
-table's logs.  Larger fields walk the packed triples with field arithmetic.
-Both walks visit the same states in the same order, and the closed form
-returns what they would, so the verdict and ``state_steps`` do not depend
-on which one ran.  The decision builds no table row;
-:attr:`StabilityVerdict.trace_table` is computed by :func:`trace_rows` when
-first read.
+:func:`decide_inverse_stability` has two paths.  A seed xi in F_p^* needs
+no walk (:func:`_prime_cycle`): the Frobenius fixes t = -1/xi, so r_n and
+c_n are powers of -1/xi and xi, no trace vanishes when Tr(xi) != 0, and
+the cycle data come from the order of xi in F_p^*.  Every other seed walks
+the (t, r) orbit on packed values to the first zero trace or the first
+repeated pair (:func:`_pair_walk`), and a stable seed gets the cycle data
+of the states from element orders in F_q^*, with c computed over one lap
+and a few steps.  Both return what a walk over the states would: the same
+witness, preperiod, period and ``state_steps``.  The decision builds no
+table row; :attr:`StabilityVerdict.trace_table` is computed by
+:func:`trace_rows` when first read.
 
 The module also carries the closed-form trace of a general Moebius transform
 of a root of g (:func:`mobius_trace_formula`) and two classical
@@ -63,7 +55,6 @@ from .errors import (
     NotCharTwo,
 )
 from .fields import (
-    LOG_WALK_MAX_ORDER,
     FieldCtx,
     FieldElement,
     _prime_factors,
@@ -194,8 +185,9 @@ class StabilityVerdict:
     ``state_steps`` counts the evaluations of the recurrence map that the
     walk to the first repeat or zero trace takes, one per state past s_2:
     preperiod + period for a stable xi (the last evaluation meets the
-    repeat) and max(witness_n - 2, 0) for an unstable one.  A seed in
-    F_p^* gets this count from its closed form, with no evaluation made.
+    repeat) and max(witness_n - 2, 0) for an unstable one.  The decision
+    walks no states, so this is the count such a walk would take: the
+    closed forms return it with no evaluation made.
     """
 
     outcome: str
@@ -324,29 +316,22 @@ def decide_inverse_stability(xi: FieldElement) -> StabilityVerdict:
     state is ever advanced past it, so the reported witness is minimal and
     no state with c = 0 is stepped.  A seed in F_p^* (packed value below
     p) is decided in closed form (:func:`_prime_cycle`), so a prime field
-    builds no log table and walks no state.  Other seeds of fields of
-    order at most LOG_WALK_MAX_ORDER walk on discrete logs
-    (:func:`_log_walk`), of larger ones on packed triples
-    (:func:`_packed_walk`); both visit the same states, and the closed form
-    gives what they would.  No row is built here: the verdict's
-    ``trace_table`` is computed on first access.
+    walks nothing.  Every other seed walks the (t, r) orbit, and a stable
+    one gets its cycle data from orders in F_q^* (:func:`_pair_walk`).
+    Both give what a walk over the states would.  No row is built here:
+    the verdict's ``trace_table`` is computed on first access.
     """
     ctx = xi.ctx
     if ctx.trace_v(xi.val) == 0:
         # Tr(xi) = 0: D_1 = g is already reducible
         return StabilityVerdict(UNSTABLE, 1, None, None, 0, xi, ctx)
-    if xi.val < ctx.p:
-        walk = _prime_cycle
-    elif ctx.order <= LOG_WALK_MAX_ORDER:
-        walk = _log_walk
-    else:
-        walk = _packed_walk
+    walk = _prime_cycle if xi.val < ctx.p else _pair_walk
     return StabilityVerdict(*walk(ctx, xi.val), xi, ctx)
 
 
 def _prime_cycle(ctx: FieldCtx, xi_v: int) -> tuple:
-    """:func:`_packed_walk`'s result in closed form, for xi in F_p^* (a
-    packed value below p) with Tr(xi) != 0.
+    """The state walk's result in closed form, for xi in F_p^* (a packed
+    value below p) with Tr(xi) != 0.
 
     The Frobenius fixes F_p, so t_n = tau = -1/xi for every n >= 2, and
     the recurrence gives r_n = a_n/c_n = tau^(2n - 3) and
@@ -363,92 +348,109 @@ def _prime_cycle(ctx: FieldCtx, xi_v: int) -> tuple:
     Niederreiter, Finite Fields, ch. 3); ord_M(2) divides phi(M), which
     is factored by trial division.
     """
-    p, prime = ctx.p, ctx.prime_ctx
-    primes = prime._unit_primes
-    if primes is None:
-        primes = prime._unit_primes = _prime_factors(p - 1)
+    p = ctx.p
+    primes = _unit_primes(ctx.prime_ctx)
     o = _order(xi_v, p, p - 1, primes)
     s = (o & -o).bit_length() - 1
     odd = o >> s
-    phi = odd
-    for ell in primes:
-        if odd % ell == 0:
-            phi = phi // ell * (ell - 1)
+    phi = _totient(odd, primes)
     lam = math.lcm(o // math.gcd(o, 2),
                    _order(2, odd, phi, _prime_factors(phi)))
     mu = max(s - 1, 0)
     return STABLE, None, mu, lam, mu + lam
 
 
-def _order(x: int, mod: int, n: int, primes) -> int:
-    """The multiplicative order of x mod ``mod``, given a multiple n of
-    it whose distinct prime factors are among ``primes``."""
+def _unit_primes(ctx: FieldCtx) -> list:
+    """The prime factors of q - 1 = |F_q^*|, kept on the context."""
+    primes = ctx._unit_primes
+    if primes is None:
+        primes = ctx._unit_primes = _prime_factors(ctx.order - 1)
+    return primes
+
+
+def _order(x, mod, n: int, primes) -> int:
+    """The multiplicative order of x mod ``mod`` (or of a field element x,
+    with mod None), given a multiple n of it whose distinct prime factors
+    are among ``primes``."""
     for ell in primes:
         while n % ell == 0 and pow(x, n // ell, mod) == 1:
             n //= ell
     return n
 
 
-def _packed_walk(ctx: FieldCtx, xi_v: int) -> tuple:
-    """(outcome, witness_n, preperiod, period, state_steps) for Tr(xi) != 0,
-    walking the packed triples s_2, s_3, ... to the first zero trace or the
-    first repeated state; each state is indexed by the n where it first
-    appeared."""
-    mul, trace = ctx.mul_v, ctx.trace_v
-    state, n, first = (ctx.neg_v(1), xi_v, ctx.neg_v(1)), 2, {}
-    while state not in first:
-        first[state] = n
-        c_inv = ctx.inv_v(state[1])
-        if trace(mul(state[0], c_inv)) == 0:
-            return UNSTABLE, n, None, None, n - 2
-        state = _step_v(ctx, xi_v, *state, c_inv)
-        n += 1
-    # s_n = s_seen closes the cycle with no zero trace on it: stable
-    seen = first[state]
-    return STABLE, None, seen - 2, n - seen, n - 2
+def _totient(n: int, primes) -> int:
+    """Euler's phi of n, given every prime factor of n in ``primes``."""
+    phi = n
+    for ell in primes:
+        if n % ell == 0:
+            phi = phi // ell * (ell - 1)
+    return phi
 
 
-def _log_walk(ctx: FieldCtx, xi_v: int) -> tuple:
-    """:func:`_packed_walk` on discrete logs, for Tr(xi) != 0.
+def _pair_walk(ctx: FieldCtx, xi_v: int) -> tuple:
+    """The state walk's result, for Tr(xi) != 0, from the (t, r) orbit.
 
-    With r = a/c and t = d/c the state (a, c, d) is c (r, 1, t).  None of
-    c, r, t is ever 0, so (log t, log r, log c) is the state.  t runs on
-    its own orbit, t_2 = -1/xi and t_(n+1) = -1/(xi - t_n^p + t_n); the
-    walk steps it the first time it needs the successor of a t (the power
-    and the inverse are table lookups, the sum is field arithmetic) and
-    reuses it after.  The rest of a step is integer arithmetic mod q - 1,
+    The state (a, c, d) is c (r, 1, t) with r = a/c and t = d/c.  With
+    u_n = xi - t_n^p + t_n, never 0 as Tr(u_n) = Tr(xi), the pair moves on
+    its own, t_(n+1) = -1/u_n and r_(n+1) = r_n t_n t_(n+1) from
+    t_2 = r_2 = -1/xi, while c_(n+1) = c_n^2 u_n from c_2 = xi never feeds
+    back.  The trace test reads only r, so the walk steps (t, r), keeping
+    (t_(n+1), t_n t_(n+1), u_n) per t, to the first zero trace (unstable,
+    the least witness) or the first repeated pair, (t, r)_n = (t, r)_seen:
+    stable, as no new r can follow.
 
-        log r_(n+1) = log r_n + log t_n + log t_(n+1)
-        log c_(n+1) = 2 log c_n + log(-1) - log t_(n+1),
-
-    and the trace test is a lookup in the context's trace-zero flags.  The
-    states and their order are the packed walk's, and so is every returned
-    value.
+    The cycle data are those of the states, and c decides them.  From
+    seen on, u has period P = n - seen, so on logs x_n = log c_n a lap
+    is x -> 2^P x + B mod q - 1, B fixed by n mod P.  Let q - 1 = 2^s M,
+    M odd.  Mod M a lap is a bijection; mod 2^s, s steps send every x to
+    one fixed point, its only periodic point.  So s_n is on the cycle
+    exactly when Y = c_(n+P)/c_n has odd order, and the first such n, N0,
+    is at most seen + s.  With g the order of Y at N0, k laps return c_N0
+    when g divides 1 + a + ... + a^(k-1) = (a^k - 1)/(a - 1), a = 2^P,
+    that is when a^k = 1 mod g (a - 1) for any a > 1 congruent to 2^P
+    mod g.  The least such k, tau, divides g phi(g).  The preperiod is
+    N0 - 2 and the period P tau (Knuth, TAOCP vol. 2, section 3.1; Lidl
+    and Niederreiter, Finite Fields, ch. 3).
     """
-    logs, exps, trace_zero = ctx.log_table()
-    m, p = ctx.order - 1, ctx.p
-    log_neg_one = logs[ctx.neg_v(1)]
-    t_next = {}             # log t -> log of the next t on the orbit
-    # s_2 = (-1, xi, -1): t_2 = r_2 = -1/xi, c_2 = xi
-    log_c = logs[xi_v]
-    log_t = log_r = (log_neg_one - log_c) % m
+    mul, inv, neg, trace = ctx.mul_v, ctx.inv_v, ctx.neg_v, ctx.trace_v
+    sub, add, frob = ctx.sub_v, ctx.add_v, ctx.frobenius_v
+    q = ctx.order
+    after = {}          # t_n -> (t_(n+1), t_n t_(n+1), u_n)
+    t2 = t = r = neg(inv(xi_v))
     n, first = 2, {}
     while True:
-        key = (log_t * m + log_r) * m + log_c
+        key = t * q + r
         if first.setdefault(key, n) != n:     # a repeat keeps its first n
             break
-        if trace_zero[log_r]:
+        if not trace(r):
             return UNSTABLE, n, None, None, n - 2
-        nxt = t_next.get(log_t)
-        if nxt is None:
-            u = ctx.add_v(ctx.sub_v(xi_v, exps[p * log_t % m]), exps[log_t])
-            nxt = t_next[log_t] = (log_neg_one - logs[u]) % m
-        log_r = (log_r + log_t + nxt) % m
-        log_c = (2 * log_c + log_neg_one - nxt) % m
-        log_t = nxt
+        step = after.get(t)
+        if step is None:
+            u = add(sub(xi_v, frob(t)), t)
+            nxt = neg(inv(u))
+            step = after[t] = (nxt, mul(t, nxt), u)
+        t, r = step[0], mul(r, step[1])
         n += 1
     seen = first[key]
-    return STABLE, None, seen - 2, n - seen, n - 2
+    lap = n - seen
+    m = q - 1
+    s = (m & -m).bit_length() - 1
+    odd = m >> s
+    cs, t = [xi_v], t2                  # cs[k] = c_(k+2), up to c_(seen+s+P)
+    for _ in range(seen + s + lap - 2):
+        t, _, u = after[t]
+        cs.append(mul(mul(cs[-1], cs[-1]), u))
+    # N0 = mu + 2, the first n >= seen whose lap ratio Y has odd order
+    for mu in range(seen - 2, seen - 1 + s):
+        y = mul(cs[mu + lap], inv(cs[mu]))
+        if ctx.pow_v(y, odd) == 1:
+            break
+    primes = _unit_primes(ctx)
+    g = _order(FieldElement(ctx, y), None, m, primes)
+    a = pow(2, lap, g) + g
+    phi = _totient(g, primes)
+    tau = _order(a, g * (a - 1), g * phi, primes + _prime_factors(phi))
+    return STABLE, None, mu, lap * tau, mu + lap * tau
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,6 @@ vector and a Frobenius matrix over those coordinates, built on first use
 (:meth:`FieldCtx.trace_v`, :meth:`FieldCtx.frobenius_v`).  The literal sum
 of Frobenius conjugates survives only in :func:`rel_trace`, the reference
 that builds the trace vector and that the ``xcheck`` oracles compare with.
-A context also builds, on first use, a discrete-log table of its
-multiplicative group with a trace-zero flag per log
-(:meth:`FieldCtx.log_table`), on which the criterion walks small
-extension fields; it decides seeds in F_p^* without one.
 
 The same digits make add, sub and neg one digit-wise loop mod p at every
 depth.  They are also what the product needs: a value's digits spread into
@@ -34,12 +30,14 @@ result as an F_p-linear map, ending in the same slots-to-digits step as the
 Frobenius matrix.  Inverses are an extended Euclid: on plain digit lists
 over F_p, and over the base on :mod:`.polys` for towers.
 
-Up to order LOG_WALK_MAX_ORDER, F_p[X]/(m) builds on its first arithmetic
+Up to order ZECH_MAX_ORDER, F_p[X]/(m) builds on its first arithmetic
 call one table of discrete logs, antilogs and Zech logarithms
 Z(k) = log(1 + g^k) with that product, and every add, sub, neg, mul and
 inv is a lookup in it: x + y = g^(log x + Z(log y - log x)) (Lidl &
-Niederreiter, Finite Fields, section 9.3).  The same logs and antilogs
-serve :meth:`FieldCtx.log_table`, so a context builds one table.
+Niederreiter, Finite Fields, section 9.3).  Such a context also computes
+x^p as g^(p log x), and every context up to that order keeps its trace as
+a q-entry table filled from the trace vector, so every map the criterion's
+walk steps with is a lookup.
 
 Contexts are cached, so two requests for the same field (same prime, same
 modulus chain) return the identical object and context checks are identity
@@ -69,13 +67,12 @@ MAX_PRIME = 1 << 20
 #: Number of extension levels allowed above the prime field.
 MAX_DEPTH = 2
 
-#: Largest order of a field that computes on a table of discrete logs: the
-#: arithmetic of F_p[X]/(m) (:func:`_zech_ops`) and the criterion's log
-#: walk (:meth:`FieldCtx.log_table`).  A single ``check`` pays for the
-#: whole table: with its trace-zero flags, 20-35 ms for GF(3^8) and
-#: GF(2^12), the largest below the bound (CPython 3.11 on a 2-vCPU Linux
-#: container).
-LOG_WALK_MAX_ORDER = 8000
+#: Largest order of a field that computes on tables: the discrete logs and
+#: Zech logarithms of F_p[X]/(m) (:func:`_zech_ops`) and the trace of every
+#: element.  A single ``check`` pays for the whole Zech table: 20-35 ms for
+#: GF(3^8) and GF(2^12), the largest below the bound (CPython 3.11 on a
+#: 2-vCPU Linux container).
+ZECH_MAX_ORDER = 8000
 
 
 def _prime_factors(n: int) -> list:
@@ -106,7 +103,7 @@ def _prime_factors(n: int) -> list:
 # The Euclid over ``polys`` took 1.8-3.4x as long per inversion there
 # (GF(3^9), GF(2^13), GF(101^2); CPython 3.11).  Over an extension it is
 # that Euclid over the base (``polys`` imports this module at load time, so
-# the factory imports it lazily).  Up to LOG_WALK_MAX_ORDER, _zech_ops
+# the factory imports it lazily).  Up to ZECH_MAX_ORDER, _zech_ops
 # turns the closures of F_p[X]/(m) into the lookups of its table.
 #
 # Two helpers serve every layer: _power is the one square-and-multiply loop
@@ -511,15 +508,14 @@ class FieldCtx:
         'kind', 'p', 'base', 'modulus_vals', 'degree', 'total_degree',
         'depth', 'order', 'prime_ctx',
         'add_v', 'sub_v', 'neg_v', 'mul_v', 'inv_v', 'decode_v', 'encode_v',
-        '_trace_vec', '_frob', '_logs', '_zech_table', '_unit_primes',
+        '_trace', '_frob', '_zech_table', '_unit_primes',
     )
 
     def __init__(self, p, base=None, modulus_vals=None):
         self.p = p
         self.base = base
         self.modulus_vals = modulus_vals
-        self._trace_vec = self._frob = self._logs = self._zech_table = None
-        self._unit_primes = None
+        self._trace = self._frob = self._zech_table = self._unit_primes = None
         if base is None:
             self.kind = 'prime'
             self.degree = 1
@@ -537,7 +533,7 @@ class FieldCtx:
             self.order = base.order ** d
             self.prime_ctx = base.prime_ctx
             ops = _ext_ops(base, d, modulus_vals)
-            if self.depth == 1 and self.order <= LOG_WALK_MAX_ORDER:
+            if self.depth == 1 and self.order <= ZECH_MAX_ORDER:
                 ops, self._zech_table = _zech_ops(p, d, ops)
         (self.add_v, self.sub_v, self.neg_v, self.mul_v, self.inv_v,
          self.decode_v, self.encode_v) = ops
@@ -558,59 +554,57 @@ class FieldCtx:
     # Trace and Frobenius are F_p-linear (Lidl & Niederreiter, Finite
     # Fields, Thm 2.23), so each is fixed by its images of that basis.  Both
     # maps are built on first use, from rel_trace and pow_v, so constructing
-    # a context costs nothing extra.
+    # a context costs nothing extra.  Up to ZECH_MAX_ORDER the trace is a
+    # table of every packed value, and with a Zech table x^p is g^(p log x).
 
     def trace_v(self, x: int) -> int:
         """Absolute trace of a packed value, as an integer in [0, p)."""
-        vec = self._trace_vec
-        if vec is None:
-            prime = self.prime_ctx
-            vec = self._trace_vec = tuple(
-                rel_trace(FieldElement(self, self.p ** k), prime).val
-                for k in range(self.total_degree))
-        p = self.p
-        acc = 0
-        for t in vec:
-            x, d = divmod(x, p)
-            acc += d * t
-        return acc % p
+        trace = self._trace
+        if trace is None:
+            trace = self._trace = self._linear_form()
+        return trace(x)
 
     def frobenius_v(self, x: int) -> int:
-        """x**p on packed values: the Frobenius matrix applied to x's digits
-        (see :func:`_linear_map`); row k holds the digits of (p^k)^p."""
-        if self.kind == 'prime':
-            return x
+        """x**p on packed values."""
         frob = self._frob
         if frob is None:
-            p = self.p
-            frob = self._frob = _linear_map(
-                p, [self.pow_v(p ** k, p) for k in range(self.total_degree)])
+            frob = self._frob = self._frobenius_map()
         return frob(x)
 
-    # -- discrete logs ---------------------------------------------------------
+    def _linear_form(self):
+        """The absolute trace as a closure: the dot product of the digits
+        with the trace vector, or up to ZECH_MAX_ORDER a q-entry table."""
+        p, prime = self.p, self.prime_ctx
+        vec = [rel_trace(FieldElement(self, p ** k), prime).val
+               for k in range(self.total_degree)]
+        if self.order <= ZECH_MAX_ORDER:
+            # digit k of x is its high part d: Tr(x) = Tr(low) + d vec[k]
+            table = [0]
+            for t in vec:
+                table = [(v + d * t) % p for d in range(p) for v in table]
+            return table.__getitem__
 
-    def log_table(self) -> tuple:
-        """(logs, exps, trace_zero) for the cyclic group of nonzero elements.
+        def trace(x):
+            acc = 0
+            for t in vec:
+                x, d = divmod(x, p)
+                acc += d * t
+            return acc % p
+        return trace
 
-        With g the least packed value that generates the group, ``exps[k]``
-        is g^k for k in [0, q - 1), ``logs[x]`` is the k with g^k = x (None
-        for x = 0), and ``trace_zero[k]`` is 1 exactly when Tr(g^k) = 0.
-        Built on first use and kept on the context like the trace vector.
-        A context that computes on a Zech table (:func:`_zech_ops`) shares
-        its logs and antilogs and adds only the flags; any other builds
-        them with :func:`_log_exp` on its own product.
-        """
-        table = self._logs
-        if table is None:
-            if self._zech_table is not None:
-                logs, exps, _ = self._zech_table()
-            else:
-                logs, exps = _log_exp(self.order, self.p, self.total_degree,
-                                      self.mul_v)
-            trace = self.trace_v
-            trace_zero = bytearray(not trace(x) for x in exps)
-            table = self._logs = (logs, exps, trace_zero)
-        return table
+    def _frobenius_map(self):
+        """x -> x^p as a closure: the identity on a prime field, g^(p log x)
+        with a Zech table, else the Frobenius matrix (:func:`_linear_map`),
+        whose row k holds the digits of (p^k)^p."""
+        p = self.p
+        if self.kind == 'prime':
+            return lambda x: x
+        if self._zech_table is not None:
+            logs, exps, _ = self._zech_table()
+            m = self.order - 1
+            return lambda x: exps[p * logs[x] % m] if x else 0
+        return _linear_map(p, [self.pow_v(p ** k, p)
+                               for k in range(self.total_degree)])
 
     # -- element construction --------------------------------------------------
 
@@ -793,13 +787,16 @@ class FieldElement:
 def prime_field(p: int) -> FieldCtx:
     """The prime field F_p.
 
-    Raises NotPrime for composite or negative input and PrimeTooLarge when
-    p is at or above MAX_PRIME.
+    Raises PrimeTooLarge for every p at or above MAX_PRIME, prime or not,
+    before any primality test, so a huge p fails at once; NotPrime for
+    anything else that is not a prime.
     """
-    if not isinstance(p, int) or p < 2 or _prime_factors(p) != [p]:
+    if not isinstance(p, int) or p < 2:
         raise NotPrime(f"{p} is not prime")
     if p >= MAX_PRIME:
         raise PrimeTooLarge(f"{p} >= {MAX_PRIME}")
+    if _prime_factors(p) != [p]:
+        raise NotPrime(f"{p} is not prime")
     return FieldCtx(p)
 
 

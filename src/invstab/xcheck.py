@@ -13,9 +13,9 @@ Nothing in this module shares a code path with the formula it is checking:
   multiplies in K(gamma) with the tower product (one packed multiply of
   the flat digits, reduced by rows X^I y^J mod both moduli) and divides
   with the tower's extended Euclid over ``polys``; the formula side runs
-  in K alone, on K's closures, its Frobenius matrix and trace vector.  The
+  in K alone, on K's closures and its Frobenius and trace maps.  The
   two sides share only K's closures, from which the tower's reduction rows
-  and Euclid are built.  On fields up to ``fields.LOG_WALK_MAX_ORDER``
+  and Euclid are built.  On fields up to ``fields.ZECH_MAX_ORDER``
   those closures are lookups in a Zech-log table, built by the same
   packed product that larger fields compute with.  Exhaustive tests check
   the table against that product, and the product against a schoolbook

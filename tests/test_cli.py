@@ -484,6 +484,7 @@ def test_cli_bytes_pinned(capsys):
 def test_usage_errors(capsys):
     for argv in (
         ['check', '--p', '4', '--xi', '1'],              # not a prime
+        ['check', '--p', str(2 ** 61 - 1), '--xi', '1'],  # p >= MAX_PRIME
         ['check', '--p', '3', '--xi', 'x'],              # unparsable element
         ['check', '--p', '3', '--e', '2',
          '--modulus', '1,2,1', '--xi', '1'],             # reducible modulus

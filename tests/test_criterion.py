@@ -52,6 +52,24 @@ def brute_cycle(xi):
     return first - 2, state.n - first
 
 
+def packed_walk(ctx, xi_v):
+    """Reference for the decision on a seed with Tr(xi) != 0: walk the
+    packed triples s_2, s_3, ... to the first zero trace or the first
+    repeated state, indexing each state by the n where it first appeared.
+    Returns (outcome, witness_n, preperiod, period, state_steps)."""
+    mul, trace = ctx.mul_v, ctx.trace_v
+    state, n, first = (ctx.neg_v(1), xi_v, ctx.neg_v(1)), 2, {}
+    while state not in first:
+        first[state] = n
+        c_inv = ctx.inv_v(state[1])
+        if trace(mul(state[0], c_inv)) == 0:
+            return UNSTABLE, n, None, None, n - 2
+        state = criterion._step_v(ctx, xi_v, *state, c_inv)
+        n += 1
+    seen = first[state]
+    return STABLE, None, seen - 2, n - seen, n - 2
+
+
 # -- seeds and single steps -----------------------------------------------------
 
 
@@ -418,30 +436,35 @@ def test_decide_agrees_with_plain_walk():
                 assert verdict.state_steps == max(verdict.witness_n - 2, 0)
 
 
-def _walk_results(ctx):
-    return [(v.outcome, v.witness_n, v.preperiod, v.period, v.state_steps)
-            for v in map(decide_inverse_stability, ctx.elements())]
+def _verdict_tuple(xi):
+    v = decide_inverse_stability(xi)
+    return (v.outcome, v.witness_n, v.preperiod, v.period, v.state_steps)
 
 
-def test_log_walk_agrees_with_packed_walk(monkeypatch):
-    """Outcome, witness, cycle data and state_steps of the log walk equal
-    the packed walk's on every seed of every field of order <= 125, of
-    F_9, F_25, GF(13^2), GF(7^3) and GF(31^2), and of the depth-2 tower
-    F_9(gamma) with gamma^3 - gamma + w = 0."""
+def test_log_walk_agrees_with_packed_walk():
+    """Outcome, witness, cycle data and state_steps of the decision equal
+    the packed reference walk's on every seed with Tr(xi) != 0 of every
+    field of order <= 125, of F_9, F_25, GF(13^2), GF(7^3) and GF(31^2),
+    and of the depth-2 tower F_9(gamma) with gamma^3 - gamma + w = 0; and
+    on four seeds above the Zech bound: 68,3 and 60,39 of GF(101^2), 5,109
+    and 66,124 of GF(127^2)."""
     ctxs = _fields_up_to(125) + [F9, F25, finite_field(13, 2),
                                  finite_field(7, 3), finite_field(31, 2),
                                  extension_field(F9, artin_schreier(W))]
-    assert max(ctx.order for ctx in ctxs) <= criterion.LOG_WALK_MAX_ORDER
-    on_logs = [_walk_results(ctx) for ctx in ctxs]
-    monkeypatch.setattr(criterion, 'LOG_WALK_MAX_ORDER', 0)
-    for ctx, got in zip(ctxs, on_logs):
-        assert got == _walk_results(ctx), ctx
+    seeds = [xi for ctx in ctxs for xi in ctx.elements()
+             if ctx.trace_v(xi.val)]
+    for p, texts in ((101, ('68,3', '60,39')), (127, ('5,109', '66,124'))):
+        ctx = finite_field(p, 2)
+        assert ctx.order > fields.ZECH_MAX_ORDER
+        seeds += [fields.element_from_text(ctx, text) for text in texts]
+    for xi in seeds:
+        assert _verdict_tuple(xi) == packed_walk(xi.ctx, xi.val), xi
 
 
 def test_log_walk_on_fresh_contexts(monkeypatch):
     """Contexts built after the context caches are emptied, as the benchmark
-    does before every command, get their own log tables: verdicts stay
-    right when a new context takes the place of a dropped one."""
+    does before every command, get their own tables: verdicts stay right
+    when a new context takes the place of a dropped one."""
     # fresh caches for this test only, so the module's contexts stay cached
     monkeypatch.setattr(fields, '_extension_cache', {})
     monkeypatch.setattr(fields, 'prime_field',
@@ -451,18 +474,13 @@ def test_log_walk_on_fresh_contexts(monkeypatch):
         fields.prime_field.cache_clear()
         gc.collect()
         ctx = finite_field(p, e)
-        assert ctx._logs is None
         for xi in ctx.elements():
             if ctx.trace_v(xi.val):
-                got = decide_inverse_stability(xi)
-                assert (got.outcome, got.witness_n, got.preperiod, got.period,
-                        got.state_steps) == criterion._packed_walk(ctx, xi.val)
-        # a prime field's seeds are decided in closed form, with no table
-        assert (ctx._logs is None) == (ctx.kind == 'prime')
+                assert _verdict_tuple(xi) == packed_walk(ctx, xi.val)
 
 
 def test_prime_cycle_agrees_with_log_walk():
-    """The closed form for xi in F_p^* returns the log walk's outcome,
+    """The closed form for xi in F_p^* returns the (t, r) walk's outcome,
     witness, cycle data and state_steps on every seed of every prime
     field F_p, p < 256, and on the F_p seeds with Tr(xi) != 0 of GF(3^2),
     GF(5^3), GF(11^2), GF(2^5) and a depth-2 tower of degree 4 over F_3."""
@@ -475,7 +493,7 @@ def test_prime_cycle_agrees_with_log_walk():
         for v in range(1, ctx.p):
             if ctx.trace_v(v):
                 assert criterion._prime_cycle(ctx, v) == (
-                    criterion._log_walk(ctx, v)), (ctx, v)
+                    criterion._pair_walk(ctx, v)), (ctx, v)
                 seeds += 1
     assert seeds == 6027 + 2 + 4 + 10 + 1 + 2
 
@@ -490,7 +508,7 @@ def test_prime_cycle_long_period():
 
 def test_prime_field_decision_builds_no_table(monkeypatch):
     """Deciding every seed of a fresh prime field, below and above
-    LOG_WALK_MAX_ORDER, builds no log table."""
+    ZECH_MAX_ORDER, builds no log table."""
     def no_table(*args):
         raise AssertionError("log table built")
     monkeypatch.setattr(fields, '_log_exp', no_table)
@@ -501,7 +519,6 @@ def test_prime_field_decision_builds_no_table(monkeypatch):
         verdicts = [decide_inverse_stability(xi) for xi in ctx.elements()]
         assert verdicts[0].outcome == UNSTABLE
         assert all(v.outcome == STABLE for v in verdicts[1:])
-        assert ctx._logs is None
 
 
 # -- Moebius trace formula ---------------------------------------------------------------

@@ -7,8 +7,8 @@ import pytest
 
 from invstab import errors, fields
 from invstab.fields import (
-    LOG_WALK_MAX_ORDER,
     MAX_PRIME,
+    ZECH_MAX_ORDER,
     abs_trace,
     element_from_text,
     element_to_text,
@@ -193,16 +193,20 @@ def test_frobenius_is_field_automorphism():
 
 
 def test_frobenius_matches_pth_power():
-    """The precomputed Frobenius matrix and trace vector agree with plain
-    powering and with the Frobenius-sum rel_trace on every element of every
-    field of order <= 729 (default modulus), of F_9 with modulus 2,2,1, of
-    F_25 with modulus 2,4,1 and of a depth-2 tower above F_9."""
+    """The precomputed Frobenius map (a matrix, or g^(p log x) with a Zech
+    table) and trace map (a vector, or a table up to ZECH_MAX_ORDER) agree
+    with plain powering and with the Frobenius-sum rel_trace on every
+    element of every field of order <= 729 (default modulus), of F_9 with
+    modulus 2,2,1, of F_25 with modulus 2,4,1, of a depth-2 tower above F_9
+    and of GF(3^8), GF(2^12) and GF(89^2), the largest fields with a Zech
+    table."""
     fields = [finite_field(p, e)
               for p in range(2, 730) if _prime_factors(p) == [p]
               for e in range(1, 10) if p ** e <= 729]
     assert len(fields) == 152
     w = F9.modulus_root
-    fields += [F9, F25, extension_field(F9, artin_schreier(w))]
+    fields += [F9, F25, extension_field(F9, artin_schreier(w)),
+               finite_field(3, 8), finite_field(2, 12), finite_field(89, 2)]
     for ctx in fields:
         prime = ctx.prime_ctx
         for x in ctx.elements():
@@ -218,38 +222,25 @@ def factory_ops(ctx):
 
 
 def test_log_table_exhaustive():
-    """On every field of order <= 729 (default modulus), F_9 with modulus
-    2,2,1, F_25 with modulus 2,4,1 and a depth-2 tower above F_9: the
-    generator g = exps[1] has order q - 1, exps[k] = g^k by plain powering
-    (through the factory's packed product on depth-1 fields, whose own
-    product runs on this table), exps[log x] = x for every x != 0, and the
-    trace-zero flag of log x says whether Tr(x) = 0.  A depth-1 context
-    shares its logs and antilogs with its Zech table."""
-    fields = [finite_field(p, e)
-              for p in range(2, 730) if _prime_factors(p) == [p]
-              for e in range(1, 10) if p ** e <= 729]
-    w = F9.modulus_root
-    fields += [F9, F25, extension_field(F9, artin_schreier(w))]
-    for ctx in fields:
-        logs, exps, trace_zero = ctx.log_table()
-        assert ctx.log_table()[0] is logs          # built once per context
-        if ctx.depth == 1:
-            mul = factory_ops(ctx)[3]
-            zech_logs, zech_exps, _ = ctx._zech_table()
-            assert zech_logs is logs and zech_exps is exps
-        else:
-            assert ctx._zech_table is None
-            mul = ctx.mul_v
+    """On every depth-1 field of order <= 729 (default moduli), F_9 with
+    modulus 2,2,1 and F_25 with modulus 2,4,1, the logs and antilogs of
+    the Zech table: the generator g = exps[1] has order q - 1,
+    exps[k] = g^k by plain powering through the factory's packed product
+    (the context's own product runs on this table), and exps[log x] = x
+    for every x != 0."""
+    for ctx in depth1_fields(729):
+        logs, exps, _ = ctx._zech_table()
+        assert ctx._zech_table()[0] is logs        # built once per context
+        mul = factory_ops(ctx)[3]
         m = ctx.order - 1
         g = exps[1 % m]
         assert _power(mul, g, m) == 1
         assert all(_power(mul, g, m // ell) != 1 for ell in range(2, m + 1)
                    if m % ell == 0 and _prime_factors(ell) == [ell])
-        assert len(exps) == len(trace_zero) == m and logs[0] is None
+        assert len(exps) == m and logs[0] is None
         assert exps == [_power(mul, g, k) if k else 1 for k in range(m)]
         for x in range(1, ctx.order):
             assert exps[logs[x]] == x
-            assert trace_zero[logs[x]] == (ctx.trace_v(x) == 0)
 
 
 def depth1_fields(bound):
@@ -262,14 +253,14 @@ def depth1_fields(bound):
 
 def test_zech_table_against_flat_product():
     """On every depth-1 field of order <= 729 and on GF(3^8), GF(2^12) and
-    GF(89^2), the largest below LOG_WALK_MAX_ORDER: exps[k + 1] is the
+    GF(89^2), the largest below ZECH_MAX_ORDER: exps[k + 1] is the
     factory's product of exps[k] and g, every Zech entry is the log of the
     factory's 1 + g^k (None where that is 0), and inv_v(x) times x is 1
     under the factory's product for every x != 0."""
     ctxs = depth1_fields(729) + [finite_field(3, 8), finite_field(2, 12),
                                  finite_field(89, 2)]
     assert len(ctxs) == 28
-    assert max(ctx.order for ctx in ctxs) <= LOG_WALK_MAX_ORDER
+    assert max(ctx.order for ctx in ctxs) <= ZECH_MAX_ORDER
     for ctx in ctxs:
         fadd, _, _, fmul = factory_ops(ctx)[:4]
         logs, exps, zech = ctx._zech_table()
@@ -307,7 +298,6 @@ def test_context_construction_builds_no_table(monkeypatch, fresh_caches):
         patch.setattr(fields, '_log_exp', no_table)
         ctxs = [finite_field(p, e) for p, e in ((3, 8), (2, 12), (89, 2),
                                                  (5, 3))]
-        assert all(ctx._logs is None for ctx in ctxs)
         assert ctxs[0].add_v(0, 5) == 5 and ctxs[0].mul_v(0, 5) == 0
         with pytest.raises(AssertionError, match="log table built"):
             ctxs[0].mul_v(3, 5)
@@ -327,8 +317,9 @@ def test_fresh_context_gets_its_own_table(fresh_caches):
     assert new is not old and new.modulus_vals == old.modulus_vals
     logs, exps, _ = new._zech_table()
     assert logs is not old_logs and logs == old_logs
-    assert new.log_table()[0] is logs
     fadd, fsub, fneg, fmul, finv = factory_ops(new)[:5]
+    assert all(new.frobenius_v(a) == _power(fmul, a, new.p)
+               for a in range(1, new.order))
     for a in range(1, new.order):
         assert new.inv_v(a) == finv(a)
         assert new.sub_v(a, 7) == fsub(a, 7) and new.mul_v(a, 7) == fmul(a, 7)
@@ -487,6 +478,17 @@ def test_prime_too_large():
         prime_field(1048583)
 
 
+def test_prime_too_large_before_any_primality_test(monkeypatch):
+    """Every p >= MAX_PRIME, prime or not, raises PrimeTooLarge without a
+    trial division, so 2^61 - 1 fails at once instead of hanging."""
+    def no_factoring(n):
+        raise AssertionError(f"trial division of {n}")
+    monkeypatch.setattr(fields, '_prime_factors', no_factoring)
+    for big in (MAX_PRIME, MAX_PRIME + 1, 2 ** 61 - 1, 2 ** 64):
+        with pytest.raises(errors.PrimeTooLarge):
+            prime_field(big)
+
+
 def test_reducible_modulus_rejected():
     with pytest.raises(errors.ReducibleModulus):
         finite_field(3, 2, modulus=(1, 2, 1))     # (X + 1)^2
@@ -589,14 +591,14 @@ def test_generic_ops_agree_with_prime_ext_ops():
 
 
 def test_depth1_product_above_bound_matches_schoolbook_reference():
-    """Above LOG_WALK_MAX_ORDER a depth-1 field computes on the factory's
+    """Above ZECH_MAX_ORDER a depth-1 field computes on the factory's
     closures themselves: on 200 seeded pairs each of GF(3^9), GF(2^13),
     GF(101^2) and GF(1048573^2), mul_v equals ref_product and x times
     inv_v(x) is 1 under both products."""
     rng = random.Random(6063)
     for p, e in ((3, 9), (2, 13), (101, 2), (1048573, 2)):
         ctx = finite_field(p, e)
-        assert ctx.order > LOG_WALK_MAX_ORDER and ctx._zech_table is None
+        assert ctx.order > ZECH_MAX_ORDER and ctx._zech_table is None
         base = ctx.base
         modulus = [base.element(v) for v in ctx.modulus_vals]
         for _ in range(200):
