@@ -471,7 +471,7 @@ def _ext_ops(base: "FieldCtx", d, modulus_digits):
                     new_t.pop()
                 t0, t1 = t1, new_t
     else:
-        from .polys import _coeffwise, _divmod_vals, _mul_vals
+        from .polys import _coeffwise, _divmod_vals, _schoolbook_vals
 
         def inv(x):
             if x == 0:
@@ -484,8 +484,8 @@ def _ext_ops(base: "FieldCtx", d, modulus_digits):
                     raise ArithmeticError("modulus is not irreducible")
                 r0, r1 = r1, rem
                 t0, t1 = t1, _coeffwise(base.sub_v, t0,
-                                        _mul_vals(base, quo, t1))
-            return encode(_mul_vals(base, t1, (base.inv_v(r1[0]),)))
+                                        _schoolbook_vals(base, quo, t1))
+            return encode(_schoolbook_vals(base, t1, (base.inv_v(r1[0]),)))
 
     return (*_linear_ops(p, d * base.total_degree), mul, inv, decode, encode)
 

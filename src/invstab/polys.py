@@ -74,7 +74,7 @@ def _neg_vals(ctx, a):
     return tuple(neg(c) for c in a)
 
 
-#: array type code for each slot width in bytes (1, 2, 4, 8)
+#: array type code for each storage slot size in bytes (1, 2, 4, 8)
 _SLOT_CODES = {array(code).itemsize: code for code in 'BHILQ'}
 _SWAP_BYTES = sys.byteorder == 'big'
 
@@ -85,54 +85,98 @@ class _Kron:
     A coefficient over F_{p^e} is a polynomial in y (the modulus root) with
     base-p digits d_0 .. d_{e-1}, so a coefficient vector is a bivariate
     polynomial in (X, y).  It packs into one integer with one slot of
-    ``width`` bytes per digit: digit j of coefficient i sits in slot
+    ``width`` bits per digit: digit j of coefficient i sits in slot
     j * stride + i, so block j of ``stride`` slots holds digit j of every
     coefficient.  One integer multiply of two packed vectors then yields
     the packed bivariate product, whose 2e - 1 blocks are the y-powers.
     :meth:`fold` adds blocks e .. 2e - 2 back into blocks 0 .. e - 1 times
-    the digits of y^k mod the field modulus, still on the packed integer, and
-    :meth:`unpack` reduces each slot mod p.
+    the digits of y^k mod the field modulus, and :meth:`reduce` takes every
+    slot mod p at once, both on the packed integer.  A packed vector is
+    reduced, every slot below p, which is also what :meth:`reduce` returns,
+    so products chain without leaving the packed form.
 
     :meth:`fit` sizes the slots for twice the largest folded slot of a
     product of two vectors of at most n coefficients, so the sum of two
-    folded products (as in :func:`_mulmod`) never carries from one slot into
-    the next.
+    folded products (as in :func:`_mulmod`) never carries from one slot
+    into the next: every slot value v that :meth:`reduce` sees is below
+    2^B, B the bit length of that bound.
+
+    The reduction divides by p with an invariant multiplier (Granlund and
+    Montgomery, 1994).  With L = bitlen(p - 1), s = B + L and
+    M = ceil(2^s / p) = (2^s + r) / p, 0 <= r < p, write v = q p + t with
+    0 <= t < p.  Then v M / 2^s = q + t / p + v r / (p 2^s), and
+    v r < 2^B 2^L = 2^s, so t / p + v r / (p 2^s) < (t + 1) / p <= 1: the
+    floor of v M / 2^s is q = v // p, exactly.  Since p > 2^(L - 1),
+    M <= 2^(B + 1) and v M < 2^(2B + 1), more than one slot holds, so the
+    even and the odd slots are reduced apart: ``x & even`` keeps every
+    other slot, each v M then has 2 * width = 2B + 2 bits to itself,
+    (x M >> s) & quot reads every quotient, and x - p q leaves v mod p in
+    each slot.  The slots are only B + 1 bits wide because the bigint
+    products dominate at large degrees, and wider slots, such as 2B + 2
+    bits for a single multiply-shift or whole bytes, made them slower.
+
+    A layout is ``tight`` for :func:`_mulmod`, whose products chain on
+    packed integers: the slots are then B + 1 bits wide, and :meth:`pack`
+    and :meth:`unpack` shift the digits in one at a time, which a whole
+    power pays once.  Otherwise, for a single product, the slots are
+    1, 2, 4 or 8 bytes of an ``array``, which packs and unpacks in C.
     """
 
-    __slots__ = ('p', 'e', 'pows', 'code', 'width', 'stride', 'bits',
-                 'y_powers')
+    __slots__ = ('p', 'e', 'width', 'stride', 'bits', 'blocks', 'y_powers',
+                 'code', 'reduce')
 
     @classmethod
-    def fit(cls, ctx, n, stride):
+    def fit(cls, ctx, n, stride, tight=False):
         """The layout for operands of at most n coefficients and products of
         at most ``stride``; None for a tower (depth 2), or when the slots
-        would need more than 8 bytes."""
+        of a layout that is not tight would need more than 8 bytes."""
         if ctx.depth > 1:
             return None
         p, e = ctx.p, ctx.degree
         bound = 2 * n * e * (p - 1) ** 2 * (1 + (e - 1) * (p - 1))
-        width = 1
-        while bound >> (8 * width):
-            width *= 2
-            if width > 8:
-                return None
+        b = bound.bit_length()
+        code = None
+        if tight:
+            width = b + 1
+        else:
+            size = 1
+            while 8 * size <= b:
+                size *= 2
+                if size > 8:
+                    return None
+            width, code = 8 * size, _SLOT_CODES[size]
         self = cls.__new__(cls)
         self.p, self.e, self.width, self.stride = p, e, width, stride
-        self.pows = tuple(p ** j for j in range(e))
-        self.code = _SLOT_CODES[width]
-        self.bits = 8 * width * stride
+        self.bits = width * stride
+        self.blocks = _runs(1, self.bits, e)
         self.y_powers = _y_powers(p, ctx.modulus_vals) if e > 1 else ()
+        self.code = code
+        self.reduce = _slot_reducer(p, b, width, e * stride)
         return self
+
+    def low(self, k):
+        """The mask of slots 0 .. k - 1 of every block."""
+        return ((1 << (self.width * k)) - 1) * self.blocks
 
     def pack(self, vals):
         """The packed integer of a vector of at most ``stride`` values."""
-        if self.e == 1:
-            return int.from_bytes(_slot_bytes(self.code, vals), 'little')
-        p = self.p
-        gap = bytes(self.width * (self.stride - len(vals)))
-        return int.from_bytes(gap.join(
-            _slot_bytes(self.code, [c // pj % p for c in vals])
-            for pj in self.pows), 'little')
+        digits = vals
+        if self.e > 1:
+            p = self.p
+            gap = [0] * (self.stride - len(vals))
+            digits = []
+            for pj in [p ** j for j in range(self.e)]:
+                digits += [c // pj % p for c in vals]
+                digits += gap
+        if self.code is None:
+            x, width = 0, self.width
+            for c in reversed(digits):
+                x = x << width | c
+            return x
+        slots = array(self.code, digits)
+        if _SWAP_BYTES:
+            slots.byteswap()
+        return int.from_bytes(slots.tobytes(), 'little')
 
     def fold(self, x):
         """Fold y-powers e .. 2e - 2 of a packed product into 0 .. e - 1."""
@@ -150,26 +194,53 @@ class _Kron:
         return low
 
     def unpack(self, x, lo, hi):
-        """Field values of coefficients lo .. hi - 1 of a folded packed
-        product."""
-        p, n = self.p, self.stride
-        slots = array(self.code)
-        slots.frombytes(x.to_bytes(self.e * n * self.width, 'little'))
-        if _SWAP_BYTES:
-            slots.byteswap()
+        """Field values of coefficients lo .. hi - 1 of a reduced packed
+        integer."""
+        n, width = self.stride, self.width
+        if self.code is None:
+            mask = (1 << width) - 1
+            slots = [x >> (k * width) & mask for k in range(self.e * n)]
+        else:
+            slots = array(self.code)
+            slots.frombytes(x.to_bytes(self.e * n * width // 8, 'little'))
+            if _SWAP_BYTES:
+                slots.byteswap()
         top = (self.e - 1) * n
-        out = [v % p for v in slots[top + lo:top + hi]]
+        out = list(slots[top + lo:top + hi])
+        p = self.p
         for start in range(top - n, -1, -n):
-            out = [acc * p + v % p
+            out = [acc * p + v
                    for acc, v in zip(out, slots[start + lo:start + hi])]
         return out
 
 
-def _slot_bytes(code, digits):
-    slots = array(code, digits)
-    if _SWAP_BYTES:
-        slots.byteswap()
-    return slots.tobytes()
+def _slot_reducer(p, b, width, slots):
+    """x -> every slot of x mod p, for x of ``slots`` slots of ``width``
+    >= b + 1 bits, each below 2^b (see :class:`_Kron` for the argument)."""
+    shift = b + (p - 1).bit_length()
+    magic = -(-(1 << shift) // p)
+    pairs = -(-slots // 2)
+    even = _runs(width, 2 * width, pairs)
+    quot = _runs((((1 << b) - 1) // p).bit_length(), 2 * width, pairs)
+
+    def reduce(x):
+        lo = x & even
+        hi = x >> width & even
+        lo -= p * (lo * magic >> shift & quot)
+        hi -= p * (hi * magic >> shift & quot)
+        return lo | hi << width
+
+    return reduce
+
+
+def _runs(run, period, count):
+    """``count`` runs of ``run`` one bits, one at the bottom of each
+    ``period`` bits."""
+    x, have = (1 << run) - 1, 1
+    while have < count:
+        x |= x << (have * period)
+        have *= 2
+    return x & ((1 << (period * count)) - 1)
 
 
 def _y_powers(p, modulus):
@@ -190,10 +261,19 @@ def _mul_vals(ctx, a, b):
         return ()
     size = len(a) + len(b) - 1
     lay = _Kron.fit(ctx, min(len(a), len(b)), size)
-    if lay is not None:
-        return _trim(lay.unpack(
-            lay.fold(lay.pack(a) * lay.pack(b)), 0, size))
-    out = [0] * size
+    if lay is None:
+        return _schoolbook_vals(ctx, a, b)
+    return _trim(lay.unpack(
+        lay.reduce(lay.fold(lay.pack(a) * lay.pack(b))), 0, size))
+
+
+def _schoolbook_vals(ctx, a, b):
+    """The product by the double loop over the field's closures: polynomials
+    over towers, and the short cofactors of the tower Euclid in
+    :mod:`.fields`, which packing would only slow down."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
     mul = ctx.mul_v
     add = ctx.add_v
     for i, ai in enumerate(a):
@@ -249,38 +329,64 @@ def _gcd_vals(ctx, a, b):
 
 
 def _mulmod(ctx, f):
-    """A closure (a, b) -> a * b mod f for the monic f and a, b of degree
-    below deg f.
+    """(mulmod, pack, unpack) for products modulo the monic f of degree m:
+    mulmod(a, b) = a * b mod f on packed a, b of degree below m, and the
+    maps between value tuples and that packed form.
 
-    Barrett reduction with Kronecker-packed products.  With m = deg f and
-    mu = X^(2m - 2) // f (the reversed inverse of rev(f) mod X^(m - 1),
-    found once by division), the quotient of c = a * b by f is
-    (c // X^m) * mu // X^(m - 2), exactly; the remainder is the low m
-    coefficients of c - q * f, so f is packed once without its leading 1
-    and negated.  Each product costs three integer multiplies.  Towers, and
-    fields whose slots would need more than 8 bytes, multiply and divide
-    with the closure loops instead.
+    Barrett reduction on Kronecker-packed integers (see :class:`_Kron`).
+    With mu = X^(2m - 2) // f, the quotient of c = a * b by f is
+    q = (c // X^m) * mu // X^(m - 2), exactly, and the remainder is the low
+    m coefficients of c + q * (-f), with -f packed once without its leading
+    1.  A product is three integer multiplies, each followed by one
+    slot-parallel reduction mod p, and never leaves the packed form, so a
+    power packs once and unpacks once.  mu comes from a Newton inversion on
+    the same products (:func:`_barrett_mu`).  Towers, and f of degree 1,
+    multiply and divide with the closure loops on value tuples instead, and
+    pack and unpack are then the identity.
     """
     m = len(f) - 1
-    lay = _Kron.fit(ctx, m, 2 * m - 1) if m > 1 else None
+    lay = _Kron.fit(ctx, m, 2 * m - 1, tight=True) if m > 1 else None
     if lay is None:
-        return lambda a, b: _rem_vals(ctx, _mul_vals(ctx, a, b), f)
-    mu = lay.pack(_divmod_vals(ctx, (0,) * (2 * m - 2) + (1,), f)[0])
-    neg_f = lay.pack([ctx.neg_v(c) for c in f[:m]])
-    low = sum(((1 << 8 * lay.width * m) - 1) << j * lay.bits
-              for j in range(lay.e))
-    pack, fold, unpack = lay.pack, lay.fold, lay.unpack
+        return (lambda a, b: _rem_vals(ctx, _mul_vals(ctx, a, b), f),
+                tuple, tuple)
+    fold, reduce = lay.fold, lay.reduce
+    neg = [ctx.neg_v(c) for c in f]
+    mu = _barrett_mu(lay, neg)
+    neg_f = lay.pack(neg[:m])
+    high, low = lay.low(m - 1), lay.low(m)
+    top, lead = m * lay.width, (m - 2) * lay.width
 
     def mulmod(a, b):
-        x = pack(a)
-        c = fold(x * (x if a is b else pack(b)))
-        if len(a) + len(b) <= m + 1:
-            return _trim(unpack(c, 0, m))
-        hi = pack(unpack(c, m, 2 * m - 1))
-        q = unpack(fold(hi * mu), m - 2, 2 * m - 3)
-        return _trim(unpack((c & low) + fold(pack(q) * neg_f), 0, m))
+        c = fold(a * b)
+        hi = reduce(c >> top & high)
+        q = reduce(fold(hi * mu) >> lead & high)
+        return reduce((c + fold(q * neg_f)) & low)
 
-    return mulmod
+    return (mulmod, lay.pack,
+            lambda x: _trim(lay.unpack(x, 0, m)))
+
+
+def _barrett_mu(lay, neg):
+    """mu = X^(2m - 2) // f for the monic f of degree m, packed by ``lay``;
+    ``neg`` holds the coefficients of -f.
+
+    mu is rev(g) for g = 1 / rev(f) mod X^(m - 1), rev(f) = X^m f(1/X),
+    whose constant term is 1.  Newton's iteration g <- g + g (1 - rev(f) g)
+    doubles the number of correct coefficients of g at each step, so g
+    takes O(log m) packed products instead of an O(m^2) long division.
+    Every product has operands of at most m - 1 coefficients, within the
+    slot bound of ``lay``.
+    """
+    fold, reduce = lay.fold, lay.reduce
+    n = len(neg) - 2
+    neg_rev = lay.pack(neg[:1:-1])
+    g, k = 1, 1
+    while k < n:
+        k = min(2 * k, n)
+        low = lay.low(k)
+        err = reduce((fold((neg_rev & low) * g) & low) + 1)
+        g = reduce(g + (fold(g * err) & low))
+    return lay.pack(lay.unpack(g, 0, n)[::-1])
 
 
 def _powmod_vals(ctx, base, k, mod):
@@ -289,7 +395,8 @@ def _powmod_vals(ctx, base, k, mod):
     f = _monic_vals(ctx, mod)
     if k == 0:
         return _rem_vals(ctx, (1,), f)
-    return _power(_mulmod(ctx, f), _rem_vals(ctx, base, f), k)
+    mulmod, pack, unpack = _mulmod(ctx, f)
+    return unpack(_power(mulmod, pack(_rem_vals(ctx, base, f)), k))
 
 
 # ---------------------------------------------------------------------------
@@ -522,16 +629,17 @@ def is_irreducible(f: Poly) -> bool:
         return True
     ctx = f.ctx
     fv = _monic_vals(ctx, f.vals)
-    mulmod = _mulmod(ctx, fv)
+    mulmod, pack, unpack = _mulmod(ctx, fv)
     checkpoints = {m // r for r in _prime_factors(m)}
-    xv = h = (0, 1)
+    xv = (0, 1)
+    x = h = pack(xv)
     for i in range(1, m + 1):
         h = _power(mulmod, h, ctx.order)
         if i in checkpoints:
-            g = _coeffwise(ctx.sub_v, h, xv)
+            g = _coeffwise(ctx.sub_v, unpack(h), xv)
             if _gcd_vals(ctx, g, fv) != (1,):
                 return False
-    return h == xv
+    return h == x
 
 
 def find_irreducible(ctx: FieldCtx, degree: int) -> Poly:
