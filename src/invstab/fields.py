@@ -102,8 +102,9 @@ def _prime_factors(n: int) -> list:
 # branch of ``polys._divmod_vals``: there is one long division over F_p.
 # The Euclid over ``polys`` took 1.8-3.4x as long per inversion there
 # (GF(3^9), GF(2^13), GF(101^2); CPython 3.11).  Over an extension it is
-# that Euclid over the base (``polys`` imports this module at load time, so
-# the factory imports it lazily).  Up to ZECH_MAX_ORDER, _zech_ops
+# that Euclid over the base, its cofactors multiplied by the schoolbook
+# loop (``polys`` imports this module at load time, so the factory imports
+# it lazily).  Up to ZECH_MAX_ORDER, _zech_ops
 # turns the closures of F_p[X]/(m) into the lookups of its table.
 #
 # Two helpers serve every layer: _power is the one square-and-multiply loop

@@ -8,25 +8,30 @@ coercion that field elements and moduli use.
 
 Products over F_p and over an extension F_{p^e} of F_p use Kronecker
 substitution: a coefficient vector packs into one Python integer with one
-slot of 1, 2, 4 or 8 bytes per base-p digit, wide enough that no slot sum
-carries, so one C bigint multiply forms the whole product.  Over F_{p^e}
-the packing is bivariate in X and the modulus root y.  The product's
-y-powers e .. 2e - 2 are folded back with y^k mod the field modulus on the
-packed integer, and each slot is then reduced mod p (see :class:`_Kron`).
-The schoolbook loop over the field's closures remains only for polynomials
-over depth-2 towers and over fields whose slots would need more than 8
-bytes.  An extension field's own element product does not come from here:
-it packs the value's flat digits and reduces by F_p-linear rows in
-:mod:`.fields`.  Division and gcd are the classical algorithms;
-over F_p the long division is ``fields._list_divmod_mod_p``, the one F_p
-division that F_p[X]/(m) inverts with as well.
+bit slot per base-p digit, wide enough that no slot sum carries, so one C
+bigint multiply forms the whole product.  Over F_{p^e} the packing is
+bivariate in X and the modulus root y.  The product's y-powers
+e .. 2e - 2 are folded back with y^k mod the field modulus, and every slot
+is reduced mod p at once by a few whole-integer operations, all on the
+packed integer (see :class:`_Kron`).  The schoolbook loop over the field's
+closures (``_schoolbook_vals``) remains for polynomials over depth-2
+towers, for single products whose slots would need more than 8 bytes, and
+for the short cofactors of the tower inverse in :mod:`.fields`.  An
+extension field's own element product does not come from here: it packs
+the value's flat digits and reduces by F_p-linear rows in :mod:`.fields`.
+Division and gcd are the classical algorithms; over F_p the long division
+is ``fields._list_divmod_mod_p``, the one F_p division that F_p[X]/(m)
+inverts with as well.
 
-Products modulo a fixed monic f of degree m use Barrett reduction: mu =
-X^(2m - 2) // f is found once by division, and each reduced product then
-costs three packed multiplies (the product, its quotient by f, and the
-quotient times f).  :func:`powmod` and the irreducibility test go through it.
-Every power, ``Poly ** k`` included, is ``fields._power``, the one
-square-and-multiply loop, run with the product it is given.
+Products modulo a fixed monic f of degree m use Barrett reduction on
+packed integers: mu = X^(2m - 2) // f comes once from a Newton inversion,
+and each reduced product is then three packed multiplies (the product,
+its quotient by f, and the quotient times f), each followed by one
+slot-parallel reduction mod p.  Its result stays packed, so
+:func:`powmod` and the irreducibility test pack once on entry and unpack
+only where they read coefficients.  Every power, ``Poly ** k`` included,
+is ``fields._power``, the one square-and-multiply loop, run with the
+product it is given.
 
 Irreducibility testing is deterministic: f of degree m over F_q is
 irreducible iff X^(q^m) = X mod f and gcd(X^(q^(m/r)) - X, f) = 1 for every
@@ -90,36 +95,37 @@ class _Kron:
     coefficient.  One integer multiply of two packed vectors then yields
     the packed bivariate product, whose 2e - 1 blocks are the y-powers.
     :meth:`fold` adds blocks e .. 2e - 2 back into blocks 0 .. e - 1 times
-    the digits of y^k mod the field modulus, and :meth:`reduce` takes every
-    slot mod p at once, both on the packed integer.  A packed vector is
-    reduced, every slot below p, which is also what :meth:`reduce` returns,
-    so products chain without leaving the packed form.
+    the digits of y^k mod the field modulus, and ``reduce`` takes every
+    slot mod p at once, both on the packed integer.  A packed vector has
+    every slot below p, as ``reduce`` leaves it, so products chain without
+    unpacking.
 
     :meth:`fit` sizes the slots for twice the largest folded slot of a
     product of two vectors of at most n coefficients, so the sum of two
-    folded products (as in :func:`_mulmod`) never carries from one slot
-    into the next: every slot value v that :meth:`reduce` sees is below
-    2^B, B the bit length of that bound.
+    folded products, such as (c mod X^m) + q * (-f) in :func:`_mulmod`,
+    never carries from one slot into the next: every slot value v that
+    ``reduce`` sees is below 2^B, B the bit length of that bound, and the
+    slots are at least B + 1 bits wide.
 
-    The reduction divides by p with an invariant multiplier (Granlund and
+    ``reduce`` divides by p with an invariant multiplier (Granlund and
     Montgomery, 1994).  With L = bitlen(p - 1), s = B + L and
     M = ceil(2^s / p) = (2^s + r) / p, 0 <= r < p, write v = q p + t with
     0 <= t < p.  Then v M / 2^s = q + t / p + v r / (p 2^s), and
-    v r < 2^B 2^L = 2^s, so t / p + v r / (p 2^s) < (t + 1) / p <= 1: the
-    floor of v M / 2^s is q = v // p, exactly.  Since p > 2^(L - 1),
+    v r < 2^B 2^L = 2^s, so t / p + v r / (p 2^s) < (t + 1) / p <= 1: for
+    every v < 2^B, floor(v M / 2^s) = q = v // p exactly.  As p > 2^(L - 1),
     M <= 2^(B + 1) and v M < 2^(2B + 1), more than one slot holds, so the
     even and the odd slots are reduced apart: ``x & even`` keeps every
-    other slot, each v M then has 2 * width = 2B + 2 bits to itself,
+    other slot, each v M then has 2 * width >= 2B + 2 bits to itself,
     (x M >> s) & quot reads every quotient, and x - p q leaves v mod p in
-    each slot.  The slots are only B + 1 bits wide because the bigint
-    products dominate at large degrees, and wider slots, such as 2B + 2
-    bits for a single multiply-shift or whole bytes, made them slower.
+    each slot.
 
-    A layout is ``tight`` for :func:`_mulmod`, whose products chain on
-    packed integers: the slots are then B + 1 bits wide, and :meth:`pack`
-    and :meth:`unpack` shift the digits in one at a time, which a whole
-    power pays once.  Otherwise, for a single product, the slots are
-    1, 2, 4 or 8 bytes of an ``array``, which packs and unpacks in C.
+    A ``tight`` layout, for :func:`_mulmod`, has slots of B + 1 bits: its
+    products chain, the bigint multiplies dominate at large degrees, and
+    wider slots (2B + 2 bits for a single multiply-shift, or whole bytes)
+    made them slower.  Its :meth:`pack` and :meth:`unpack` shift one digit
+    at a time, which a whole power pays once.  Any other layout, for a
+    single product, has slots of 1, 2, 4 or 8 bytes of an ``array``, which
+    packs and unpacks in C.
     """
 
     __slots__ = ('p', 'e', 'width', 'stride', 'bits', 'blocks', 'y_powers',
@@ -268,9 +274,10 @@ def _mul_vals(ctx, a, b):
 
 
 def _schoolbook_vals(ctx, a, b):
-    """The product by the double loop over the field's closures: polynomials
-    over towers, and the short cofactors of the tower Euclid in
-    :mod:`.fields`, which packing would only slow down."""
+    """The product by the double loop over the field's closures: for
+    polynomials over towers, for slots over 8 bytes, and for the short
+    cofactors of the tower Euclid in :mod:`.fields`, which packing slowed
+    down."""
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
