@@ -739,8 +739,9 @@ def test_generic_product_without_packed_layout():
 
 def test_tower_inverse_against_reference_product():
     """ref_product(x, inv_v(x)) = 1 on every nonzero x of F_4(gamma),
-    F_8(gamma) and F_9(gamma) (order 729)."""
-    for base in (finite_field(2, 2), finite_field(2, 3), F9):
+    F_8(gamma), F_9(gamma) (order 729) and F_27(gamma) (order 19,683)."""
+    for base in (finite_field(2, 2), finite_field(2, 3), F9,
+                 finite_field(3, 3)):
         L = tower_over(base)
         d = L.degree
         modulus = [base.element(v) for v in L.modulus_vals]

@@ -20,7 +20,13 @@ from invstab.polys import (
     powmod,
     reciprocal,
 )
-from invstab.polys import _mul_vals
+from invstab.polys import (
+    _barrett_mu,
+    _divmod_vals,
+    _Kron,
+    _mul_vals,
+    _slot_reducer,
+)
 
 
 F2 = finite_field(2)
@@ -232,18 +238,100 @@ def test_packed_product_matches_double_loop():
         assert zero * f == zero == f * zero
 
 
+def width_steps(ctx, top):
+    """The degrees m <= top at which the slot width of the Barrett layout
+    grows by a bit, each with m - 1."""
+    out = []
+    for m in range(3, top + 1):
+        if (_Kron.fit(ctx, m, 2 * m - 1, tight=True).width
+                > _Kron.fit(ctx, m - 1, 2 * m - 3, tight=True).width):
+            out += [m - 1, m]
+    return out
+
+
 def test_barrett_product_with_extreme_coefficients():
     """Every digit of a * a at its maximum, and the modulus negated to the
     largest digits, at the degree where the slot sum of the Barrett step
-    needs one more byte than a single product."""
-    for ctx, m in ((F2, 200), (F3, 50), (F9, 8)):
+    needs one more byte than a single product, and on both sides of every
+    degree where the bit-granular slots of the Barrett layout widen, over
+    F_2, F_3, F_9, F_16, F_49 and F_1048573; a^3 as well."""
+    F16, F49 = finite_field(2, 4), finite_field(7, 2)
+    big = finite_field(1048573)
+    cases = [(F2, 200), (F3, 50), (F9, 8)]
+    for ctx, top in ((F2, 140), (F3, 70), (F9, 40), (F16, 30), (F49, 24),
+                     (big, 24)):
+        cases += [(ctx, m) for m in width_steps(ctx, top)]
+    assert len(cases) > 30
+    for ctx, m in cases:
         top = ctx.order - 1                      # every base-p digit p - 1
         ones = sum(ctx.p ** j for j in range(ctx.degree))
         a = (top,) * m
         f = Poly._make(ctx, (ones,) * m + (1,))  # -f_i has every digit p - 1
         square = Poly._make(ctx, naive_product(ctx, a, a))
         want = square % f
-        assert powmod(Poly._make(ctx, a), 2, f) == want, ctx
+        assert powmod(Poly._make(ctx, a), 2, f) == want, (ctx, m)
+        cube = Poly._make(ctx, naive_product(ctx, want.vals, a)) % f
+        assert powmod(Poly._make(ctx, a), 3, f) == cube, (ctx, m)
+
+
+def reduce_case(p, b, width, values):
+    """_slot_reducer on ``values`` packed one per slot of ``width`` bits,
+    against % p slot by slot; the values start at an even slot and again at
+    an odd one."""
+    for lead in (0, 1):
+        vals = [0] * lead + list(values)
+        reduce = _slot_reducer(p, b, width, len(vals))
+        x = sum(v << (k * width) for k, v in enumerate(vals))
+        out = reduce(x)
+        mask = (1 << width) - 1
+        got = [out >> (k * width) & mask for k in range(len(vals))]
+        assert got == [v % p for v in vals], (p, b, width, lead)
+        assert out >> (len(vals) * width) == 0
+
+
+def test_slot_reduction_against_per_slot_remainder():
+    """The slot-parallel reduction mod p against v % p: every slot value
+    below 2^B for small (p, B), at the tight width B + 1 and at a wider
+    one; for p = 1048573, the extremes (0, 1, multiples of p and their
+    neighbours, 2^B - 1) and seeded values, at the widths of the Barrett
+    layouts of F_1048573 and F_{1048573^2}."""
+    for p in (2, 3, 5, 7, 11, 13):
+        for b in range((2 * (p - 1) ** 2).bit_length(), 13):
+            values = range(1 << b)
+            reduce_case(p, b, b + 1, values)
+            reduce_case(p, b, b + 3, values)
+    big = 1048573
+    rng = random.Random(4242)
+    K = finite_field(big, 2, modulus=non_residue_quadratic(big))
+    layouts = [_Kron.fit(finite_field(big), m, 2 * m - 1, tight=True)
+               for m in (2, 7, 300)]
+    layouts += [_Kron.fit(K, m, 2 * m - 1, tight=True) for m in (2, 5)]
+    for lay in layouts:
+        width = lay.width
+        b = width - 1
+        top = (1 << b) - 1
+        extremes = [0, 1, big - 1, big, big + 1, top, top - 1,
+                    top // big * big, top // big * big - 1,
+                    (top // big - 1) * big + big - 1]
+        extremes += [rng.randrange(1 << b) for _ in range(2000)]
+        extremes += [rng.randrange(k * big, (k + 1) * big)
+                     for k in (rng.randrange(top // big) for _ in range(500))]
+        reduce_case(big, b, width, extremes)
+
+
+def test_newton_mu_matches_long_division():
+    """mu = X^(2m - 2) // f from the Newton inversion on packed products
+    equals the quotient of the long division, on seeded monic f of degree
+    2 to 40 over F_2, F_3, F_9 and F_49."""
+    rng = random.Random(5150)
+    for ctx in (F2, F3, F9, finite_field(7, 2)):
+        for m in list(range(2, 12)) + [rng.randrange(12, 41) for _ in range(6)]:
+            f = tuple(rng.randrange(ctx.order) for _ in range(m)) + (1,)
+            lay = _Kron.fit(ctx, m, 2 * m - 1, tight=True)
+            mu = _barrett_mu(lay, [ctx.neg_v(c) for c in f])
+            got = lay.unpack(mu, 0, m - 1)
+            want = _divmod_vals(ctx, (0,) * (2 * m - 2) + (1,), f)[0]
+            assert tuple(got) == want, (ctx, f)
 
 
 # -- gcd and powmod -------------------------------------------------------------
@@ -403,6 +491,68 @@ def test_rabin_on_large_denominators_matches_criterion():
         assert is_irreducible(den.monic()) == want, (xi, n)
         verdicts.append(want)
     assert verdicts == [True, True, False]
+
+
+def closure_rabin(f):
+    """Rabin's test with every product the naive double loop and every
+    remainder the long division: no packing and no Barrett step."""
+    ctx, m = f.ctx, f.degree
+    f = f.monic()
+    x = Poly.x(ctx)
+
+    def mulmod(a, b):
+        return Poly._make(ctx, naive_product(ctx, a.vals, b.vals)) % f
+
+    h = x % f
+    for i in range(1, m + 1):
+        acc = h
+        for bit in bin(ctx.order)[3:]:
+            acc = mulmod(acc, acc)
+            if bit == '1':
+                acc = mulmod(acc, h)
+        h = acc
+        r = m // i
+        if i < m and m % i == 0 and all(r % d for d in range(2, r)):
+            if gcd(h - x, f) != Poly.one(ctx):
+                return False
+    return h == x % f
+
+
+def test_packed_rabin_matches_closure_rabin():
+    """is_irreducible against closure_rabin on seeded monic polynomials
+    over 14 fields (depth 1 up to F_{1048573^2}, and a depth-2 tower):
+    random ones, of which some are irreducible, and products of two, which
+    are not."""
+    big = 1048573
+    F4 = finite_field(2, 2)
+    fields = [
+        (F2, 12), (F3, 9), (F5, 7), (finite_field(7), 6), (F4, 7),
+        (finite_field(2, 3), 6), (F9, 6), (finite_field(2, 4), 5),
+        (finite_field(5, 2), 4), (finite_field(3, 3), 4),
+        (finite_field(7, 2), 4), (finite_field(big), 4),
+        (finite_field(big, 2, modulus=non_residue_quadratic(big)), 3),
+        (extension_field(F4, artin_schreier(F4.modulus_root)), 3),
+    ]
+    rng = random.Random(2024)
+    for ctx, top in fields:
+        found = set()
+        for _ in range(30):
+            f = rand_poly(rng, ctx, top, monic=True)
+            if f.degree < 1:
+                continue
+            verdict = is_irreducible(f)
+            assert verdict == closure_rabin(f), (ctx, f)
+            found.add(verdict)
+        assert found == {True, False}, ctx
+        for _ in range(4):
+            a = Poly(ctx, [ctx.element(rng.randrange(ctx.order))
+                           for _ in range(rng.randrange(1, top // 2 + 1))]
+                     + [ctx.one])
+            b = Poly(ctx, [ctx.element(rng.randrange(ctx.order))
+                           for _ in range(rng.randrange(1, top // 2 + 1))]
+                     + [ctx.one])
+            assert not is_irreducible(a * b), (ctx, a, b)
+            assert not closure_rabin(a * b), (ctx, a, b)
 
 
 def test_find_irreducible_goldens():
