@@ -205,18 +205,20 @@ class _Kron:
         n, width = self.stride, self.width
         if self.code is None:
             mask = (1 << width) - 1
-            slots = [x >> (k * width) & mask for k in range(self.e * n)]
+            blocks = [[x >> (k * width) & mask
+                       for k in range(start + lo, start + hi)]
+                      for start in range(0, self.e * n, n)]
         else:
             slots = array(self.code)
             slots.frombytes(x.to_bytes(self.e * n * width // 8, 'little'))
             if _SWAP_BYTES:
                 slots.byteswap()
-        top = (self.e - 1) * n
-        out = list(slots[top + lo:top + hi])
+            blocks = [slots[start + lo:start + hi]
+                      for start in range(0, self.e * n, n)]
+        out = list(blocks.pop())
         p = self.p
-        for start in range(top - n, -1, -n):
-            out = [acc * p + v
-                   for acc, v in zip(out, slots[start + lo:start + hi])]
+        while blocks:
+            out = [acc * p + v for acc, v in zip(out, blocks.pop())]
         return out
 
 
