@@ -94,7 +94,7 @@ class _Kron:
     j * stride + i, so block j of ``stride`` slots holds digit j of every
     coefficient.  One integer multiply of two packed vectors then yields
     the packed bivariate product, whose 2e - 1 blocks are the y-powers.
-    :meth:`fold` adds blocks e .. 2e - 2 back into blocks 0 .. e - 1 times
+    ``fold`` adds blocks e .. 2e - 2 back into blocks 0 .. e - 1 times
     the digits of y^k mod the field modulus, and ``reduce`` takes every
     slot mod p at once, both on the packed integer.  A packed vector has
     every slot below p, as ``reduce`` leaves it, so products chain without
@@ -128,8 +128,8 @@ class _Kron:
     packs and unpacks in C.
     """
 
-    __slots__ = ('p', 'e', 'width', 'stride', 'bits', 'blocks', 'y_powers',
-                 'code', 'reduce')
+    __slots__ = ('p', 'e', 'width', 'stride', 'bits', 'blocks', 'code',
+                 'fold', 'reduce')
 
     @classmethod
     def fit(cls, ctx, n, stride, tight=False):
@@ -155,7 +155,7 @@ class _Kron:
         self.p, self.e, self.width, self.stride = p, e, width, stride
         self.bits = width * stride
         self.blocks = _runs(1, self.bits, e)
-        self.y_powers = _y_powers(p, ctx.modulus_vals) if e > 1 else ()
+        self.fold = _y_folder(p, e, self.bits, ctx.modulus_vals)
         self.code = code
         self.reduce = _slot_reducer(p, b, width, e * stride)
         return self
@@ -183,21 +183,6 @@ class _Kron:
         if _SWAP_BYTES:
             slots.byteswap()
         return int.from_bytes(slots.tobytes(), 'little')
-
-    def fold(self, x):
-        """Fold y-powers e .. 2e - 2 of a packed product into 0 .. e - 1."""
-        if not self.y_powers:
-            return x
-        bits, e = self.bits, self.e
-        block = (1 << bits) - 1
-        low = x & ((1 << (e * bits)) - 1)
-        for k, digits in enumerate(self.y_powers, e):
-            ck = x >> (k * bits) & block
-            if ck:
-                for j, r in enumerate(digits):
-                    if r:
-                        low += ck * r << (j * bits)
-        return low
 
     def unpack(self, x, lo, hi):
         """Field values of coefficients lo .. hi - 1 of a reduced packed
@@ -249,6 +234,29 @@ def _runs(run, period, count):
         x |= x << (have * period)
         have *= 2
     return x & ((1 << (period * count)) - 1)
+
+
+def _y_folder(p, e, bits, modulus):
+    """x -> x with blocks e .. 2e - 2 of ``bits`` bits, the y-powers of a
+    packed product over F_p[y]/(modulus), folded into blocks 0 .. e - 1
+    times the digits of y^k mod the modulus; the identity over F_p."""
+    if e == 1:
+        return lambda x: x
+    block = (1 << bits) - 1
+    keep = (1 << (e * bits)) - 1
+    rows = [(k * bits, [(j * bits, r) for j, r in enumerate(digits) if r])
+            for k, digits in enumerate(_y_powers(p, modulus), e)]
+
+    def fold(x):
+        low = x & keep
+        for shift, row in rows:
+            ck = x >> shift & block
+            if ck:
+                for at, r in row:
+                    low += ck * r << at
+        return low
+
+    return fold
 
 
 def _y_powers(p, modulus):
