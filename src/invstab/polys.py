@@ -116,7 +116,8 @@ class _Kron:
     M <= 2^(B + 1) and v M < 2^(2B + 1), more than one slot holds, so the
     even and the odd slots are reduced apart: ``x & even`` keeps every
     other slot, each v M then has 2 * width >= 2B + 2 bits to itself,
-    (x M >> s) & quot reads every quotient, and x - p q leaves v mod p in
+    (x M >> s) & quot reads every quotient (q < 2^(2 width - s), below the
+    bits the next kept slot shifts down), and x - p q leaves v mod p in
     each slot.
 
     A ``tight`` layout, for :func:`_mulmod`, has slots of B + 1 bits: its
