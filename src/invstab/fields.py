@@ -16,19 +16,20 @@ is available as :attr:`FieldElement.coeffs`.
 Because the packing is base p at every level, the flat base-p digits of a
 packed value are its coordinates over F_p.  The absolute trace and the
 Frobenius x -> x^p are F_p-linear, so each context holds them as a trace
-vector and a Frobenius matrix over those coordinates, built on first use
-(:meth:`FieldCtx.trace_v`, :meth:`FieldCtx.frobenius_v`).  The literal sum
-of Frobenius conjugates survives only in :func:`rel_trace`, the reference
-that builds the trace vector and that the ``xcheck`` oracles compare with.
+vector (from the modulus, by Newton's identities) and a Frobenius matrix
+over those coordinates, built on first use (:meth:`FieldCtx.trace_v`,
+:meth:`FieldCtx.frobenius_v`).  The literal sum of Frobenius conjugates
+survives only in :func:`rel_trace`, the reference that the trace vector and
+the ``xcheck`` oracles are checked against.
 
-The same digits make add, sub and neg one digit-wise loop mod p at every
-depth.  They are also what the product needs: a value's digits spread into
+add, sub and neg apply the base's closures to a value's digits over the
+base.  The product needs the flat digits: they spread into bit slots of
 one Kronecker-packed integer, one integer multiply forms every coefficient
-of X^I y^J (y the root of the base's modulus, 1 over F_p), and a
-precomputed row per reducible slot, X^I y^J mod the moduli, reduces the
-result as an F_p-linear map, ending in the same slots-to-digits step as the
-Frobenius matrix.  Inverses are an extended Euclid: on plain digit lists
-over F_p, and over the base on :mod:`.polys` for towers.
+of X^I y^J (y the root of the base's modulus, 1 over F_p), and the result
+is folded mod the moduli a block at a time, with every slot reduced mod p
+at once, so a power never leaves the slot form.  Inverses are an extended
+Euclid: on plain digit lists over F_p, and over the base on :mod:`.polys`
+for towers.
 
 Up to order ZECH_MAX_ORDER, F_p[X]/(m) builds on its first arithmetic
 call one table of discrete logs, antilogs and Zech logarithms
@@ -94,23 +95,27 @@ def _prime_factors(n: int) -> list:
 # packed-value operation factories
 #
 # Each factory returns closures working on packed integers.  _ext_ops
-# serves every extension base[X]/(m): add/sub/neg on the flat base-p digits
-# through one digit codec, and one product that multiplies the packed flat
-# digits and reduces with F_p-linear rows (_tower_product).  Only the
-# inverse depends on the base.  Over F_p it is an extended Euclid on plain
-# digit lists that divides with _list_divmod_mod_p, which is also the F_p
-# branch of ``polys._divmod_vals``: there is one long division over F_p.
-# The Euclid over ``polys`` took 1.8-3.4x as long per inversion there
-# (GF(3^9), GF(2^13), GF(101^2); CPython 3.11).  Over an extension it is
-# that Euclid over the base, its cofactors multiplied by the schoolbook
-# loop (``polys`` imports this module at load time, so the factory imports
-# it lazily).  Up to ZECH_MAX_ORDER, _zech_ops
-# turns the closures of F_p[X]/(m) into the lookups of its table.
+# serves every extension base[X]/(m): add/sub/neg apply the base's own
+# closures to the d base-|base| digits (_linear_ops; over F_p that is
+# digit-wise arithmetic mod p), and one product kernel spreads the flat
+# base-p digits into bit slots, multiplies once and folds a block at a time
+# (_block_kernel), whose power stays in slot form from the first step to
+# the last.  Only the inverse depends on the base.  Over F_p it is an
+# extended Euclid on plain digit lists that divides with _list_divmod_mod_p,
+# which is also the F_p branch of ``polys._divmod_vals``: there is one long
+# division over F_p.  The Euclid over ``polys`` took 1.8-3.4x as long per
+# inversion there (GF(3^9), GF(2^13), GF(101^2); CPython 3.11).  Over an
+# extension it is that Euclid over the base, its cofactors multiplied by
+# the schoolbook loop (``polys`` imports this module at load time, so the
+# factory imports it lazily).  Up to ZECH_MAX_ORDER, _zech_ops turns the
+# closures of F_p[X]/(m) into the lookups of its table.
 #
 # Two helpers serve every layer: _power is the one square-and-multiply loop
 # (FieldCtx.pow_v, Poly ** k, powmod and the Rabin test pass it their own
 # product), and _coerce_vals is the one map from elements and integers to
-# packed values (from_coeffs, moduli and Poly coefficients).
+# packed values (from_coeffs, moduli and Poly coefficients).  Every factory
+# returns its power closure last: _power over its own product, except the
+# extension kernel's slot-form power.
 
 def _prime_ops(p):
     def add(x, y):
@@ -130,7 +135,8 @@ def _prime_ops(p):
             raise DivisionByZero("0 is not invertible")
         return pow(x, p - 2, p)
 
-    return (add, sub, neg, mul, inv, *_codec(p, 1))
+    return (add, sub, neg, mul, inv, *_codec(p, 1),
+            functools.partial(_power, mul))
 
 
 def _power(mul, x, k):
@@ -175,19 +181,20 @@ def _codec(radix, n):
     return decode, encode
 
 
-def _linear_ops(p, n):
-    """add, sub, neg of packed values with n flat base-p digits, digit-wise
-    over F_p."""
-    decode, encode = _codec(p, n)
+def _linear_ops(base, d):
+    """add, sub, neg of packed values with d base-|base| digits, digit by
+    digit through the base's own closures."""
+    decode, encode = _codec(base.order, d)
+    kadd, ksub, kneg = base.add_v, base.sub_v, base.neg_v
 
     def add(x, y):
-        return encode([(a + b) % p for a, b in zip(decode(x), decode(y))])
+        return encode(list(map(kadd, decode(x), decode(y))))
 
     def sub(x, y):
-        return encode([(a - b) % p for a, b in zip(decode(x), decode(y))])
+        return encode(list(map(ksub, decode(x), decode(y))))
 
     def neg(x):
-        return encode([-c % p for c in decode(x)])
+        return encode(list(map(kneg, decode(x))))
 
     return add, sub, neg
 
@@ -339,7 +346,8 @@ def _zech_ops(p, d, ext_ops):
             build()
         return exps[-logs[x]]
 
-    return (add, sub, neg, mul, inv, decode, encode), tables
+    return (add, sub, neg, mul, inv, decode, encode,
+            functools.partial(_power, mul)), tables
 
 
 def _spread(v, p, shifts):
@@ -358,7 +366,7 @@ def _gather(acc, shifts, mask, p):
     ``acc`` at the bit offsets ``shifts``, each reduced mod p.
 
     This turns a sum of slot-packed rows of an F_p-linear map back into
-    digits: the Frobenius matrix and the tower product both end here.
+    digits: the Frobenius matrix and the extension product both end here.
     """
     v = 0
     for shift in shifts:
@@ -366,81 +374,169 @@ def _gather(acc, shifts, mask, p):
     return v
 
 
-def _tower_product(base, f, encode):
-    """The slot layout and reduction rows of the product in base[X]/(f).
+def _slot_reducer(p, b, width, slots):
+    """x -> every slot of x mod p, for x of ``slots`` slots of ``width``
+    >= b + 1 bits, each below 2^b.
+
+    It divides by p with an invariant multiplier (Granlund and Montgomery,
+    1994).  With L = bitlen(p - 1), s = b + L and
+    M = ceil(2^s / p) = (2^s + r) / p, 0 <= r < p, write v = q p + t with
+    0 <= t < p.  Then v M / 2^s = q + t / p + v r / (p 2^s), and
+    v r < 2^b 2^L = 2^s, so t / p + v r / (p 2^s) < (t + 1) / p <= 1: for
+    every v < 2^b, floor(v M / 2^s) = q = v // p exactly.  As p > 2^(L - 1),
+    M <= 2^(b + 1) and v M < 2^(2b + 1), more than one slot holds, so the
+    even and the odd slots are reduced apart: ``x & even`` keeps every
+    other slot, each v M then has 2 * width >= 2b + 2 bits to itself,
+    (x M >> s) & quot reads every quotient (q < 2^(2 width - s), below the
+    bits the next kept slot shifts down), and x - p q leaves v mod p in
+    each slot.
+    """
+    shift = b + (p - 1).bit_length()
+    magic = -(-(1 << shift) // p)
+    pairs = -(-slots // 2)
+    even = _runs(width, 2 * width, pairs)
+    quot = _runs((((1 << b) - 1) // p).bit_length(), 2 * width, pairs)
+
+    def reduce(x):
+        lo = x & even
+        hi = x >> width & even
+        lo -= p * (lo * magic >> shift & quot)
+        hi -= p * (hi * magic >> shift & quot)
+        return lo | hi << width
+
+    return reduce
+
+
+def _runs(run, period, count):
+    """``count`` runs of ``run`` one bits, one at the bottom of each
+    ``period`` bits."""
+    x, have = (1 << run) - 1, 1
+    while have < count:
+        x |= x << (have * period)
+        have *= 2
+    return x & ((1 << (period * count)) - 1)
+
+
+def _block_kernel(base, f, encode):
+    """(spread, fold, step, gather) of the product in base[X]/(f).
 
     With K = base of degree e over F_p, m = deg f and a value's flat base-p
-    digit i*e + j the coefficient of X^i y^j (y the root of K's modulus;
-    over K = F_p, e = 1 and only J = 0 occurs), a value spreads into slot
-    i*(2e - 1) + j: X-major blocks of 2e - 1 slots of ``width`` bits.  The
-    product of two spread values then holds the coefficient of X^I y^J in
-    slot (I, J) for I < 2m - 1, J < 2e - 1, each at most m*e*(p - 1)^2.
-    Slots with I < m and J < e are already reduced and stay in place (the
-    ``low`` mask); every other slot is replaced by its value times the row
-    X^I y^J mod (K's modulus, f), spread the same way.  The width bounds a
-    kept slot plus every row's contribution, so no slot carries into the
-    next.
+    digit i*e + j the coefficient of X^i y^j (y the root of K's modulus g;
+    over K = F_p, e = 1 and only J = 0 occurs), ``spread`` puts that digit
+    in slot j of block i: X-major blocks of 2e - 1 slots of ``width`` bits.
+    The product c of two spread values holds the coefficient of X^I y^J in
+    slot J of block I, I < 2m - 1, J < 2e - 1, each at most
+    v0 = m e (p - 1)^2.  ``fold`` reduces c mod (g, f) in three steps, on
+    whole integers:
+
+    1. y-fold, every block at once: for J = e .. 2e - 2, slot J of every
+       block, (c >> J width) & (slot 0 of every block), times the spread
+       digits of y^J mod g, replaces slot J.  e - 1 multiply-adds leave
+       slots j < e of each block, each at most
+       v1 = v0 (1 + (e - 1)(p - 1)).
+    2. X-fold, a block at a time: each block i = m .. 2m - 2, an element of
+       K in e slots, times the spread row of X^i mod f is added to the low
+       m blocks.  A block times a row has y-degree at most 2e - 2, inside
+       the stride, and every slot is then at most
+       v2 = v1 (1 + (m - 1) e (p - 1)).
+    3. y-fold again on the m low blocks: every slot j < e is at most
+       v3 = v2 (1 + (e - 1)(p - 1)), and the others are 0.
+
+    Slots are bitlen(v3) + 1 bits wide, so no step carries from one slot
+    into the next, and :func:`_slot_reducer` takes every slot of a folded
+    product mod p in place: ``step(a, b)``, reduce(fold(a * b)), is the
+    spread form of the product, so powers chain in slot form.  ``gather``
+    maps spread or folded values back to packed ones, each slot mod p.
 
     The rows come from f and K's own closures (K's product and y^J), never
-    from a product in base[X]/(f).  Returns (in_shifts, low, folds,
-    out_shifts, mask), where folds pairs each reduced slot's bit offset
-    with its row.
+    from a product in base[X]/(f).
     """
     p, e, m = base.p, base.total_degree, len(f) - 1
     stride = 2 * e - 1
-    folded = (2 * m - 1) * stride - m * e
-    width = (m * e * (p - 1) ** 2 * (1 + folded * (p - 1))).bit_length()
-    in_shifts = tuple(width * (i * stride + j)
+    v0 = m * e * (p - 1) ** 2
+    y_gain = 1 + (e - 1) * (p - 1)
+    b = (v0 * y_gain ** 2 * (1 + (m - 1) * e * (p - 1))).bit_length()
+    width = b + 1
+    span = stride * width
+    in_shifts = tuple(span * i + width * j
                       for i in range(m) for j in range(e))
     mask = (1 << width) - 1
-    low = sum(mask << shift for shift in in_shifts)
+    slot0 = _runs(width, span, 2 * m - 1)
+    keep = _runs(e * width, span, 2 * m - 1)
+    low, block = (1 << (m * span)) - 1, (1 << (e * width)) - 1
     kmul, ksub = base.mul_v, base.sub_v
     y_pows = [1]
     for _ in range(stride - 1):
         y_pows.append(kmul(y_pows[-1], p))
+    y_rows = tuple((width * j, _spread(y_pows[j], p, in_shifts[:e]))
+                   for j in range(e, stride))
     x_pow = [1] + [0] * (m - 1)
-    folds = []
-    for i in range(2 * m - 1):
-        if i:
-            # X^i mod f = X * X^(i-1), with X^m = -(f_0 + ... + f_{m-1} X^(m-1))
-            top = x_pow[-1]
-            x_pow = [ksub(c, kmul(top, fj))
-                     for c, fj in zip([0] + x_pow[:-1], f)]
-        for j in range(stride):
-            if i >= m or j >= e:
-                row = encode([kmul(c, y_pows[j]) for c in x_pow])
-                folds.append((width * (i * stride + j),
-                              _spread(row, p, in_shifts)))
-    return in_shifts, low, tuple(folds), in_shifts[::-1], mask
+    x_rows = []
+    for i in range(1, 2 * m - 1):
+        # X^i mod f = X * X^(i-1), with X^m = -(f_0 + ... + f_{m-1} X^(m-1))
+        top = x_pow[-1]
+        x_pow = [ksub(c, kmul(top, fj)) for c, fj in zip([0] + x_pow[:-1], f)]
+        if i >= m:
+            x_rows.append((span * i, _spread(encode(x_pow), p, in_shifts)))
+
+    def fold(c):
+        if y_rows:
+            acc = c & keep
+            for shift, row in y_rows:
+                acc += (c >> shift & slot0) * row
+            c = acc
+        acc = c & low
+        for shift, row in x_rows:
+            k = c >> shift & block
+            if k:
+                acc += k * row
+        if y_rows:
+            c = acc
+            acc &= keep
+            for shift, row in y_rows:
+                acc += (c >> shift & slot0) * row
+        return acc
+
+    reduce = _slot_reducer(p, b, width, m * stride)
+
+    def step(a, b):
+        return reduce(fold(a * b))
+
+    out_shifts = in_shifts[::-1]
+    return (lambda v: _spread(v, p, in_shifts), fold, step,
+            lambda acc: _gather(acc, out_shifts, mask, p))
 
 
 def _ext_ops(base: "FieldCtx", d, modulus_digits):
     """Closures for base[X]/(m), m monic irreducible of degree d; digits are
     packed base values.
 
-    A product is one multiply of Kronecker-packed flat digits and an
-    F_p-linear reduction by precomputed rows, built on the first product
-    (see :func:`_tower_product`).  An inverse is an extended Euclid against
-    m that tracks only the cofactor of x and ends at a nonzero constant,
-    because m is irreducible: on plain digit lists over F_p, and over
-    ``base`` on :mod:`.polys` above it."""
+    add, sub and neg run the base's closures digit by digit
+    (:func:`_linear_ops`).  A product is gather(fold(spread(x) *
+    spread(y))), and a power spreads once, squares and multiplies in slot
+    form with ``step`` and gathers once, on the kernel of
+    :func:`_block_kernel`, built on the first product or power.  An
+    inverse is an extended Euclid against m that tracks only the cofactor
+    of x and ends at a nonzero constant, because m is irreducible: on plain
+    digit lists over F_p, and over ``base`` on :mod:`.polys` above it."""
     decode, encode = _codec(base.order, d)
     p = base.p
-    layout = None
+    kernel = None
+
+    def built():
+        nonlocal kernel
+        if kernel is None:
+            kernel = _block_kernel(base, modulus_digits, encode)
+        return kernel
 
     def mul(x, y):
-        nonlocal layout
-        if layout is None:
-            layout = _tower_product(base, modulus_digits, encode)
-        in_shifts, low, folds, out_shifts, mask = layout
-        a = _spread(x, p, in_shifts)
-        c = a * (a if x == y else _spread(y, p, in_shifts))
-        acc = c & low
-        for shift, row in folds:
-            k = c >> shift & mask
-            if k:
-                acc += k * row
-        return _gather(acc, out_shifts, mask, p)
+        spread, fold, _, gather = built()
+        a = spread(x)
+        return gather(fold(a * (a if x == y else spread(y))))
+
+    def power(x, k):
+        spread, _, step, gather = built()
+        return gather(_power(step, spread(x), k))
 
     if base.kind == 'prime':
         def inv(x):
@@ -488,7 +584,7 @@ def _ext_ops(base: "FieldCtx", d, modulus_digits):
                                         _schoolbook_vals(base, quo, t1))
             return encode(_schoolbook_vals(base, t1, (base.inv_v(r1[0]),)))
 
-    return (*_linear_ops(p, d * base.total_degree), mul, inv, decode, encode)
+    return (*_linear_ops(base, d), mul, inv, decode, encode, power)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +605,7 @@ class FieldCtx:
         'kind', 'p', 'base', 'modulus_vals', 'degree', 'total_degree',
         'depth', 'order', 'prime_ctx',
         'add_v', 'sub_v', 'neg_v', 'mul_v', 'inv_v', 'decode_v', 'encode_v',
-        '_trace', '_frob', '_zech_table', '_unit_primes',
+        '_pow', '_trace', '_frob', '_zech_table', '_unit_primes',
     )
 
     def __init__(self, p, base=None, modulus_vals=None):
@@ -537,16 +633,22 @@ class FieldCtx:
             if self.depth == 1 and self.order <= ZECH_MAX_ORDER:
                 ops, self._zech_table = _zech_ops(p, d, ops)
         (self.add_v, self.sub_v, self.neg_v, self.mul_v, self.inv_v,
-         self.decode_v, self.encode_v) = ops
+         self.decode_v, self.encode_v, self._pow) = ops
 
     # -- packed-value helpers ------------------------------------------------
 
     def pow_v(self, x: int, k: int) -> int:
-        """x**k on packed values; k may be negative when x is invertible."""
+        """x**k on packed values; k may be negative when x is invertible.
+
+        An extension without a Zech table powers in the slot form of its
+        product kernel (:func:`_block_kernel`); a prime field and a Zech
+        field run :func:`_power` over ``mul_v``, so x^p is never computed
+        the way :meth:`frobenius_v` computes it there.
+        """
         if k < 0:
             x = self.inv_v(x)
             k = -k
-        return _power(self.mul_v, x, k) if k else 1
+        return self._pow(x, k) if k else 1
 
     # -- F_p-linear maps -------------------------------------------------------
     #
@@ -554,9 +656,11 @@ class FieldCtx:
     # in the basis p^k, k < total_degree, at depth 1 and depth 2 alike.
     # Trace and Frobenius are F_p-linear (Lidl & Niederreiter, Finite
     # Fields, Thm 2.23), so each is fixed by its images of that basis.  Both
-    # maps are built on first use, from rel_trace and pow_v, so constructing
-    # a context costs nothing extra.  Up to ZECH_MAX_ORDER the trace is a
-    # table of every packed value, and with a Zech table x^p is g^(p log x).
+    # maps are built on first use, the trace vector from the modulus by
+    # Newton's identities over the base and the Frobenius matrix from
+    # pow_v, so constructing a context costs nothing extra.  Up to
+    # ZECH_MAX_ORDER the trace is a table of every packed value, and with a
+    # Zech table x^p is g^(p log x).
 
     def trace_v(self, x: int) -> int:
         """Absolute trace of a packed value, as an integer in [0, p)."""
@@ -574,10 +678,32 @@ class FieldCtx:
 
     def _linear_form(self):
         """The absolute trace as a closure: the dot product of the digits
-        with the trace vector, or up to ZECH_MAX_ORDER a q-entry table."""
-        p, prime = self.p, self.prime_ctx
-        vec = [rel_trace(FieldElement(self, p ** k), prime).val
-               for k in range(self.total_degree)]
+        with the trace vector, or up to ZECH_MAX_ORDER a q-entry table.
+
+        Digit i e + j of a packed value (e the base's degree over F_p) is
+        the coefficient of X^i y^j, y the root of the base's modulus, and
+        Tr(X^i y^j) = Tr_K(y^j Tr_{L/K}(X^i)) = Tr_K(y^j s_i), K the base.
+        s_i, the i-th power sum of the modulus's roots, comes from Newton's
+        identities over K: s_0 = m and, for 0 < i < m,
+        s_i = -(i f_{m-i} + f_{m-1} s_{i-1} + ... + f_{m-i+1} s_1).  No
+        product in this field is needed, so a trace builds no Zech table;
+        :func:`rel_trace` stays the independent reference it is checked
+        against.
+        """
+        p = self.p
+        if self.kind == 'prime':
+            vec = [1]
+        else:
+            base, f, m = self.base, self.modulus_vals, self.degree
+            kmul, kadd = base.mul_v, base.add_v
+            sums = [m % p]
+            for i in range(1, m):
+                acc = kmul(i % p, f[m - i])
+                for k in range(1, i):
+                    acc = kadd(acc, kmul(f[m - k], sums[i - k]))
+                sums.append(base.neg_v(acc))
+            vec = [base.trace_v(kmul(p ** j, s))
+                   for s in sums for j in range(base.total_degree)]
         if self.order <= ZECH_MAX_ORDER:
             # digit k of x is its high part d: Tr(x) = Tr(low) + d vec[k]
             table = [0]
@@ -925,10 +1051,11 @@ def rel_trace(x: FieldElement, sub: FieldCtx) -> FieldElement:
     """Trace of x down to the subfield ``sub`` on the same base chain.
 
     Sums the [field : sub] conjugates x^(|sub|^i) with plain powering.  This
-    literal Frobenius sum is the reference: it builds the trace vector behind
-    :func:`abs_trace`, and the ``xcheck`` oracles (``rel_trace_oracle``,
-    ``minpoly_trace_check``) compare against it, so it must not use the
-    precomputed trace or Frobenius maps.  The result's coefficient vector is
+    literal Frobenius sum is the reference: the trace vector behind
+    :func:`abs_trace` (from Newton's identities) is checked against it, and
+    the ``xcheck`` oracles (``rel_trace_oracle``, ``minpoly_trace_check``)
+    compare against it, so it must not use the precomputed trace or
+    Frobenius maps.  The result's coefficient vector is
     checked to lie in ``sub`` (its packed value is below |sub|).
     """
     ctx = x.ctx

@@ -17,8 +17,9 @@ packed integer (see :class:`_Kron`).  The schoolbook loop over the field's
 closures (``_schoolbook_vals``) remains for polynomials over depth-2
 towers, for single products whose slots would need more than 8 bytes, and
 for the short cofactors of the tower inverse in :mod:`.fields`.  An
-extension field's own element product does not come from here: it packs
-the value's flat digits and reduces by F_p-linear rows in :mod:`.fields`.
+extension field's own element product does not come from here: it spreads
+the value's flat digits into bit slots and folds a block at a time in
+:mod:`.fields`, with the same slot reducer as the Barrett product.
 Division and gcd are the classical algorithms; over F_p the long division
 is ``fields._list_divmod_mod_p``, the one F_p division that F_p[X]/(m)
 inverts with as well.
@@ -42,9 +43,9 @@ zur Gathen and Shoup, 1992).
 
 from __future__ import annotations
 
+import math
 import sys
 from array import array
-from itertools import product as _cartesian
 from itertools import starmap, zip_longest
 
 from .errors import (
@@ -61,6 +62,8 @@ from .fields import (
     _list_divmod_mod_p,
     _power,
     _prime_factors,
+    _runs,
+    _slot_reducer,
     _trim,
     element_to_text,
 )
@@ -107,18 +110,10 @@ class _Kron:
     ``reduce`` sees is below 2^B, B the bit length of that bound, and the
     slots are at least B + 1 bits wide.
 
-    ``reduce`` divides by p with an invariant multiplier (Granlund and
-    Montgomery, 1994).  With L = bitlen(p - 1), s = B + L and
-    M = ceil(2^s / p) = (2^s + r) / p, 0 <= r < p, write v = q p + t with
-    0 <= t < p.  Then v M / 2^s = q + t / p + v r / (p 2^s), and
-    v r < 2^B 2^L = 2^s, so t / p + v r / (p 2^s) < (t + 1) / p <= 1: for
-    every v < 2^B, floor(v M / 2^s) = q = v // p exactly.  As p > 2^(L - 1),
-    M <= 2^(B + 1) and v M < 2^(2B + 1), more than one slot holds, so the
-    even and the odd slots are reduced apart: ``x & even`` keeps every
-    other slot, each v M then has 2 * width >= 2B + 2 bits to itself,
-    (x M >> s) & quot reads every quotient (q < 2^(2 width - s), below the
-    bits the next kept slot shifts down), and x - p q leaves v mod p in
-    each slot.
+    ``reduce`` is ``fields._slot_reducer``: every slot mod p at once by a
+    multiply-shift on the even and the odd slots (Granlund and Montgomery,
+    1994), exact for slot values below 2^B in slots of at least B + 1
+    bits; its docstring holds the argument.
 
     A ``tight`` layout, for :func:`_mulmod`, has slots of B + 1 bits: its
     products chain, the bigint multiplies dominate at large degrees, and
@@ -206,35 +201,6 @@ class _Kron:
         while blocks:
             out = [acc * p + v for acc, v in zip(out, blocks.pop())]
         return out
-
-
-def _slot_reducer(p, b, width, slots):
-    """x -> every slot of x mod p, for x of ``slots`` slots of ``width``
-    >= b + 1 bits, each below 2^b (see :class:`_Kron` for the argument)."""
-    shift = b + (p - 1).bit_length()
-    magic = -(-(1 << shift) // p)
-    pairs = -(-slots // 2)
-    even = _runs(width, 2 * width, pairs)
-    quot = _runs((((1 << b) - 1) // p).bit_length(), 2 * width, pairs)
-
-    def reduce(x):
-        lo = x & even
-        hi = x >> width & even
-        lo -= p * (lo * magic >> shift & quot)
-        hi -= p * (hi * magic >> shift & quot)
-        return lo | hi << width
-
-    return reduce
-
-
-def _runs(run, period, count):
-    """``count`` runs of ``run`` one bits, one at the bottom of each
-    ``period`` bits."""
-    x, have = (1 << run) - 1, 1
-    while have < count:
-        x |= x << (have * period)
-        have *= 2
-    return x & ((1 << (period * count)) - 1)
 
 
 def _y_folder(p, e, bits, modulus):
@@ -665,18 +631,36 @@ def find_irreducible(ctx: FieldCtx, degree: int) -> Poly:
 
     Candidates are ordered lexicographically by coefficient vector with the
     constant term most significant, so the answer is deterministic for a
-    given field.  Above degree 1 the candidates with f(0) = 0, which X
-    divides, are skipped without a Rabin test.
+    given field.  An odometer walks them without materialising any range,
+    so a large field costs only the candidates it tests.  Above degree 1
+    the candidates with f(0) = 0, which X divides, are skipped without a
+    Rabin test, and so are those with every coefficient in F_p when
+    g = gcd(degree, [ctx : F_p]) > 1: such an f factors over F_p, or is
+    irreducible there of the given degree and splits over ctx into g
+    factors.  Every candidate up to the next one whose last coefficient is
+    p lies in F_p as well, so the odometer jumps there.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    coeffs = range(ctx.order)
-    consts = coeffs if degree == 1 else range(1, ctx.order)
-    for lower in _cartesian(consts, *[coeffs] * (degree - 1)):
-        cand = Poly._make(ctx, lower + (1,))
-        if is_irreducible(cand):
-            return cand
-    raise AssertionError("unreachable: irreducibles of every degree exist")
+    order, p = ctx.order, ctx.p
+    over_fp_splits = math.gcd(degree, ctx.total_degree) > 1
+    lower = [0] * degree
+    lower[0] = 0 if degree == 1 else 1
+    while True:
+        if over_fp_splits and max(lower) < p:
+            lower[-1] = p
+        else:
+            cand = Poly._make(ctx, tuple(lower) + (1,))
+            if is_irreducible(cand):
+                return cand
+            k = degree - 1
+            while lower[k] == order - 1:
+                if k == 0:
+                    raise AssertionError(
+                        "unreachable: irreducibles of every degree exist")
+                lower[k] = 0
+                k -= 1
+            lower[k] += 1
 
 
 def artin_schreier(xi: FieldElement) -> Poly:

@@ -305,6 +305,24 @@ def test_context_construction_builds_no_table(monkeypatch, fresh_caches):
     assert ctx.mul_v(5, 7) == factory_ops(ctx)[3](5, 7)
 
 
+def test_zero_trace_decision_builds_no_table(monkeypatch, fresh_caches):
+    """Deciding a Tr(xi) = 0 seed of GF(3^8) takes the trace vector from
+    the modulus by Newton's identities, with no product in the field, so
+    no Zech table is built; the vector equals the one rel_trace gives."""
+    from invstab.criterion import decide_inverse_stability
+
+    def no_table(*args):
+        raise AssertionError("log table built")
+    with monkeypatch.context() as patch:
+        patch.setattr(fields, '_log_exp', no_table)
+        ctx = finite_field(3, 8)
+        xi = ctx.from_coeffs([0, 1])
+        verdict = decide_inverse_stability(xi)
+        assert abs_trace(xi) == 0 and verdict.witness_n == 1
+    assert [ctx.trace_v(3 ** k) for k in range(8)] == [
+        rel_trace(ctx.element(3 ** k), ctx.prime_ctx).val for k in range(8)]
+
+
 def test_fresh_context_gets_its_own_table(fresh_caches):
     """A context built after the caches are emptied, as the benchmark does
     before every command, is a new object with its own table, and its
@@ -656,9 +674,10 @@ def slot_bound_pairs(order):
 
 
 def test_tower_product_matches_schoolbook_reference():
-    """Tower mul_v (one packed multiply of the flat digits, reduced by
-    F_p-linear rows) against ref_product, and add_v/sub_v (flat F_p digits)
-    against coefficient-wise base operators: every pair of F_4(gamma) and
+    """Tower mul_v (one packed multiply of the flat digits, folded a block
+    at a time) against ref_product, and add_v/sub_v/neg_v (the base's
+    closures digit by digit) against coefficient-wise base operators:
+    every pair of F_4(gamma) and
     F_8(gamma); seeded pairs, squares, 0, 1 and lifted base elements of
     F_9(gamma), F_16(gamma), F_25(gamma), F_49(gamma) and of F_16 as
     F_4[X]/(f) with the non-Artin-Schreier f of test_field_axioms; and on
@@ -687,6 +706,68 @@ def test_tower_product_matches_schoolbook_reference():
             assert L.mul_v(x, y) == packed(ref_product(modulus, u, v)), (L, x, y)
             assert L.add_v(x, y) == packed([s + t for s, t in zip(u, v)])
             assert L.sub_v(x, y) == packed([s - t for s, t in zip(u, v)])
+            assert L.neg_v(x) == packed([-s for s in u])
+
+
+def power_shapes():
+    """The towers of test_tower_product_matches_schoolbook_reference, plus
+    shapes (m, e) = (2, 6), (3, 3) and (11, 2): F_64(gamma), F_27(gamma)
+    and F_121(gamma), the widest fold of an Artin-Schreier tower in CI."""
+    K4 = finite_field(2, 2)
+    bases = (K4, finite_field(2, 3), F9, finite_field(2, 4), F25,
+             finite_field(7, 2), finite_field(2, 6), finite_field(3, 3),
+             finite_field(11, 2))
+    towers = [tower_over(base) for base in bases]
+    towers.append(extension_field(K4, find_irreducible(K4, 2)))
+    return towers
+
+
+def ref_power(modulus, u, k):
+    """u^k, k >= 1, by _power over ref_product."""
+    return _power(lambda a, b: ref_product(modulus, a, b), u, k)
+
+
+def test_tower_power_matches_reference_powering():
+    """Tower pow_v (spread once, square and multiply in slot form with a
+    slot-parallel reduction after each step, gather once) against _power
+    over ref_product on every shape of power_shapes, with exponents |K|^i
+    for 0 < i < m (rel_trace's conjugates) and q - 2 (an inverse): three
+    seeded operands and the slot-bound operands of slot_bound_pairs (every
+    digit p - 1, 0 and 1)."""
+    rng = random.Random(6064)
+    shapes = power_shapes()
+    assert sorted((L.degree, L.base.total_degree) for L in shapes) == [
+        (2, 2), (2, 2), (2, 3), (2, 4), (2, 6), (3, 2), (3, 3), (5, 2),
+        (7, 2), (11, 2)]
+    for L in shapes:
+        base, d = L.base, L.degree
+        modulus = [base.element(v) for v in L.modulus_vals]
+        exps = [base.order ** i for i in range(1, d)] + [L.order - 2]
+        xs = [rng.randrange(L.order) for _ in range(3)]
+        xs += sorted({x for pair in slot_bound_pairs(L.order) for x in pair})
+        for x in xs:
+            u = unpacked(base, d, x)
+            for k in exps:
+                assert L.pow_v(x, k) == packed(ref_power(modulus, u, k)), (
+                    L, x, k)
+
+
+def test_tower_power_exhaustive_on_small_towers():
+    """Every product and every power x^k, k = 1 .. q, of every element of
+    F_4(gamma) (order 16) and F_8(gamma) (order 64), against ref_product
+    and a running ref_product."""
+    for base in (finite_field(2, 2), finite_field(2, 3)):
+        L = tower_over(base)
+        d = L.degree
+        modulus = [base.element(v) for v in L.modulus_vals]
+        coeffs = [unpacked(base, d, x) for x in range(L.order)]
+        for x, u in enumerate(coeffs):
+            for y, v in enumerate(coeffs):
+                assert L.mul_v(x, y) == packed(ref_product(modulus, u, v))
+            acc = u
+            for k in range(1, L.order + 1):
+                assert L.pow_v(x, k) == packed(acc), (L, x, k)
+                acc = ref_product(modulus, acc, u)
 
 
 def test_tower_product_never_calls_barrett(monkeypatch):
@@ -735,6 +816,29 @@ def test_generic_product_without_packed_layout():
         cases.append((unpacked(K, 5, x), unpacked(K, 5, y)))
     for a, b in cases:
         assert mul(packed(a), packed(b)) == packed(ref_product(modulus, a, b))
+
+
+def test_power_on_the_widest_slots():
+    """The factory's power on the degree-5 tower over F_{1048573^2} of
+    test_generic_product_without_packed_layout, whose slot width is the
+    largest in these tests, against _power over ref_product: seeded
+    operands and the all-(p - 1) operand, to the exponents |K|^i, i < 5,
+    and a seeded exponent."""
+    big = 1048573
+    r = next(r for r in range(2, big) if pow(r, (big - 1) // 2, big) == big - 1)
+    K = finite_field(big, 2, modulus=(-r % big, 0, 1))
+    rng = random.Random(6065)
+    modulus = [rand_elt(rng, K) for _ in range(5)] + [K.one]
+    ops = _ext_ops(K, 5, tuple(c.val for c in modulus))
+    mul, power = ops[3], ops[-1]
+    xs = [rng.randrange(K.order ** 5) for _ in range(4)] + [K.order ** 5 - 1]
+    exps = [K.order ** i for i in range(1, 5)] + [rng.randrange(2, 1 << 64)]
+    for x in xs:
+        u = unpacked(K, 5, x)
+        for k in exps:
+            want = packed(ref_power(modulus, u, k))
+            assert power(x, k) == want, (x, k)
+        assert power(x, 2) == mul(x, x)
 
 
 def test_tower_inverse_against_reference_product():

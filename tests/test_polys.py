@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -589,6 +590,31 @@ def test_find_irreducible_over_extension():
     g = find_irreducible(F9, 2)
     assert g.degree == 2 and g.leading == F9.one
     assert is_irreducible(g)
+
+
+def test_find_irreducible_over_a_large_field():
+    """Over K = F_{1048573^2} (order about 1.1e12) the candidates are
+    walked lazily: degree 2 returns at once.  A monic quadratic over K, of
+    odd characteristic, is irreducible iff its discriminant is not a
+    square (Euler's criterion, d^((q - 1) / 2) = -1).  The p candidates
+    X^2 + cX + 1 with c in F_p all split, because F_p's discriminants are
+    squares in K; the answer must be the first one after them that does
+    not."""
+    K = finite_field(1048573, 2)
+    p, q = K.p, K.order
+    start = time.perf_counter()
+    f = find_irreducible(K, 2)
+    assert time.perf_counter() - start < 10
+    c0, c1, lead = f.vals
+    assert lead == 1 and c0 == 1 and is_irreducible(f)
+
+    def square(b, c):
+        disc = K.sub_v(K.mul_v(b, b), K.mul_v(4, c))
+        return K.pow_v(disc, (q - 1) // 2) != K.neg_v(1)
+
+    assert not square(c1, c0)
+    assert all(square(b, 1) for b in (0, 1, 2, 3, p - 1))
+    assert p <= c1 and all(square(b, 1) for b in range(p, c1))
 
 
 # -- reciprocal ----------------------------------------------------------------------
