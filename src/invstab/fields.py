@@ -418,12 +418,13 @@ def _runs(run, period, count):
 
 
 def _block_kernel(base, f, encode):
-    """(spread, fold, step, gather) of the product in base[X]/(f).
+    """(mul, power) of base[X]/(f), power(x, k) for k >= 1.
 
     With K = base of degree e over F_p, m = deg f and a value's flat base-p
     digit i*e + j the coefficient of X^i y^j (y the root of K's modulus g;
-    over K = F_p, e = 1 and only J = 0 occurs), ``spread`` puts that digit
-    in slot j of block i: X-major blocks of 2e - 1 slots of ``width`` bits.
+    over K = F_p, e = 1 and only J = 0 occurs), :func:`_spread` puts that
+    digit in slot j of block i: X-major blocks of 2e - 1 slots of ``width``
+    bits.
     The product c of two spread values holds the coefficient of X^I y^J in
     slot J of block I, I < 2m - 1, J < 2e - 1, each at most
     v0 = m e (p - 1)^2.  ``fold`` reduces c mod (g, f) in three steps, on
@@ -444,9 +445,10 @@ def _block_kernel(base, f, encode):
 
     Slots are bitlen(v3) + 1 bits wide, so no step carries from one slot
     into the next, and :func:`_slot_reducer` takes every slot of a folded
-    product mod p in place: ``step(a, b)``, reduce(fold(a * b)), is the
-    spread form of the product, so powers chain in slot form.  ``gather``
-    maps spread or folded values back to packed ones, each slot mod p.
+    product mod p in place: reduce(fold(a * b)) is the spread form of the
+    product.  So ``mul`` spreads both operands, folds their product and
+    gathers it (:func:`_gather` reduces each slot), while ``power``
+    spreads once, squares and multiplies in slot form and gathers once.
 
     The rows come from f and K's own closures (K's product and y^J), never
     from a product in base[X]/(f).
@@ -498,13 +500,21 @@ def _block_kernel(base, f, encode):
         return acc
 
     reduce = _slot_reducer(p, b, width, m * stride)
-
-    def step(a, b):
-        return reduce(fold(a * b))
-
     out_shifts = in_shifts[::-1]
-    return (lambda v: _spread(v, p, in_shifts), fold, step,
-            lambda acc: _gather(acc, out_shifts, mask, p))
+
+    def step(u, v):
+        return reduce(fold(u * v))
+
+    def mul(x, y):
+        a = _spread(x, p, in_shifts)
+        c = a * (a if x == y else _spread(y, p, in_shifts))
+        return _gather(fold(c), out_shifts, mask, p)
+
+    def power(x, k):
+        a = _power(step, _spread(x, p, in_shifts), k)
+        return _gather(a, out_shifts, mask, p)
+
+    return mul, power
 
 
 def _ext_ops(base: "FieldCtx", d, modulus_digits):
@@ -512,10 +522,9 @@ def _ext_ops(base: "FieldCtx", d, modulus_digits):
     packed base values.
 
     add, sub and neg run the base's closures digit by digit
-    (:func:`_linear_ops`).  A product is gather(fold(spread(x) *
-    spread(y))), and a power spreads once, squares and multiplies in slot
-    form with ``step`` and gathers once, on the kernel of
-    :func:`_block_kernel`, built on the first product or power.  An
+    (:func:`_linear_ops`).  Products and powers are those of
+    :func:`_block_kernel`, built on the first product or power: a power
+    stays in slot form from its first step to its last.  An
     inverse is an extended Euclid against m that tracks only the cofactor
     of x and ends at a nonzero constant, because m is irreducible: on plain
     digit lists over F_p, and over ``base`` on :mod:`.polys` above it."""
@@ -525,18 +534,14 @@ def _ext_ops(base: "FieldCtx", d, modulus_digits):
 
     def built():
         nonlocal kernel
-        if kernel is None:
-            kernel = _block_kernel(base, modulus_digits, encode)
+        kernel = _block_kernel(base, modulus_digits, encode)
         return kernel
 
     def mul(x, y):
-        spread, fold, _, gather = built()
-        a = spread(x)
-        return gather(fold(a * (a if x == y else spread(y))))
+        return (kernel or built())[0](x, y)
 
     def power(x, k):
-        spread, _, step, gather = built()
-        return gather(_power(step, spread(x), k))
+        return (kernel or built())[1](x, k)
 
     if base.kind == 'prime':
         def inv(x):

@@ -11,7 +11,8 @@ Nothing in this module shares a code path with the formula it is checking:
   plain powering, never the precomputed trace vector or Frobenius matrix
   that the fast paths use).  In :func:`rel_trace_oracle` the direct side
   multiplies in K(gamma) with the tower product (one packed multiply of
-  the flat digits, reduced by rows X^I y^J mod both moduli) and divides
+  the flat digits, folded by rows y^J mod K's modulus and X^I mod the
+  tower's, a block at a time) and divides
   with the tower's extended Euclid over ``polys``; the formula side runs
   in K alone, on K's closures and its Frobenius and trace maps.  The
   two sides share only K's closures, from which the tower's reduction rows
