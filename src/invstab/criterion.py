@@ -139,11 +139,11 @@ def _step_v(ctx: FieldCtx, xi_v: int, a: int, c: int, d: int,
 
 
 def _row_v(ctx: FieldCtx, n: int, a: int, c: int, d: int,
-           c_inv: int) -> TraceRow:
-    """The table row of the packed triple at index n, given c_inv = 1/c."""
-    ratio = FieldElement(ctx, ctx.mul_v(a, c_inv))
+           ratio: int) -> TraceRow:
+    """The table row of the packed triple at index n, given ratio = a/c."""
+    r = FieldElement(ctx, ratio)
     return TraceRow(n, FieldElement(ctx, a), FieldElement(ctx, c),
-                    FieldElement(ctx, d), ratio, abs_trace(ratio))
+                    FieldElement(ctx, d), r, abs_trace(r))
 
 
 def trace_rows(xi: FieldElement, n_max: int) -> list:
@@ -152,19 +152,21 @@ def trace_rows(xi: FieldElement, n_max: int) -> list:
     The walk stops before the first state with c_n = 0, where a_n / c_n is
     undefined.  Such a state exists only when Tr(xi) = 0 (then D_1 = g is
     already reducible), so for Tr(xi) != 0 the table always has n_max rows.
-    Each row shares the inverse of c_n with the step that follows it.
+    Each row shares the inverse of c_n with the step that follows it; row
+    1's ratio is xi itself (c_1 = 1), so it takes no product.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     ctx, xi_v = xi.ctx, xi.val
-    rows = [_row_v(ctx, 1, xi_v, 1, 0, 1)]
-    minus_one = ctx.neg_v(1)
+    rows = [_row_v(ctx, 1, xi_v, 1, 0, xi_v)]
+    # -1 packs as p - 1 at every depth; a Zech field's neg_v builds its table
+    minus_one = ctx.p - 1
     a, c, d = minus_one, xi_v, minus_one
     for n in range(2, n_max + 1):
         if c == 0:
             break
         c_inv = ctx.inv_v(c)
-        rows.append(_row_v(ctx, n, a, c, d, c_inv))
+        rows.append(_row_v(ctx, n, a, c, d, ctx.mul_v(a, c_inv)))
         if n < n_max:
             a, c, d = _step_v(ctx, xi_v, a, c, d, c_inv)
     return rows

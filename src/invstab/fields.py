@@ -22,14 +22,21 @@ over those coordinates, built on first use (:meth:`FieldCtx.trace_v`,
 survives only in :func:`rel_trace`, the reference that the trace vector and
 the ``xcheck`` oracles are checked against.
 
+Each concept of the arithmetic kernel has one home.  This module owns the
+bit-slot packing: :func:`_spread` and :func:`_gather`, the slot-parallel
+reduction mod p (:func:`_slot_reducer`), the block-folding product and
+power of every extension (:func:`_block_kernel`) and the Kronecker layout
+that :mod:`.polys` multiplies polynomials with (:class:`_Kron`).
+:mod:`.polys` owns division: the long division over every field, and the
+one extended Euclid that inverts in every extension.
+
 add, sub and neg apply the base's closures to a value's digits over the
 base.  The product needs the flat digits: they spread into bit slots of
 one Kronecker-packed integer, one integer multiply forms every coefficient
 of X^I y^J (y the root of the base's modulus, 1 over F_p), and the result
 is folded mod the moduli a block at a time, with every slot reduced mod p
-at once, so a power never leaves the slot form.  Inverses are an extended
-Euclid: on plain digit lists over F_p, and over the base on :mod:`.polys`
-for towers.
+at once, so a power never leaves the slot form.  An inverse is the
+extended Euclid over the base on :mod:`.polys`, at every depth.
 
 Up to order ZECH_MAX_ORDER, F_p[X]/(m) builds on its first arithmetic
 call one table of discrete logs, antilogs and Zech logarithms
@@ -49,6 +56,8 @@ whose contents are fixed by the field.
 from __future__ import annotations
 
 import functools
+import sys
+from array import array
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -97,18 +106,13 @@ def _prime_factors(n: int) -> list:
 # Each factory returns closures working on packed integers.  _ext_ops
 # serves every extension base[X]/(m): add/sub/neg apply the base's own
 # closures to the d base-|base| digits (_linear_ops; over F_p that is
-# digit-wise arithmetic mod p), and one product kernel spreads the flat
+# digit-wise arithmetic mod p), one product kernel spreads the flat
 # base-p digits into bit slots, multiplies once and folds a block at a time
 # (_block_kernel), whose power stays in slot form from the first step to
-# the last.  Only the inverse depends on the base.  Over F_p it is an
-# extended Euclid on plain digit lists that divides with _list_divmod_mod_p,
-# which is also the F_p branch of ``polys._divmod_vals``: there is one long
-# division over F_p.  The Euclid over ``polys`` took 1.8-3.4x as long per
-# inversion there (GF(3^9), GF(2^13), GF(101^2); CPython 3.11).  Over an
-# extension it is that Euclid over the base, its cofactors multiplied by
-# the schoolbook loop (``polys`` imports this module at load time, so the
-# factory imports it lazily).  Up to ZECH_MAX_ORDER, _zech_ops turns the
-# closures of F_p[X]/(m) into the lookups of its table.
+# the last, and the inverse is the extended Euclid over the base on
+# ``polys`` at every depth (``polys`` imports this module at load time, so
+# the factory imports it lazily).  Up to ZECH_MAX_ORDER, _zech_ops turns
+# the closures of F_p[X]/(m) into the lookups of its table.
 #
 # Two helpers serve every layer: _power is the one square-and-multiply loop
 # (FieldCtx.pow_v, Poly ** k, powmod and the Rabin test pass it their own
@@ -197,27 +201,6 @@ def _linear_ops(base, d):
         return encode(list(map(kneg, decode(x))))
 
     return add, sub, neg
-
-
-def _list_divmod_mod_p(a, b, p):
-    """Divmod of little-endian coefficient lists over F_p; b must be nonzero."""
-    da, db = len(a) - 1, len(b) - 1
-    if da < db:
-        return [0], list(a)
-    inv_lead = pow(b[db], p - 2, p)
-    rem = list(a)
-    quo = [0] * (da - db + 1)
-    for k in range(da, db - 1, -1):
-        c = rem[k]
-        if c:
-            f = c * inv_lead % p
-            quo[k - db] = f
-            for j in range(db):
-                rem[k - db + j] = (rem[k - db + j] - f * b[j]) % p
-            rem[k] = 0
-    while len(rem) > 1 and rem[-1] == 0:
-        rem.pop()
-    return quo, rem
 
 
 def _linear_map(p, images):
@@ -450,8 +433,9 @@ def _block_kernel(base, f, encode):
     gathers it (:func:`_gather` reduces each slot), while ``power``
     spreads once, squares and multiplies in slot form and gathers once.
 
-    The rows come from f and K's own closures (K's product and y^J), never
-    from a product in base[X]/(f).
+    The y rows are the digits of y^J mod g (:func:`_y_powers`), and the X
+    rows come from f and K's own closures, never from a product in
+    base[X]/(f).
     """
     p, e, m = base.p, base.total_degree, len(f) - 1
     stride = 2 * e - 1
@@ -467,11 +451,9 @@ def _block_kernel(base, f, encode):
     keep = _runs(e * width, span, 2 * m - 1)
     low, block = (1 << (m * span)) - 1, (1 << (e * width)) - 1
     kmul, ksub = base.mul_v, base.sub_v
-    y_pows = [1]
-    for _ in range(stride - 1):
-        y_pows.append(kmul(y_pows[-1], p))
-    y_rows = tuple((width * j, _spread(y_pows[j], p, in_shifts[:e]))
-                   for j in range(e, stride))
+    y_digits = _y_powers(p, base.modulus_vals) if e > 1 else []
+    y_rows = tuple((width * j, sum(c << s for c, s in zip(r, in_shifts)))
+                   for j, r in enumerate(y_digits, e))
     x_pow = [1] + [0] * (m - 1)
     x_rows = []
     for i in range(1, 2 * m - 1):
@@ -517,6 +499,162 @@ def _block_kernel(base, f, encode):
     return mul, power
 
 
+#: array type code for each storage slot size in bytes (1, 2, 4, 8)
+_SLOT_CODES = {array(code).itemsize: code for code in 'BHILQ'}
+_SWAP_BYTES = sys.byteorder == 'big'
+
+
+class _Kron:
+    """Kronecker-substitution layout for polynomial products over F_p or
+    F_{p^e}, for :mod:`.polys`.
+
+    A coefficient over F_{p^e} is a polynomial in y (the modulus root) with
+    base-p digits d_0 .. d_{e-1}, so a coefficient vector is a bivariate
+    polynomial in (X, y).  It packs into one integer with one slot of
+    ``width`` bits per digit: digit j of coefficient i sits in slot
+    j * stride + i, so block j of ``stride`` slots holds digit j of every
+    coefficient.  One integer multiply of two packed vectors then yields
+    the packed bivariate product, whose 2e - 1 blocks are the y-powers.
+    ``fold`` adds blocks e .. 2e - 2 back into blocks 0 .. e - 1 times
+    the digits of y^k mod the field modulus, and ``reduce`` takes every
+    slot mod p at once, both on the packed integer.  A packed vector has
+    every slot below p, as ``reduce`` leaves it, so products chain without
+    unpacking.
+
+    :meth:`fit` sizes the slots for twice the largest folded slot of a
+    product of two vectors of at most n coefficients, so the sum of two
+    folded products, such as (c mod X^m) + q * (-f) in
+    :func:`.polys._mulmod`, never carries from one slot into the next:
+    every slot value v that ``reduce`` sees is below 2^B, B the bit length
+    of that bound, and the slots are at least B + 1 bits wide.
+
+    ``reduce`` is :func:`_slot_reducer`: every slot mod p at once by a
+    multiply-shift on the even and the odd slots (Granlund and Montgomery,
+    1994), exact for slot values below 2^B in slots of at least B + 1
+    bits; its docstring holds the argument.
+
+    The layout is y-major where :func:`_block_kernel` is X-major: each
+    measured faster on its own workload.
+
+    A ``tight`` layout, for the Barrett product, has slots of B + 1 bits:
+    its products chain, the bigint multiplies dominate at large degrees,
+    and wider slots (2B + 2 bits for a single multiply-shift, or whole
+    bytes) made them slower.  Its :meth:`pack` and :meth:`unpack` shift one
+    digit at a time, which a whole power pays once.  Any other layout, for
+    a single product, has slots of 1, 2, 4 or 8 bytes of an ``array``,
+    which packs and unpacks in C and made a product 2-5x faster, or the
+    tight width where 8 bytes are too few.
+    """
+
+    __slots__ = ('p', 'e', 'width', 'stride', 'bits', 'blocks', 'code',
+                 'fold', 'reduce')
+
+    @classmethod
+    def fit(cls, ctx, n, stride, tight=False):
+        """The layout for operands of at most n coefficients and products of
+        at most ``stride``; None for a tower (depth 2)."""
+        if ctx.depth > 1:
+            return None
+        p, e = ctx.p, ctx.degree
+        bound = 2 * n * e * (p - 1) ** 2 * (1 + (e - 1) * (p - 1))
+        b = bound.bit_length()
+        width, code = b + 1, None
+        if not tight and b < 64:
+            size = 1
+            while 8 * size <= b:
+                size *= 2
+            width, code = 8 * size, _SLOT_CODES[size]
+        self = cls.__new__(cls)
+        self.p, self.e, self.width, self.stride = p, e, width, stride
+        self.bits = width * stride
+        self.blocks = _runs(1, self.bits, e)
+        self.fold = _y_folder(p, e, self.bits, ctx.modulus_vals)
+        self.code = code
+        self.reduce = _slot_reducer(p, b, width, e * stride)
+        return self
+
+    def low(self, k):
+        """The mask of slots 0 .. k - 1 of every block."""
+        return ((1 << (self.width * k)) - 1) * self.blocks
+
+    def pack(self, vals):
+        """The packed integer of a vector of at most ``stride`` values."""
+        digits = vals
+        if self.e > 1:
+            p = self.p
+            gap = [0] * (self.stride - len(vals))
+            digits = []
+            for pj in [p ** j for j in range(self.e)]:
+                digits += [c // pj % p for c in vals]
+                digits += gap
+        if self.code is None:
+            x, width = 0, self.width
+            for c in reversed(digits):
+                x = x << width | c
+            return x
+        slots = array(self.code, digits)
+        if _SWAP_BYTES:
+            slots.byteswap()
+        return int.from_bytes(slots.tobytes(), 'little')
+
+    def unpack(self, x, n):
+        """Field values of coefficients 0 .. n - 1 of a reduced packed
+        integer."""
+        stride, width = self.stride, self.width
+        starts = range(0, self.e * stride, stride)
+        if self.code is None:
+            mask = (1 << width) - 1
+            blocks = [[x >> (k * width) & mask
+                       for k in range(start, start + n)] for start in starts]
+        else:
+            slots = array(self.code)
+            slots.frombytes(x.to_bytes(self.e * self.bits // 8, 'little'))
+            if _SWAP_BYTES:
+                slots.byteswap()
+            blocks = [slots[start:start + n] for start in starts]
+        out = list(blocks.pop())
+        p = self.p
+        while blocks:
+            out = [acc * p + v for acc, v in zip(out, blocks.pop())]
+        return out
+
+
+def _y_folder(p, e, bits, modulus):
+    """x -> x with blocks e .. 2e - 2 of ``bits`` bits, the y-powers of a
+    packed product over F_p[y]/(modulus), folded into blocks 0 .. e - 1
+    times the digits of y^k mod the modulus; the identity over F_p."""
+    if e == 1:
+        return lambda x: x
+    block = (1 << bits) - 1
+    keep = (1 << (e * bits)) - 1
+    rows = [(k * bits, [(j * bits, r) for j, r in enumerate(digits) if r])
+            for k, digits in enumerate(_y_powers(p, modulus), e)]
+
+    def fold(x):
+        low = x & keep
+        for shift, row in rows:
+            ck = x >> shift & block
+            if ck:
+                for at, r in row:
+                    low += ck * r << at
+        return low
+
+    return fold
+
+
+def _y_powers(p, modulus):
+    """Digits of y^k mod the monic ``modulus`` over F_p, k = e .. 2e - 2."""
+    e = len(modulus) - 1
+    r = [-c % p for c in modulus[:e]]
+    out = [r]
+    for _ in range(e - 2):
+        top = r[-1]
+        r = [-top * modulus[0] % p] + [
+            (r[j - 1] - top * modulus[j]) % p for j in range(1, e)]
+        out.append(r)
+    return out
+
+
 def _ext_ops(base: "FieldCtx", d, modulus_digits):
     """Closures for base[X]/(m), m monic irreducible of degree d; digits are
     packed base values.
@@ -524,12 +662,12 @@ def _ext_ops(base: "FieldCtx", d, modulus_digits):
     add, sub and neg run the base's closures digit by digit
     (:func:`_linear_ops`).  Products and powers are those of
     :func:`_block_kernel`, built on the first product or power: a power
-    stays in slot form from its first step to its last.  An
-    inverse is an extended Euclid against m that tracks only the cofactor
-    of x and ends at a nonzero constant, because m is irreducible: on plain
-    digit lists over F_p, and over ``base`` on :mod:`.polys` above it."""
+    stays in slot form from its first step to its last.  An inverse is the
+    extended Euclid over ``base`` on :mod:`.polys`, at every depth.  It
+    tracks only the cofactor of x and ends at a nonzero constant, because
+    m is irreducible; a zero remainder raises ArithmeticError."""
+    from .polys import _coeffwise, _divmod_vals, _schoolbook_vals
     decode, encode = _codec(base.order, d)
-    p = base.p
     kernel = None
 
     def built():
@@ -543,51 +681,19 @@ def _ext_ops(base: "FieldCtx", d, modulus_digits):
     def power(x, k):
         return (kernel or built())[1](x, k)
 
-    if base.kind == 'prime':
-        def inv(x):
-            if x == 0:
-                raise DivisionByZero("0 is not invertible")
-            r0, r1 = modulus_digits, decode(x)
-            while len(r1) > 1 and r1[-1] == 0:
-                r1.pop()
-            t0, t1 = [0], [1]
-            while True:
-                if len(r1) == 1:
-                    c_inv = pow(r1[0], p - 2, p)
-                    return encode([c * c_inv % p for c in t1])
-                quo, rem = _list_divmod_mod_p(r0, r1, p)
-                r0, r1 = r1, rem
-                if r1 == [0]:
-                    raise ArithmeticError("modulus is not irreducible")
-                prod = [0] * (len(quo) + len(t1) - 1)
-                for i, qi in enumerate(quo):
-                    if qi:
-                        for j, tj in enumerate(t1):
-                            prod[i + j] += qi * tj
-                new_t = [0] * max(len(t0), len(prod))
-                for i, c in enumerate(t0):
-                    new_t[i] = c
-                for i, c in enumerate(prod):
-                    new_t[i] = (new_t[i] - c) % p
-                while len(new_t) > 1 and new_t[-1] == 0:
-                    new_t.pop()
-                t0, t1 = t1, new_t
-    else:
-        from .polys import _coeffwise, _divmod_vals, _schoolbook_vals
-
-        def inv(x):
-            if x == 0:
-                raise DivisionByZero("0 is not invertible")
-            r0, r1 = modulus_digits, _trim(decode(x))
-            t0, t1 = (), (1,)
-            while len(r1) > 1:
-                quo, rem = _divmod_vals(base, r0, r1)
-                if not rem:
-                    raise ArithmeticError("modulus is not irreducible")
-                r0, r1 = r1, rem
-                t0, t1 = t1, _coeffwise(base.sub_v, t0,
-                                        _schoolbook_vals(base, quo, t1))
-            return encode(_schoolbook_vals(base, t1, (base.inv_v(r1[0]),)))
+    def inv(x):
+        if x == 0:
+            raise DivisionByZero("0 is not invertible")
+        r0, r1 = modulus_digits, _trim(decode(x))
+        t0, t1 = (), (1,)
+        while len(r1) > 1:
+            quo, rem = _divmod_vals(base, r0, r1)
+            if not rem:
+                raise ArithmeticError("modulus is not irreducible")
+            r0, r1 = r1, rem
+            t0, t1 = t1, _coeffwise(base.sub_v, t0,
+                                    _schoolbook_vals(base, quo, t1))
+        return encode(_schoolbook_vals(base, t1, (base.inv_v(r1[0]),)))
 
     return (*_linear_ops(base, d), mul, inv, decode, encode, power)
 

@@ -10,19 +10,16 @@ Products over F_p and over an extension F_{p^e} of F_p use Kronecker
 substitution: a coefficient vector packs into one Python integer with one
 bit slot per base-p digit, wide enough that no slot sum carries, so one C
 bigint multiply forms the whole product.  Over F_{p^e} the packing is
-bivariate in X and the modulus root y.  The product's y-powers
-e .. 2e - 2 are folded back with y^k mod the field modulus, and every slot
-is reduced mod p at once by a few whole-integer operations, all on the
-packed integer (see :class:`_Kron`).  The schoolbook loop over the field's
-closures (``_schoolbook_vals``) remains for polynomials over depth-2
-towers, for single products whose slots would need more than 8 bytes, and
-for the short cofactors of the tower inverse in :mod:`.fields`.  An
-extension field's own element product does not come from here: it spreads
-the value's flat digits into bit slots and folds a block at a time in
-:mod:`.fields`, with the same slot reducer as the Barrett product.
-Division and gcd are the classical algorithms; over F_p the long division
-is ``fields._list_divmod_mod_p``, the one F_p division that F_p[X]/(m)
-inverts with as well.
+bivariate in X and the modulus root y.  That layout, its y-fold and its
+slot-parallel reduction mod p live in :mod:`.fields` with the rest of the
+slot packing (``fields._Kron``).  Polynomials over depth-2 towers, which
+have no packed layout, multiply by the schoolbook loop over the field's
+closures (``_schoolbook_vals``).
+
+This module owns division: the long division over every field (over F_p
+on plain integer lists, ``_list_divmod_mod_p``), the gcd, and the division
+and cofactor products of the one extended Euclid, with which
+``fields._ext_ops`` inverts in every extension field.
 
 Products modulo a fixed monic f of degree m use Barrett reduction on
 packed integers: mu = X^(2m - 2) // f comes once from a Newton inversion,
@@ -44,8 +41,6 @@ zur Gathen and Shoup, 1992).
 from __future__ import annotations
 
 import math
-import sys
-from array import array
 from itertools import starmap, zip_longest
 
 from .errors import (
@@ -59,11 +54,9 @@ from .fields import (
     FieldCtx,
     FieldElement,
     _coerce_vals,
-    _list_divmod_mod_p,
+    _Kron,
     _power,
     _prime_factors,
-    _runs,
-    _slot_reducer,
     _trim,
     element_to_text,
 )
@@ -82,163 +75,6 @@ def _neg_vals(ctx, a):
     return tuple(neg(c) for c in a)
 
 
-#: array type code for each storage slot size in bytes (1, 2, 4, 8)
-_SLOT_CODES = {array(code).itemsize: code for code in 'BHILQ'}
-_SWAP_BYTES = sys.byteorder == 'big'
-
-
-class _Kron:
-    """Kronecker-substitution layout for products over F_p or F_{p^e}.
-
-    A coefficient over F_{p^e} is a polynomial in y (the modulus root) with
-    base-p digits d_0 .. d_{e-1}, so a coefficient vector is a bivariate
-    polynomial in (X, y).  It packs into one integer with one slot of
-    ``width`` bits per digit: digit j of coefficient i sits in slot
-    j * stride + i, so block j of ``stride`` slots holds digit j of every
-    coefficient.  One integer multiply of two packed vectors then yields
-    the packed bivariate product, whose 2e - 1 blocks are the y-powers.
-    ``fold`` adds blocks e .. 2e - 2 back into blocks 0 .. e - 1 times
-    the digits of y^k mod the field modulus, and ``reduce`` takes every
-    slot mod p at once, both on the packed integer.  A packed vector has
-    every slot below p, as ``reduce`` leaves it, so products chain without
-    unpacking.
-
-    :meth:`fit` sizes the slots for twice the largest folded slot of a
-    product of two vectors of at most n coefficients, so the sum of two
-    folded products, such as (c mod X^m) + q * (-f) in :func:`_mulmod`,
-    never carries from one slot into the next: every slot value v that
-    ``reduce`` sees is below 2^B, B the bit length of that bound, and the
-    slots are at least B + 1 bits wide.
-
-    ``reduce`` is ``fields._slot_reducer``: every slot mod p at once by a
-    multiply-shift on the even and the odd slots (Granlund and Montgomery,
-    1994), exact for slot values below 2^B in slots of at least B + 1
-    bits; its docstring holds the argument.
-
-    A ``tight`` layout, for :func:`_mulmod`, has slots of B + 1 bits: its
-    products chain, the bigint multiplies dominate at large degrees, and
-    wider slots (2B + 2 bits for a single multiply-shift, or whole bytes)
-    made them slower.  Its :meth:`pack` and :meth:`unpack` shift one digit
-    at a time, which a whole power pays once.  Any other layout, for a
-    single product, has slots of 1, 2, 4 or 8 bytes of an ``array``, which
-    packs and unpacks in C.
-    """
-
-    __slots__ = ('p', 'e', 'width', 'stride', 'bits', 'blocks', 'code',
-                 'fold', 'reduce')
-
-    @classmethod
-    def fit(cls, ctx, n, stride, tight=False):
-        """The layout for operands of at most n coefficients and products of
-        at most ``stride``; None for a tower (depth 2), or when the slots
-        of a layout that is not tight would need more than 8 bytes."""
-        if ctx.depth > 1:
-            return None
-        p, e = ctx.p, ctx.degree
-        bound = 2 * n * e * (p - 1) ** 2 * (1 + (e - 1) * (p - 1))
-        b = bound.bit_length()
-        code = None
-        if tight:
-            width = b + 1
-        else:
-            size = 1
-            while 8 * size <= b:
-                size *= 2
-                if size > 8:
-                    return None
-            width, code = 8 * size, _SLOT_CODES[size]
-        self = cls.__new__(cls)
-        self.p, self.e, self.width, self.stride = p, e, width, stride
-        self.bits = width * stride
-        self.blocks = _runs(1, self.bits, e)
-        self.fold = _y_folder(p, e, self.bits, ctx.modulus_vals)
-        self.code = code
-        self.reduce = _slot_reducer(p, b, width, e * stride)
-        return self
-
-    def low(self, k):
-        """The mask of slots 0 .. k - 1 of every block."""
-        return ((1 << (self.width * k)) - 1) * self.blocks
-
-    def pack(self, vals):
-        """The packed integer of a vector of at most ``stride`` values."""
-        digits = vals
-        if self.e > 1:
-            p = self.p
-            gap = [0] * (self.stride - len(vals))
-            digits = []
-            for pj in [p ** j for j in range(self.e)]:
-                digits += [c // pj % p for c in vals]
-                digits += gap
-        if self.code is None:
-            x, width = 0, self.width
-            for c in reversed(digits):
-                x = x << width | c
-            return x
-        slots = array(self.code, digits)
-        if _SWAP_BYTES:
-            slots.byteswap()
-        return int.from_bytes(slots.tobytes(), 'little')
-
-    def unpack(self, x, lo, hi):
-        """Field values of coefficients lo .. hi - 1 of a reduced packed
-        integer."""
-        n, width = self.stride, self.width
-        if self.code is None:
-            mask = (1 << width) - 1
-            blocks = [[x >> (k * width) & mask
-                       for k in range(start + lo, start + hi)]
-                      for start in range(0, self.e * n, n)]
-        else:
-            slots = array(self.code)
-            slots.frombytes(x.to_bytes(self.e * n * width // 8, 'little'))
-            if _SWAP_BYTES:
-                slots.byteswap()
-            blocks = [slots[start + lo:start + hi]
-                      for start in range(0, self.e * n, n)]
-        out = list(blocks.pop())
-        p = self.p
-        while blocks:
-            out = [acc * p + v for acc, v in zip(out, blocks.pop())]
-        return out
-
-
-def _y_folder(p, e, bits, modulus):
-    """x -> x with blocks e .. 2e - 2 of ``bits`` bits, the y-powers of a
-    packed product over F_p[y]/(modulus), folded into blocks 0 .. e - 1
-    times the digits of y^k mod the modulus; the identity over F_p."""
-    if e == 1:
-        return lambda x: x
-    block = (1 << bits) - 1
-    keep = (1 << (e * bits)) - 1
-    rows = [(k * bits, [(j * bits, r) for j, r in enumerate(digits) if r])
-            for k, digits in enumerate(_y_powers(p, modulus), e)]
-
-    def fold(x):
-        low = x & keep
-        for shift, row in rows:
-            ck = x >> shift & block
-            if ck:
-                for at, r in row:
-                    low += ck * r << at
-        return low
-
-    return fold
-
-
-def _y_powers(p, modulus):
-    """Digits of y^k mod the monic ``modulus`` over F_p, k = e .. 2e - 2."""
-    e = len(modulus) - 1
-    r = [-c % p for c in modulus[:e]]
-    out = [r]
-    for _ in range(e - 2):
-        top = r[-1]
-        r = [-top * modulus[0] % p] + [
-            (r[j - 1] - top * modulus[j]) % p for j in range(1, e)]
-        out.append(r)
-    return out
-
-
 def _mul_vals(ctx, a, b):
     if not a or not b:
         return ()
@@ -247,14 +83,14 @@ def _mul_vals(ctx, a, b):
     if lay is None:
         return _schoolbook_vals(ctx, a, b)
     return _trim(lay.unpack(
-        lay.reduce(lay.fold(lay.pack(a) * lay.pack(b))), 0, size))
+        lay.reduce(lay.fold(lay.pack(a) * lay.pack(b))), size))
 
 
 def _schoolbook_vals(ctx, a, b):
     """The product by the double loop over the field's closures: for
-    polynomials over towers, for slots over 8 bytes, and for the short
-    cofactors of the tower Euclid in :mod:`.fields`, which packing slowed
-    down."""
+    polynomials over towers, which have no packed layout, and for the short
+    cofactors of the extended Euclid that inverts in every extension field
+    (:func:`.fields._ext_ops`), which packing slowed down."""
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
@@ -266,6 +102,24 @@ def _schoolbook_vals(ctx, a, b):
                 if bj:
                     out[i + j] = add(out[i + j], mul(ai, bj))
     return _trim(out)
+
+
+def _list_divmod_mod_p(a, b, p):
+    """Divmod of little-endian coefficient lists over F_p, b nonzero and no
+    longer than a; the remainder keeps len(b) - 1 entries."""
+    db = len(b) - 1
+    inv_lead = pow(b[db], p - 2, p)
+    rem = list(a)
+    quo = [0] * (len(a) - db)
+    for k in range(len(a) - 1, db - 1, -1):
+        c = rem[k]
+        if c:
+            f = c * inv_lead % p
+            quo[k - db] = f
+            for j in range(db):
+                rem[k - db + j] = (rem[k - db + j] - f * b[j]) % p
+    del rem[db:]
+    return quo, rem
 
 
 def _divmod_vals(ctx, a, b):
@@ -347,7 +201,7 @@ def _mulmod(ctx, f):
         return reduce((c + fold(q * neg_f)) & low)
 
     return (mulmod, lay.pack,
-            lambda x: _trim(lay.unpack(x, 0, m)))
+            lambda x: _trim(lay.unpack(x, m)))
 
 
 def _barrett_mu(lay, neg):
@@ -370,7 +224,7 @@ def _barrett_mu(lay, neg):
         low = lay.low(k)
         err = reduce((fold((neg_rev & low) * g) & low) + 1)
         g = reduce(g + (fold(g * err) & low))
-    return lay.pack(lay.unpack(g, 0, n)[::-1])
+    return lay.pack(lay.unpack(g, n)[::-1])
 
 
 def _powmod_vals(ctx, base, k, mod):

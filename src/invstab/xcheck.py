@@ -15,8 +15,9 @@ Nothing in this module shares a code path with the formula it is checking:
   tower's, a block at a time) and divides
   with the tower's extended Euclid over ``polys``; the formula side runs
   in K alone, on K's closures and its Frobenius and trace maps.  The
-  two sides share only K's closures, from which the tower's reduction rows
-  and Euclid are built.  On fields up to ``fields.ZECH_MAX_ORDER``
+  two sides share only K's closures, from which the tower's X rows and
+  Euclid are built; its y rows come from the digits of K's modulus.  On
+  fields up to ``fields.ZECH_MAX_ORDER``
   those closures are lookups in a Zech-log table, built by the same
   packed product that larger fields compute with.  Exhaustive tests check
   the table against that product, and the product against a schoolbook

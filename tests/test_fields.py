@@ -216,8 +216,8 @@ def test_frobenius_matches_pth_power():
 
 def factory_ops(ctx):
     """Fresh closures of the extension factory for a depth-1 context: the
-    packed product and flat Euclid that build its table, and the reference
-    the table is checked against."""
+    packed product that builds its table and the extended Euclid over F_p,
+    the reference the table is checked against."""
     return _ext_ops(ctx.base, ctx.degree, ctx.modulus_vals)
 
 
@@ -305,10 +305,14 @@ def test_context_construction_builds_no_table(monkeypatch, fresh_caches):
     assert ctx.mul_v(5, 7) == factory_ops(ctx)[3](5, 7)
 
 
-def test_zero_trace_decision_builds_no_table(monkeypatch, fresh_caches):
+def test_zero_trace_decision_builds_no_table(monkeypatch, fresh_caches,
+                                             capsys):
     """Deciding a Tr(xi) = 0 seed of GF(3^8) takes the trace vector from
     the modulus by Newton's identities, with no product in the field, so
-    no Zech table is built; the vector equals the one rel_trace gives."""
+    no Zech table is built, and neither does ``check`` in text or json,
+    whose one trace row has ratio a_1/c_1 = xi; the vector equals the one
+    rel_trace gives."""
+    from invstab import cli
     from invstab.criterion import decide_inverse_stability
 
     def no_table(*args):
@@ -319,6 +323,11 @@ def test_zero_trace_decision_builds_no_table(monkeypatch, fresh_caches):
         xi = ctx.from_coeffs([0, 1])
         verdict = decide_inverse_stability(xi)
         assert abs_trace(xi) == 0 and verdict.witness_n == 1
+        for fmt in ('text', 'json'):
+            argv = ['check', '--p', '3', '--e', '8', '--xi', '0,1',
+                    '--format', fmt]
+            assert cli.main(argv) == cli.EXIT_UNSTABLE, fmt
+            assert '0,0,0,0,0,0,0,0' in capsys.readouterr().out, fmt
     assert [ctx.trace_v(3 ** k) for k in range(8)] == [
         rel_trace(ctx.element(3 ** k), ctx.prime_ctx).val for k in range(8)]
 
@@ -575,7 +584,8 @@ def test_generic_ops_agree_with_prime_ext_ops():
     table) must match the factory's.
 
     The factory's product is one packed multiply of the flat digits folded
-    a block at a time, and its inverse a Euclid on plain digit lists;
+    a block at a time, and its inverse the extended Euclid over F_p on
+    polys;
     ref_product multiplies and reduces with the prime field's element
     operators.  add/sub/neg/mul agree on every pair of every depth-1 field
     of order <= 81.  Every nonzero element of every depth-1 field of order
@@ -793,16 +803,16 @@ def test_tower_product_never_calls_barrett(monkeypatch):
 
 def test_generic_product_without_packed_layout():
     """Over F_{1048573^2} a degree-5 tower product has 68-bit slots, the
-    widest in these tests; polys has no packed layout there (its _Kron
-    slots would need more than 8 bytes) and keeps its closure loops.
-    Seeded pairs, squares and the slot-bound operands (every coefficient
-    -1, times itself, 0 and 1); the modulus need not be irreducible for
-    products."""
-    from invstab.polys import _Kron
+    widest in these tests; there the polynomial layout of a single product
+    (_Kron) would need byte slots over 8 bytes, so it takes the tight
+    width.  Seeded pairs, squares and the slot-bound operands (every
+    coefficient -1, times itself, 0 and 1); the modulus need not be
+    irreducible for products."""
+    from invstab.fields import _Kron
     big = 1048573
     r = next(r for r in range(2, big) if pow(r, (big - 1) // 2, big) == big - 1)
     K = finite_field(big, 2, modulus=(-r % big, 0, 1))
-    assert _Kron.fit(K, 5, 9) is None
+    assert _Kron.fit(K, 5, 9).code is None
     rng = random.Random(6061)
     modulus = [rand_elt(rng, K) for _ in range(5)] + [K.one]
     mul = _ext_ops(K, 5, tuple(c.val for c in modulus))[3]
@@ -838,6 +848,27 @@ def test_power_on_the_widest_slots():
             want = packed(ref_power(modulus, u, k))
             assert power(x, k) == want, (x, k)
         assert power(x, 2) == mul(x, x)
+
+
+def test_inverse_raises_on_reducible_modulus():
+    """The factory's one inverse, the extended Euclid over the base, raises
+    ArithmeticError on a zero divisor of a reducible modulus: X - 1 in
+    F_3[X]/((X - 1)(X + 1)) and X - w in F_9[X]/((X - w)(X - 1)); a unit of
+    either ring still inverts.  extension_field rejects such moduli, so
+    the factory is called directly."""
+    F3 = finite_field(3)
+    mod = (2, 0, 1)                                 # X^2 - 1
+    inv = _ext_ops(F3, 2, mod)[4]
+    with pytest.raises(ArithmeticError):
+        inv(2 + 3)                                  # X - 1
+    assert inv(2) == 2
+    w = F9.modulus_root
+    mod = tuple(c.val for c in (w, -w - 1, F9.one))  # (X - w)(X - 1)
+    ops = _ext_ops(F9, 2, mod)
+    with pytest.raises(ArithmeticError):
+        ops[4]((-w).val + 9)                        # X - w
+    unit = (-w - 1).val + 9                         # X - w - 1
+    assert ops[3](unit, ops[4](unit)) == 1
 
 
 def test_tower_inverse_against_reference_product():
