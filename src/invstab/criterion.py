@@ -234,8 +234,9 @@ class StabilityVerdict:
         (named in the message), a trace table that is not a list of row
         dicts, an unknown outcome, a witness or cycle data that does not fit
         the outcome, a trace table of the wrong length or not numbered 1, 2,
-        ..., a negative ``state_steps``, or an element or modulus that is
-        not text (the key is named).
+        ..., a negative ``state_steps``, a field degree ``e`` that is not
+        an int >= 1, or an element or modulus that is not text (the key is
+        named).
         """
         outcome, witness_n, mu, lam, steps, described, xi, table = _values(
             data, 'verdict', ('outcome', 'witness_n', 'preperiod', 'period',
@@ -261,6 +262,8 @@ class StabilityVerdict:
         if [r[0] for r in table] != list(range(1, len(table) + 1)):
             raise ValueError("trace table rows are not numbered 1, 2, ...")
         p, e = _values(described, 'field', ('p', 'e'))
+        if not _is_count(e, 1):
+            raise ValueError(f"field 'e' must be an int >= 1, got {e!r}")
         modulus = described.get('modulus')
         if modulus is not None:
             modulus = [int(s) for s in _text('modulus', modulus).split(',')]

@@ -47,10 +47,11 @@ x^p as g^(p log x), and every context up to that order keeps its trace as
 a q-entry table filled from the trace vector, so every map the criterion's
 walk steps with is a lookup.
 
-Contexts are cached, so two requests for the same field (same prime, same
-modulus chain) return the identical object and context checks are identity
-checks.  Elements are immutable; contexts only add lazily built caches
-whose contents are fixed by the field.
+Contexts are cached, each extension by its base context and modulus, so
+two requests for the same field (same prime, same modulus chain) return
+the identical object and context checks are identity checks.  Elements
+are immutable; contexts only add lazily built caches whose contents are
+fixed by the field.
 """
 
 from __future__ import annotations
@@ -106,13 +107,15 @@ def _prime_factors(n: int) -> list:
 # Each factory returns closures working on packed integers.  _ext_ops
 # serves every extension base[X]/(m): add/sub/neg apply the base's own
 # closures to the d base-|base| digits (_linear_ops; over F_p that is
-# digit-wise arithmetic mod p), one product kernel spreads the flat
-# base-p digits into bit slots, multiplies once and folds a block at a time
-# (_block_kernel), whose power stays in slot form from the first step to
-# the last, and the inverse is the extended Euclid over the base on
-# ``polys`` at every depth (``polys`` imports this module at load time, so
-# the factory imports it lazily).  Up to ZECH_MAX_ORDER, _zech_ops turns
-# the closures of F_p[X]/(m) into the lookups of its table.
+# digit-wise arithmetic mod p), one product kernel, built with the
+# context, spreads the flat base-p digits into bit slots, multiplies once
+# and folds through one helper, by the y rows, the X rows and the y rows
+# again (_block_kernel, _folder), and its power stays in slot form from
+# the first step to the last; the inverse is the extended Euclid over the
+# base on ``polys`` at every depth (``polys`` imports this module at load
+# time, so the factory imports it lazily).  Up to ZECH_MAX_ORDER,
+# _zech_ops turns the closures of F_p[X]/(m) into the lookups of its
+# table.
 #
 # Two helpers serve every layer: _power is the one square-and-multiply loop
 # (FieldCtx.pow_v, Poly ** k, powmod and the Rabin test pass it their own
@@ -400,6 +403,18 @@ def _runs(run, period, count):
     return x & ((1 << (period * count)) - 1)
 
 
+def _folder(keep, sel, rows):
+    """x -> (x & keep) + sum of (x >> shift & sel) * row over ``rows``, the
+    (shift, row) pairs of one fold step of :func:`_block_kernel`."""
+    def fold(x):
+        acc = x & keep
+        for shift, row in rows:
+            acc += (x >> shift & sel) * row
+        return acc
+
+    return fold
+
+
 def _block_kernel(base, f, encode):
     """(mul, power) of base[X]/(f), power(x, k) for k >= 1.
 
@@ -410,32 +425,35 @@ def _block_kernel(base, f, encode):
     bits.
     The product c of two spread values holds the coefficient of X^I y^J in
     slot J of block I, I < 2m - 1, J < 2e - 1, each at most
-    v0 = m e (p - 1)^2.  ``fold`` reduces c mod (g, f) in three steps, on
-    whole integers:
+    v0 = m e (p - 1)^2.  Two folds reduce c mod (g, f), each a
+    :func:`_folder` on whole integers, applied y, then X, then y:
 
-    1. y-fold, every block at once: for J = e .. 2e - 2, slot J of every
-       block, (c >> J width) & (slot 0 of every block), times the spread
-       digits of y^J mod g, replaces slot J.  e - 1 multiply-adds leave
+    1. y-fold, every block at once: slots j < e of every block stay, and
+       for J = e .. 2e - 2, slot J of every block,
+       (c >> J width) & (slot 0 of every block), times the spread digits
+       of y^J mod g, is added in their place.  e - 1 multiply-adds leave
        slots j < e of each block, each at most
-       v1 = v0 (1 + (e - 1)(p - 1)).
-    2. X-fold, a block at a time: each block i = m .. 2m - 2, an element of
-       K in e slots, times the spread row of X^i mod f is added to the low
-       m blocks.  A block times a row has y-degree at most 2e - 2, inside
+       v1 = v0 (1 + (e - 1)(p - 1)); over F_p there are none.
+    2. X-fold: the low m blocks stay, and each block i = m .. 2m - 2, an
+       element of K in e slots, times the spread row of X^i mod f is added
+       to them.  A block times a row has y-degree at most 2e - 2, inside
        the stride, and every slot is then at most
-       v2 = v1 (1 + (m - 1) e (p - 1)).
-    3. y-fold again on the m low blocks: every slot j < e is at most
+       v2 = v1 (1 + (m - 1) e (p - 1)); for m = 1 there are no X rows.
+    3. y-fold again, now on the m low blocks: every slot j < e is at most
        v3 = v2 (1 + (e - 1)(p - 1)), and the others are 0.
 
     Slots are bitlen(v3) + 1 bits wide, so no step carries from one slot
     into the next, and :func:`_slot_reducer` takes every slot of a folded
-    product mod p in place: reduce(fold(a * b)) is the spread form of the
-    product.  So ``mul`` spreads both operands, folds their product and
-    gathers it (:func:`_gather` reduces each slot), while ``power``
-    spreads once, squares and multiplies in slot form and gathers once.
+    product mod p in place: reducing the three folds of a * b gives the
+    spread form of the product.  So ``mul`` spreads both operands, folds
+    their product and gathers it (:func:`_gather` reduces each slot),
+    while ``power`` spreads once, squares and multiplies in slot form and
+    gathers once.
 
     The y rows are the digits of y^J mod g (:func:`_y_powers`), and the X
     rows come from f and K's own closures, never from a product in
-    base[X]/(f).
+    base[X]/(f).  :func:`_ext_ops` builds the kernel once, when the
+    context of base[X]/(f) is constructed.
     """
     p, e, m = base.p, base.total_degree, len(f) - 1
     stride = 2 * e - 1
@@ -463,34 +481,18 @@ def _block_kernel(base, f, encode):
         if i >= m:
             x_rows.append((span * i, _spread(encode(x_pow), p, in_shifts)))
 
-    def fold(c):
-        if y_rows:
-            acc = c & keep
-            for shift, row in y_rows:
-                acc += (c >> shift & slot0) * row
-            c = acc
-        acc = c & low
-        for shift, row in x_rows:
-            k = c >> shift & block
-            if k:
-                acc += k * row
-        if y_rows:
-            c = acc
-            acc &= keep
-            for shift, row in y_rows:
-                acc += (c >> shift & slot0) * row
-        return acc
-
+    y_fold = _folder(keep, slot0, y_rows)
+    x_fold = _folder(low, block, x_rows)
     reduce = _slot_reducer(p, b, width, m * stride)
     out_shifts = in_shifts[::-1]
 
     def step(u, v):
-        return reduce(fold(u * v))
+        return reduce(y_fold(x_fold(y_fold(u * v))))
 
     def mul(x, y):
         a = _spread(x, p, in_shifts)
         c = a * (a if x == y else _spread(y, p, in_shifts))
-        return _gather(fold(c), out_shifts, mask, p)
+        return _gather(y_fold(x_fold(y_fold(c))), out_shifts, mask, p)
 
     def power(x, k):
         a = _power(step, _spread(x, p, in_shifts), k)
@@ -660,26 +662,15 @@ def _ext_ops(base: "FieldCtx", d, modulus_digits):
     packed base values.
 
     add, sub and neg run the base's closures digit by digit
-    (:func:`_linear_ops`).  Products and powers are those of
-    :func:`_block_kernel`, built on the first product or power: a power
-    stays in slot form from its first step to its last.  An inverse is the
+    (:func:`_linear_ops`).  Products and powers are the closures of
+    :func:`_block_kernel`, built here, once per context: a power stays in
+    slot form from its first step to its last.  An inverse is the
     extended Euclid over ``base`` on :mod:`.polys`, at every depth.  It
     tracks only the cofactor of x and ends at a nonzero constant, because
     m is irreducible; a zero remainder raises ArithmeticError."""
     from .polys import _coeffwise, _divmod_vals, _schoolbook_vals
     decode, encode = _codec(base.order, d)
-    kernel = None
-
-    def built():
-        nonlocal kernel
-        kernel = _block_kernel(base, modulus_digits, encode)
-        return kernel
-
-    def mul(x, y):
-        return (kernel or built())[0](x, y)
-
-    def power(x, k):
-        return (kernel or built())[1](x, k)
+    mul, power = _block_kernel(base, modulus_digits, encode)
 
     def inv(x):
         if x == 0:
@@ -1041,12 +1032,6 @@ def prime_field(p: int) -> FieldCtx:
 _extension_cache: dict = {}
 
 
-def _ctx_key(ctx: FieldCtx):
-    if ctx.kind == 'prime':
-        return ('p', ctx.p)
-    return ('x', _ctx_key(ctx.base), ctx.modulus_vals)
-
-
 def extension_field(base: FieldCtx, modulus) -> FieldCtx:
     """Extend ``base`` by a monic irreducible ``modulus``.
 
@@ -1063,7 +1048,7 @@ def extension_field(base: FieldCtx, modulus) -> FieldCtx:
         raise NotMonic("modulus must have degree >= 1")
     if vals[-1] != 1:
         raise NotMonic("modulus must be monic")
-    key = (_ctx_key(base), vals)
+    key = (base, vals)
     ctx = _extension_cache.get(key)
     if ctx is not None:
         return ctx

@@ -384,6 +384,16 @@ def test_verdict_from_dict_rejects_bad_unstable(change):
         StabilityVerdict.from_dict(data)
 
 
+@pytest.mark.parametrize('e', ['2', None, 2.0, True])
+def test_verdict_from_dict_rejects_bad_degree(e):
+    """A field degree that is not an int >= 1 is a ValueError naming 'e',
+    not a TypeError from the field constructor, and 2.0 is not 2."""
+    data = decide_inverse_stability(W).to_dict()
+    data['field'] = dict(data['field'], e=e)
+    with pytest.raises(ValueError, match="'e'"):
+        StabilityVerdict.from_dict(data)
+
+
 def test_verdict_from_dict_names_the_missing_key():
     data = decide_inverse_stability(V).to_dict()
     del data['witness_n']

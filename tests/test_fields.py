@@ -352,6 +352,51 @@ def test_fresh_context_gets_its_own_table(fresh_caches):
         assert new.sub_v(a, 7) == fsub(a, 7) and new.mul_v(a, 7) == fmul(a, 7)
 
 
+def test_block_kernel_built_once_per_context(monkeypatch, fresh_caches):
+    """An extension context builds its product kernel once, when it is
+    constructed, and no product, power or inverse builds another.  A
+    degree-1 extension of F_9, with y rows and no X rows, multiplies and
+    powers as F_9 does."""
+    built = []
+    kernel = fields._block_kernel
+
+    def counted(*args):
+        built.append(args)
+        return kernel(*args)
+    monkeypatch.setattr(fields, '_block_kernel', counted)
+    ctx = finite_field(101, 2)
+    assert len(built) == 1
+    rng = random.Random(1701)
+    for _ in range(100):
+        x = rng.randrange(1, ctx.order)
+        ctx.mul_v(x, rng.randrange(ctx.order))
+        ctx.pow_v(x, rng.randrange(2, ctx.order))
+        ctx.inv_v(x)
+    assert len(built) == 1
+    y = F9.modulus_root
+    K = extension_field(F9, [y, 1])
+    assert (K.degree, K.depth, len(built)) == (1, 2, 2)
+    for a in range(F9.order):
+        assert K.pow_v(a, 7) == F9.pow_v(a, 7), a
+        for b in range(F9.order):
+            assert K.mul_v(a, b) == F9.mul_v(a, b), (a, b)
+    assert len(built) == 2
+
+
+def test_extension_cache_keyed_by_base_context(fresh_caches):
+    """An extension is cached by its base context itself: once the prime
+    field cache is emptied, F_9 is built again over the new F_3, so
+    elements of the new F_3 lift into it and serve as its coefficients."""
+    old = finite_field(3, 2)
+    fields.prime_field.cache_clear()
+    F = fields.prime_field(3)
+    K = finite_field(3, 2)
+    assert lift(F.one, K) == K.one
+    assert K.from_coeffs([F.one, F.zero]) == K.one
+    assert K is not old and K.base is F
+    assert finite_field(3, 2) is K
+
+
 # -- field axioms (seeded sweeps) --------------------------------------------
 
 
