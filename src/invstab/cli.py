@@ -62,56 +62,59 @@ _SUITES = ('criterion', 'irreducibility', 'traces', 'minpoly', 'all')
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument('--p', type=int, required=True,
+                        help='field characteristic (prime)')
+    common.add_argument('--e', type=int, default=1,
+                        help='extension degree over the prime field')
+    common.add_argument('--modulus',
+                        help='extension modulus: comma ints, constant first')
+    common.add_argument('--format', choices=('text', 'json', 'csv'),
+                        default='text', help='output format')
+    common.add_argument('--out', help='write output to this path')
+    common.add_argument('--quiet', action='store_true',
+                        help='data rows only, no headers or summaries')
+
     parser = argparse.ArgumentParser(
         prog='invstab',
         description='inverse stability of X^p - X + xi over finite fields')
     sub = parser.add_subparsers(dest='command', required=True)
 
-    def common(sp):
-        sp.add_argument('--p', type=int, required=True,
-                        help='field characteristic (prime)')
-        sp.add_argument('--e', type=int, default=1,
-                        help='extension degree over the prime field')
-        sp.add_argument('--modulus',
-                        help='extension modulus: comma ints, constant first')
-        sp.add_argument('--format', choices=('text', 'json', 'csv'),
-                        default='text', help='output format')
-        sp.add_argument('--out', help='write output to this path')
-        sp.add_argument('--quiet', action='store_true',
-                        help='data rows only, no headers or summaries')
+    def add(name, summary):
+        return sub.add_parser(name, help=summary, parents=[common])
 
-    sp = sub.add_parser('check', help='decide stability for one xi')
-    common(sp)
+    sp = add('check', 'decide stability for one xi')
     sp.add_argument('--xi', required=True, help='element text encoding')
 
-    sp = sub.add_parser('search', help='decide stability for every xi')
-    common(sp)
+    add('search', 'decide stability for every xi')
 
     cap = {'type': int, 'default': DEFAULT_DEGREE_CAP,
            'help': 'bound on deg D_n = p^n'}
 
-    sp = sub.add_parser('generate', help='emit the denominator iterate D_n')
-    common(sp)
+    sp = add('generate', 'emit the denominator iterate D_n')
     sp.add_argument('--cap', **cap)
     sp.add_argument('--xi', required=True, help='element text encoding')
     sp.add_argument('--n', type=int, required=True, help='iterate index')
     sp.add_argument('--verify', action='store_true', dest='rabin_verify',
                     help='double-check irreducibility with Rabin')
 
-    sp = sub.add_parser('verify', help='run oracle cross-check suites')
-    common(sp)
+    sp = add('verify', 'run oracle cross-check suites')
     sp.add_argument('--cap', **cap)
     sp.add_argument('--suite', choices=_SUITES, default='all')
     sp.add_argument('--nmax', type=int,
                     help='iterate range for the criterion suite '
                          '(default: largest n with p^n <= 256)')
 
-    sp = sub.add_parser('trace-table', help='print criterion table rows')
-    common(sp)
+    sp = add('trace-table', 'print criterion table rows')
     sp.add_argument('--xi', required=True, help='element text encoding')
     sp.add_argument('--nmax', type=int, required=True)
 
     return parser
+
+
+#: built once per process: each add_argument formats a usage check, so a
+#: build costs far more than a parse (argparse keeps no state between parses)
+_PARSER = _build_parser()
 
 
 def _make_ctx(args):
@@ -140,8 +143,9 @@ def _render(args, payload, header, rows, text=None) -> None:
     json is the dict ``payload()`` after the schema and command keys; csv is
     ``header`` and ``rows``.  text is ``text()`` when given, and otherwise
     the aligned table of ``header`` and ``rows`` (rows only under --quiet).
-    ``payload`` and ``text`` are only called for their own format, so a
-    command can leave out of them what the other formats do not print.
+    ``payload`` and ``text`` are only called, and ``rows`` only iterated,
+    for their own formats, so a command can leave out of them (or pass
+    ``rows`` as a generator) what the other formats do not print.
     This is the one place that reads --format.
     """
     if args.format == 'json':
@@ -237,9 +241,8 @@ def _cmd_search(args) -> int:
             'period': verdict.period,
         })
     header = ('xi', 'trace', 'outcome', 'witness_n', 'preperiod', 'period')
-    table = [_cells(r, header) for r in rows]
     _render(args, lambda: {'field': ctx.describe(), 'results': rows},
-            header, table)
+            header, (_cells(r, header) for r in rows))
     return EXIT_OK
 
 
@@ -349,8 +352,8 @@ def _cmd_verify(args) -> int:
     all_agree = all(r.agree for r in reports)
     header = ('label', 'params', 'n_max', 'pairs', 'agree',
               'first_disagreement')
-    table = [(r.label, _opt(r.params), _opt(r.n_max), len(r.pairs),
-              r.agree, _opt(r.first_disagreement)) for r in reports]
+    table = ((r.label, _opt(r.params), _opt(r.n_max), len(r.pairs),
+              r.agree, _opt(r.first_disagreement)) for r in reports)
 
     def text():
         lines = []
@@ -366,9 +369,12 @@ def _cmd_verify(args) -> int:
             lines.append(f"{len(reports)} report(s): {verdict}")
         return '\n'.join(lines) + '\n'
 
-    payload = {'suite': args.suite, 'field': ctx.describe(),
-               'agree': all_agree, 'reports': [r.to_dict() for r in reports]}
-    _render(args, lambda: payload, header, table, text)
+    def payload():
+        return {'suite': args.suite, 'field': ctx.describe(),
+                'agree': all_agree,
+                'reports': [r.to_dict() for r in reports]}
+
+    _render(args, payload, header, table, text)
     return EXIT_OK if all_agree else EXIT_DISAGREE
 
 
@@ -399,7 +405,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except (InvstabError, ValueError) as exc:

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line front end."""
 
+import argparse
 import csv
 import hashlib
 import io
@@ -125,6 +126,17 @@ def test_search_builds_no_rows(capsys, monkeypatch):
         assert run(capsys, ['search'] + argv)[0] == cli.EXIT_OK
 
 
+def test_search_json_builds_no_cells(capsys, monkeypatch):
+    """json prints the result dicts, so search builds no csv/text cells."""
+    def no_cells(*args):
+        raise AssertionError("search --format json built table cells")
+    monkeypatch.setattr(cli, '_cells', no_cells)
+    for argv in (F9_ARGS, ['--p', '7']):
+        rc, out, _ = run(capsys, ['search'] + argv + ['--format', 'json'])
+        assert rc == cli.EXIT_OK
+        assert json.loads(out)['command'] == 'search'
+
+
 def test_search_prime_field(capsys):
     rc, out, _ = run(capsys, ['search', '--p', '3'])
     assert rc == cli.EXIT_OK
@@ -242,6 +254,20 @@ def test_verify_json(capsys):
     payload = json.loads(out)
     assert payload['agree'] is True
     assert payload['reports'][0]['label'] == 'trace_nonzero_vs_rabin'
+
+
+def test_verify_text_and_csv_build_no_report_dicts(capsys, monkeypatch):
+    """Only json prints the 500 pairs of the traces suite, so text and csv
+    never turn a report into a dict; their bytes are unchanged."""
+    argvs = [['verify', '--suite', 'traces', '--p', '2', '--e', '2'] + extra
+             for extra in ([], ['--quiet'], ['--format', 'csv'])]
+    expected = [run(capsys, argv) for argv in argvs]
+
+    def no_dict(self):
+        raise AssertionError("verify built a report dict it does not print")
+    monkeypatch.setattr(EquivalenceReport, 'to_dict', no_dict)
+    for argv, want in zip(argvs, expected):
+        assert run(capsys, argv) == want, argv
 
 
 def test_verify_disagreement_exit(capsys, monkeypatch):
@@ -526,3 +552,117 @@ def test_cap_only_where_a_degree_bound_is_read(capsys):
 def test_exit_code_constants():
     assert (cli.EXIT_OK, cli.EXIT_DISAGREE, cli.EXIT_USAGE,
             cli.EXIT_UNSTABLE) == (0, 1, 2, 3)
+
+
+# -- the parser ----------------------------------------------------------------------
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    """main parses with the parser built at import, and no call leaves state
+    behind for the next: not a format, and not a usage error."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get('prog'))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, '__init__', counting_init)
+    argvs = [['check'] + F9_ARGS + ['--xi', '0,1'],
+             ['check', '--p', '7', '--xi', '3', '--format', 'csv'],
+             ['search', '--p', '5', '--format', 'json'],
+             ['search'] + F9_ARGS + ['--quiet'],
+             ['generate', '--p', '2', '--xi', '1', '--n', '3'],
+             ['verify', '--suite', 'irreducibility', '--p', '2']]
+    for i in range(20):
+        assert run(capsys, argvs[i % len(argvs)])[0] in (
+            cli.EXIT_OK, cli.EXIT_UNSTABLE)
+    assert built == []
+
+    def pinned_text(line):
+        return _PINNED_CLI[line][0].split(':')[1]
+
+    def sha(out):
+        return hashlib.sha256(out.encode()).hexdigest()
+
+    run(capsys, ['search'] + F9_ARGS + ['--format', 'csv'])
+    rc, out, _ = run(capsys, ['search'] + F9_ARGS)
+    assert rc == cli.EXIT_OK and sha(out) == pinned_text('search F9')
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(['check'] + F9_ARGS + ['--format', 'xml', '--xi', '1'])
+    assert exc.value.code == cli.EXIT_USAGE
+    capsys.readouterr()
+    rc, out, _ = run(capsys, ['check'] + F9_ARGS + ['--xi', '0,1'])
+    assert rc == cli.EXIT_OK and sha(out) == pinned_text('check F9 --xi 0,1')
+    assert built == []
+
+
+_S = argparse.SUPPRESS
+_HELP = (('-h', '--help'), 'help', False, _S, None)
+_COMMON = (
+    (('--p',), 'p', True, None, None),
+    (('--e',), 'e', False, 1, None),
+    (('--modulus',), 'modulus', False, None, None),
+    (('--format',), 'format', False, 'text', ('text', 'json', 'csv')),
+    (('--out',), 'out', False, None, None),
+    (('--quiet',), 'quiet', False, False, None),
+)
+_XI = (('--xi',), 'xi', True, None, None)
+_CAP = (('--cap',), 'cap', False, 10_000, None)
+
+#: per subcommand, in order: (option strings, dest, required, default,
+#: choices) of every option
+_PARSER_SHAPE = {
+    'check': (_HELP,) + _COMMON + (_XI,),
+    'search': (_HELP,) + _COMMON,
+    'generate': (_HELP,) + _COMMON + (
+        _CAP, _XI,
+        (('--n',), 'n', True, None, None),
+        (('--verify',), 'rabin_verify', False, False, None)),
+    'verify': (_HELP,) + _COMMON + (
+        _CAP,
+        (('--suite',), 'suite', False, 'all',
+         ('criterion', 'irreducibility', 'traces', 'minpoly', 'all')),
+        (('--nmax',), 'nmax', False, None, None)),
+    'trace-table': (_HELP,) + _COMMON + (
+        _XI, (('--nmax',), 'nmax', True, None, None)),
+}
+
+
+def _subparsers():
+    [action] = [a for a in cli._PARSER._actions
+                if isinstance(a, argparse._SubParsersAction)]
+    return action
+
+
+def test_parser_shape_pinned():
+    """Every subcommand takes the same options, in the same order, with the
+    same dest, required flag, default and choices."""
+    subparsers = _subparsers()
+    assert subparsers.dest == 'command' and subparsers.required
+    assert tuple(subparsers.choices) == tuple(_PARSER_SHAPE)
+    for name, shape in _PARSER_SHAPE.items():
+        got = tuple((tuple(a.option_strings), a.dest, a.required, a.default,
+                     None if a.choices is None else tuple(a.choices))
+                    for a in subparsers.choices[name]._actions)
+        assert got == shape, name
+
+
+def test_help_names_every_option(capsys):
+    """--help exits 0 and names every subcommand, and every option of each
+    subcommand.  Its wording differs between Python versions ("options:"
+    against "optional arguments:"), so its bytes are not pinned."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(['--help'])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith('usage: invstab')
+    assert all(name in out for name in _PARSER_SHAPE)
+    for name, shape in _PARSER_SHAPE.items():
+        with pytest.raises(SystemExit) as exc:
+            cli.main([name, '--help'])
+        assert exc.value.code == 0, name
+        out = capsys.readouterr().out
+        assert out.startswith(f'usage: invstab {name}'), name
+        for strings, *_ in shape:
+            assert all(s in out for s in strings), (name, strings)
