@@ -352,8 +352,8 @@ def _cmd_verify(args) -> int:
     all_agree = all(r.agree for r in reports)
     header = ('label', 'params', 'n_max', 'pairs', 'agree',
               'first_disagreement')
-    table = ((r.label, _opt(r.params), _opt(r.n_max), len(r.pairs),
-              r.agree, _opt(r.first_disagreement)) for r in reports)
+    table = [(r.label, _opt(r.params), _opt(r.n_max), len(r.pairs),
+              r.agree, _opt(r.first_disagreement)) for r in reports]
 
     def text():
         lines = []

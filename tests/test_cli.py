@@ -597,8 +597,7 @@ def test_parser_built_once_per_process(capsys, monkeypatch):
     assert built == []
 
 
-_S = argparse.SUPPRESS
-_HELP = (('-h', '--help'), 'help', False, _S, None)
+_HELP = (('-h', '--help'), 'help', False, argparse.SUPPRESS, None)
 _COMMON = (
     (('--p',), 'p', True, None, None),
     (('--e',), 'e', False, 1, None),
@@ -629,16 +628,11 @@ _PARSER_SHAPE = {
 }
 
 
-def _subparsers():
-    [action] = [a for a in cli._PARSER._actions
-                if isinstance(a, argparse._SubParsersAction)]
-    return action
-
-
 def test_parser_shape_pinned():
-    """Every subcommand takes the same options, in the same order, with the
-    same dest, required flag, default and choices."""
-    subparsers = _subparsers()
+    """Each subcommand keeps its options, in order, with their dest,
+    required flag, default and choices."""
+    [subparsers] = [a for a in cli._PARSER._actions
+                    if isinstance(a, argparse._SubParsersAction)]
     assert subparsers.dest == 'command' and subparsers.required
     assert tuple(subparsers.choices) == tuple(_PARSER_SHAPE)
     for name, shape in _PARSER_SHAPE.items():
