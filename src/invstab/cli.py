@@ -60,6 +60,12 @@ SWEEP_DEGREE_LIMIT = 256
 
 _SUITES = ('criterion', 'irreducibility', 'traces', 'minpoly', 'all')
 
+#: the traces suite's count of seeded Moebius tuples, and its seed
+_TRACE_TUPLES, _TRACE_SEED = 500, 20240815
+#: the minpoly suite samples this many elements of a field of more than
+#: 512, from this seed
+_MINPOLY_SAMPLES, _MINPOLY_SEED = 100, 917
+
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -215,16 +221,17 @@ def _cmd_check(args) -> int:
             lines.append(f"unstable witness_n={verdict.witness_n}")
         if not args.quiet:
             lines.append('')
-            lines.append(_rows_text(verdict.trace_table, quiet=False).rstrip())
+            lines.append(_rows_text(map(TraceRow.cells, verdict.trace_table),
+                                    quiet=False).rstrip())
         return '\n'.join(lines) + '\n'
 
     _render(args, verdict.to_dict, header, [cells], text)
     return EXIT_OK if stable else EXIT_UNSTABLE
 
 
-def _rows_text(rows, quiet: bool) -> str:
-    header = ('n', 'a', 'c', 'd', 'a/c', 'trace')
-    return _table_text(header, [r.cells() for r in rows], quiet)
+def _rows_text(cells, quiet: bool) -> str:
+    """The aligned trace table of rows given as ``TraceRow.cells()``."""
+    return _table_text(('n', 'a', 'c', 'd', 'a/c', 'trace'), cells, quiet)
 
 
 def _cmd_search(args) -> int:
@@ -288,12 +295,12 @@ def _default_nmax(p: int) -> int:
     return n
 
 
-def _trace_tuple_suite(ctx, count=500, seed=20240815) -> EquivalenceReport:
+def _trace_tuple_suite(ctx) -> EquivalenceReport:
     """Seeded random Moebius tuples, c = 0 included, formula vs direct."""
-    rng = random.Random(seed)
+    rng = random.Random(_TRACE_SEED)
     nonzero_trace = [x for x in ctx.elements() if abs_trace(x).val != 0]
     pairs = []
-    for i in range(count):
+    for i in range(_TRACE_TUPLES):
         xi = nonzero_trace[rng.randrange(len(nonzero_trace))]
         a = FieldElement(ctx, rng.randrange(ctx.order))
         b = FieldElement(ctx, rng.randrange(ctx.order))
@@ -313,15 +320,16 @@ def _trace_tuple_suite(ctx, count=500, seed=20240815) -> EquivalenceReport:
         'mobius_trace_vs_frobenius_sum', ctx.describe(), None, None, pairs)
 
 
-def _minpoly_suite(ctx, count=100, seed=917) -> EquivalenceReport:
+def _minpoly_suite(ctx) -> EquivalenceReport:
     """Minpoly-coefficient trace vs Frobenius sum over generating elements."""
     prime = ctx.prime_ctx
     pairs = []
     if ctx.order <= 512:
         candidates = range(ctx.order)
     else:
-        rng = random.Random(seed)
-        candidates = (rng.randrange(ctx.order) for _ in range(count))
+        rng = random.Random(_MINPOLY_SEED)
+        candidates = (rng.randrange(ctx.order)
+                      for _ in range(_MINPOLY_SAMPLES))
     for v in candidates:
         alpha = FieldElement(ctx, v)
         try:
@@ -383,15 +391,15 @@ def _cmd_trace_table(args) -> int:
     xi = element_from_text(ctx, args.xi)
     if args.nmax < 1:
         raise ValueError("--nmax must be >= 1")
-    rows = trace_rows(xi, args.nmax)
-    cells = [r.cells() for r in rows]
-    payload = {
-        'field': ctx.describe(), 'xi': element_to_text(xi),
-        'n_max': args.nmax,
-        'rows': [dict(zip(TraceRow._fields, c)) for c in cells],
-    }
-    _render(args, lambda: payload, TraceRow._fields, cells,
-            lambda: _rows_text(rows, args.quiet))
+    cells = [r.cells() for r in trace_rows(xi, args.nmax)]
+
+    def payload():
+        return {'field': ctx.describe(), 'xi': element_to_text(xi),
+                'n_max': args.nmax,
+                'rows': [dict(zip(TraceRow._fields, c)) for c in cells]}
+
+    _render(args, payload, TraceRow._fields, cells,
+            lambda: _rows_text(cells, args.quiet))
     return EXIT_OK
 
 

@@ -57,8 +57,6 @@ fixed by the field.
 from __future__ import annotations
 
 import functools
-import sys
-from array import array
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -501,11 +499,6 @@ def _block_kernel(base, f, encode):
     return mul, power
 
 
-#: array type code for each storage slot size in bytes (1, 2, 4, 8)
-_SLOT_CODES = {array(code).itemsize: code for code in 'BHILQ'}
-_SWAP_BYTES = sys.byteorder == 'big'
-
-
 class _Kron:
     """Kronecker-substitution layout for polynomial products over F_p or
     F_{p^e}, for :mod:`.polys`.
@@ -538,21 +531,19 @@ class _Kron:
     The layout is y-major where :func:`_block_kernel` is X-major: each
     measured faster on its own workload.
 
-    A ``tight`` layout, for the Barrett product, has slots of B + 1 bits:
-    its products chain, the bigint multiplies dominate at large degrees,
-    and wider slots (2B + 2 bits for a single multiply-shift, or whole
-    bytes) made them slower.  Its :meth:`pack` and :meth:`unpack` shift one
-    digit at a time, which a whole power pays once.  Any other layout, for
-    a single product, has slots of 1, 2, 4 or 8 bytes of an ``array``,
-    which packs and unpacks in C and made a product 2-5x faster, or the
-    tight width where 8 bytes are too few.
+    Every layout has slots of B + 1 bits.  Barrett products chain, the
+    bigint multiplies dominate at large degrees, and wider slots (2B + 2
+    bits for a single multiply-shift, or whole bytes) made them slower.
+    :meth:`pack` and :meth:`unpack` shift one digit at a time, quadratic in
+    the number of slots: a power pays that once, a single product on every
+    call, a small share of each command measured.
     """
 
-    __slots__ = ('p', 'e', 'width', 'stride', 'bits', 'blocks', 'code',
-                 'fold', 'reduce')
+    __slots__ = ('p', 'e', 'width', 'stride', 'bits', 'blocks', 'fold',
+                 'reduce')
 
     @classmethod
-    def fit(cls, ctx, n, stride, tight=False):
+    def fit(cls, ctx, n, stride):
         """The layout for operands of at most n coefficients and products of
         at most ``stride``; None for a tower (depth 2)."""
         if ctx.depth > 1:
@@ -560,18 +551,12 @@ class _Kron:
         p, e = ctx.p, ctx.degree
         bound = 2 * n * e * (p - 1) ** 2 * (1 + (e - 1) * (p - 1))
         b = bound.bit_length()
-        width, code = b + 1, None
-        if not tight and b < 64:
-            size = 1
-            while 8 * size <= b:
-                size *= 2
-            width, code = 8 * size, _SLOT_CODES[size]
+        width = b + 1
         self = cls.__new__(cls)
         self.p, self.e, self.width, self.stride = p, e, width, stride
         self.bits = width * stride
         self.blocks = _runs(1, self.bits, e)
         self.fold = _y_folder(p, e, self.bits, ctx.modulus_vals)
-        self.code = code
         self.reduce = _slot_reducer(p, b, width, e * stride)
         return self
 
@@ -589,32 +574,19 @@ class _Kron:
             for pj in [p ** j for j in range(self.e)]:
                 digits += [c // pj % p for c in vals]
                 digits += gap
-        if self.code is None:
-            x, width = 0, self.width
-            for c in reversed(digits):
-                x = x << width | c
-            return x
-        slots = array(self.code, digits)
-        if _SWAP_BYTES:
-            slots.byteswap()
-        return int.from_bytes(slots.tobytes(), 'little')
+        x, width = 0, self.width
+        for c in reversed(digits):
+            x = x << width | c
+        return x
 
     def unpack(self, x, n):
         """Field values of coefficients 0 .. n - 1 of a reduced packed
         integer."""
         stride, width = self.stride, self.width
-        starts = range(0, self.e * stride, stride)
-        if self.code is None:
-            mask = (1 << width) - 1
-            blocks = [[x >> (k * width) & mask
-                       for k in range(start, start + n)] for start in starts]
-        else:
-            slots = array(self.code)
-            slots.frombytes(x.to_bytes(self.e * self.bits // 8, 'little'))
-            if _SWAP_BYTES:
-                slots.byteswap()
-            blocks = [slots[start:start + n] for start in starts]
-        out = list(blocks.pop())
+        mask = (1 << width) - 1
+        blocks = [[x >> (k * width) & mask for k in range(start, start + n)]
+                  for start in range(0, self.e * stride, stride)]
+        out = blocks.pop()
         p = self.p
         while blocks:
             out = [acc * p + v for acc, v in zip(out, blocks.pop())]

@@ -8,9 +8,10 @@ coercion that field elements and moduli use.
 
 Products over F_p and over an extension F_{p^e} of F_p use Kronecker
 substitution: a coefficient vector packs into one Python integer with one
-bit slot per base-p digit, wide enough that no slot sum carries, so one C
-bigint multiply forms the whole product.  Over F_{p^e} the packing is
-bivariate in X and the modulus root y.  That layout, its y-fold and its
+slot of B + 1 bits per base-p digit, B the bit length of the largest slot
+sum, so no slot carries and one C bigint multiply forms the whole product.
+Over F_{p^e} the packing is bivariate in X and the modulus root y.  Single
+and Barrett products share that one layout; it, its y-fold and its
 slot-parallel reduction mod p live in :mod:`.fields` with the rest of the
 slot packing (``fields._Kron``).  Polynomials over depth-2 towers, which
 have no packed layout, multiply by the schoolbook loop over the field's
@@ -183,7 +184,7 @@ def _mulmod(ctx, f):
     pack and unpack are then the identity.
     """
     m = len(f) - 1
-    lay = _Kron.fit(ctx, m, 2 * m - 1, tight=True) if m > 1 else None
+    lay = _Kron.fit(ctx, m, 2 * m - 1) if m > 1 else None
     if lay is None:
         return (lambda a, b: _rem_vals(ctx, _mul_vals(ctx, a, b), f),
                 tuple, tuple)

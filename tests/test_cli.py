@@ -326,6 +326,29 @@ def test_trace_table_csv(capsys):
     assert rows[3] == ['3', '2,0', '0,2', '2,2', '2,1', '2']
 
 
+def test_trace_table_text_and_csv_build_no_payload(capsys, monkeypatch):
+    """text and csv print the row cells, so trace-table builds no json
+    payload, and it builds each row's cells once."""
+    from invstab.criterion import TraceRow
+    from invstab.fields import FieldCtx
+
+    def no_payload(self):
+        raise AssertionError("trace-table built the json payload")
+    monkeypatch.setattr(FieldCtx, 'describe', no_payload)
+    built, cells = [], TraceRow.cells
+
+    def counted(row):
+        built.append(row.n)
+        return cells(row)
+    monkeypatch.setattr(TraceRow, 'cells', counted)
+    for fmt in ('text', 'csv'):
+        built.clear()
+        rc, out, _ = run(capsys, ['trace-table'] + F9_ARGS + [
+            '--xi', '0,1', '--nmax', '8', '--format', fmt])
+        assert rc == cli.EXIT_OK and len(out.splitlines()) == 9
+        assert built == list(range(1, 9)), fmt
+
+
 def test_trace_table_json(capsys):
     rc, out, _ = run(capsys, ['trace-table', '--p', '3', '--xi', '1',
                               '--nmax', '2', '--format', 'json'])

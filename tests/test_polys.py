@@ -244,18 +244,18 @@ def width_steps(ctx, top):
     grows by a bit, each with m - 1."""
     out = []
     for m in range(3, top + 1):
-        if (_Kron.fit(ctx, m, 2 * m - 1, tight=True).width
-                > _Kron.fit(ctx, m - 1, 2 * m - 3, tight=True).width):
+        if (_Kron.fit(ctx, m, 2 * m - 1).width
+                > _Kron.fit(ctx, m - 1, 2 * m - 3).width):
             out += [m - 1, m]
     return out
 
 
 def test_barrett_product_with_extreme_coefficients():
     """Every digit of a * a at its maximum, and the modulus negated to the
-    largest digits, at the degree where the slot sum of the Barrett step
-    needs one more byte than a single product, and on both sides of every
-    degree where the bit-granular slots of the Barrett layout widen, over
-    F_2, F_3, F_9, F_16, F_49 and F_1048573; a^3 as well."""
+    largest digits, at degree 200 over F_2, 50 over F_3 and 8 over F_9,
+    and on both sides of every degree where the slots of the Barrett
+    layout widen by a bit, over F_2, F_3, F_9, F_16, F_49 and F_1048573;
+    a^3 as well."""
     F16, F49 = finite_field(2, 4), finite_field(7, 2)
     big = finite_field(1048573)
     cases = [(F2, 200), (F3, 50), (F9, 8)]
@@ -292,7 +292,7 @@ def reduce_case(p, b, width, values):
 
 def test_slot_reduction_against_per_slot_remainder():
     """The slot-parallel reduction mod p against v % p: every slot value
-    below 2^B for small (p, B), at the tight width B + 1 and at a wider
+    below 2^B for small (p, B), at the layout width B + 1 and at a wider
     one; for p = 1048573, the extremes (0, 1, multiples of p and their
     neighbours, 2^B - 1) and seeded values, at the widths of the Barrett
     layouts of F_1048573 and F_{1048573^2}."""
@@ -304,9 +304,9 @@ def test_slot_reduction_against_per_slot_remainder():
     big = 1048573
     rng = random.Random(4242)
     K = finite_field(big, 2, modulus=non_residue_quadratic(big))
-    layouts = [_Kron.fit(finite_field(big), m, 2 * m - 1, tight=True)
+    layouts = [_Kron.fit(finite_field(big), m, 2 * m - 1)
                for m in (2, 7, 300)]
-    layouts += [_Kron.fit(K, m, 2 * m - 1, tight=True) for m in (2, 5)]
+    layouts += [_Kron.fit(K, m, 2 * m - 1) for m in (2, 5)]
     for lay in layouts:
         width = lay.width
         b = width - 1
@@ -328,7 +328,7 @@ def test_newton_mu_matches_long_division():
     for ctx in (F2, F3, F9, finite_field(7, 2)):
         for m in list(range(2, 12)) + [rng.randrange(12, 41) for _ in range(6)]:
             f = tuple(rng.randrange(ctx.order) for _ in range(m)) + (1,)
-            lay = _Kron.fit(ctx, m, 2 * m - 1, tight=True)
+            lay = _Kron.fit(ctx, m, 2 * m - 1)
             mu = _barrett_mu(lay, [ctx.neg_v(c) for c in f])
             got = lay.unpack(mu, m - 1)
             want = _divmod_vals(ctx, (0,) * (2 * m - 2) + (1,), f)[0]

@@ -89,6 +89,21 @@ def test_criterion_vs_direct_covers_an_unstable_xi():
         assert r.pairs[0] == (1, True, True)      # Tr != 0 keeps D_1 whole
 
 
+def test_criterion_vs_direct_missing_row_disagrees(monkeypatch):
+    """A trace table one row short, as trace_rows leaves it from the first
+    c_n = 0 on, is a disagreement at the missing index, not a shorter
+    report that agrees."""
+    from invstab import xcheck
+    real = xcheck.trace_rows
+    monkeypatch.setattr(xcheck, 'trace_rows', lambda xi, n: real(xi, n)[:-1])
+    reports = criterion_vs_direct(F9, 3)
+    assert len(reports) == 6
+    for r in reports:
+        assert len(r.pairs) == 3
+        assert not r.agree and r.first_disagreement == 2
+        assert r.pairs[2][1] is None
+
+
 # -- the Moebius closed form vs literal conjugate sums ------------------------------
 
 
