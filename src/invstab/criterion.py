@@ -28,10 +28,11 @@ the cycle data come from the order of xi in F_p^*.  Every other seed walks
 the (t, r) orbit on packed values to the first zero trace or the first
 repeated pair (:func:`_pair_walk`), and a stable seed gets the cycle data
 of the states from element orders in F_q^*, with c computed over one lap
-and a few steps.  Both return what a walk over the states would: the same
-witness, preperiod, period and ``state_steps``.  The decision builds no
-table row; :attr:`StabilityVerdict.trace_table` is computed by
-:func:`trace_rows` when first read.
+and a few steps.  Both return what a walk over the states would find:
+the outcome, the witness, the preperiod and the period.  The verdict holds
+these and xi, and derives the rest from them: ``state_steps`` in one
+property, and the table by :func:`trace_rows` when
+:attr:`StabilityVerdict.trace_table` is first read.
 
 The module also carries the closed-form trace of a general Moebius transform
 of a root of g (:func:`mobius_trace_formula`) and two classical
@@ -43,7 +44,8 @@ characteristic two), which serve as independent cross-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -176,44 +178,50 @@ def trace_rows(xi: FieldElement, n_max: int) -> list:
 class StabilityVerdict:
     """Outcome of the stability decision for one xi.
 
-    ``outcome`` is 'stable' or 'unstable'.  For an unstable xi, ``witness_n``
-    is the least n with trace zero (so D_witness_n is the first reducible
-    denominator) and the cycle data is None, since the walk stops at the
-    witness.  For a stable xi, ``preperiod``/``period`` describe the state
-    sequence s_2, s_3, ...: s_(2 + preperiod) is the first state on the
-    cycle and s_(n + period) = s_n for every n >= 2 + preperiod.  The trace
-    table then covers exactly n = 1 .. preperiod + period + 1, and n = 1 ..
-    witness_n for an unstable xi.
-    ``state_steps`` counts the evaluations of the recurrence map that the
-    walk to the first repeat or zero trace takes, one per state past s_2:
-    preperiod + period for a stable xi (the last evaluation meets the
-    repeat) and max(witness_n - 2, 0) for an unstable one.  The decision
-    walks no states, so this is the count such a walk would take: the
-    closed forms return it with no evaluation made.
+    The fields are what the decision finds; everything else is derived
+    from them.  ``outcome`` is 'stable' or 'unstable'.  For an unstable
+    xi, ``witness_n`` is the least n with trace zero (so D_witness_n is the
+    first reducible denominator) and the cycle data is None, since the walk
+    stops at the witness.  For a stable xi, ``preperiod``/``period``
+    describe the state sequence s_2, s_3, ...: s_(2 + preperiod) is the
+    first state on the cycle and s_(n + period) = s_n for every
+    n >= 2 + preperiod.  The trace table then covers exactly
+    n = 1 .. preperiod + period + 1, and n = 1 .. witness_n for an
+    unstable xi.
     """
 
     outcome: str
     witness_n: Optional[int]
     preperiod: Optional[int]
     period: Optional[int]
-    state_steps: int
     xi: FieldElement
-    ctx: FieldCtx
-    #: the rows, once known; :attr:`trace_table` fills this on first access
-    _rows: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
+    def ctx(self) -> FieldCtx:
+        """The field of xi."""
+        return self.xi.ctx
+
+    @property
+    def state_steps(self) -> int:
+        """The evaluations of the recurrence map that the walk to the
+        first repeat or zero trace takes, one per state past s_2:
+        preperiod + period for a stable xi (the last evaluation meets the
+        repeat) and max(witness_n - 2, 0) for an unstable one.  The
+        decision walks no states, so this is the count such a walk would
+        take."""
+        if self.outcome == STABLE:
+            return self.preperiod + self.period
+        return max(self.witness_n - 2, 0)
+
+    @cached_property
     def trace_table(self) -> tuple:
         """The criterion table's rows, from :func:`trace_rows` on first
-        access (or as given to :meth:`from_dict`)."""
-        if self._rows is None:
-            n_max = self.witness_n or self.preperiod + self.period + 1
-            object.__setattr__(self, '_rows',
-                               tuple(trace_rows(self.xi, n_max)))
-        return self._rows
+        access."""
+        n_max = self.witness_n or self.preperiod + self.period + 1
+        return tuple(trace_rows(self.xi, n_max))
 
     def to_dict(self) -> dict:
-        """Plain-data form, round-tripped by :meth:`from_dict`."""
+        """Plain-data form, checked and rebuilt by :meth:`from_dict`."""
         return {
             'outcome': self.outcome,
             'witness_n': self.witness_n,
@@ -228,65 +236,30 @@ class StabilityVerdict:
 
     @classmethod
     def from_dict(cls, data: dict) -> "StabilityVerdict":
-        """Rebuild a verdict from :meth:`to_dict` output.
+        """The verdict of the xi that a :meth:`to_dict` record names,
+        checked against the record.
 
-        Raises ValueError when the data cannot be a verdict: a missing key
-        (named in the message), a trace table that is not a list of row
-        dicts, an unknown outcome, a witness or cycle data that does not fit
-        the outcome, a trace table of the wrong length or not numbered 1, 2,
-        ..., a negative ``state_steps``, a field degree ``e`` that is not
-        an int >= 1, or an element or modulus that is not text (the key is
-        named).
+        The record's field and xi are parsed and xi is decided; every key
+        of the decided verdict's :meth:`to_dict` must then equal the
+        record's, which may carry other keys as well.  Raises ValueError
+        for a missing key (named in the message), a field degree ``e``
+        that is not an int >= 1, an xi or modulus that is not text (the
+        key is named), or any value that differs from the decision's (the
+        key is named, and for the trace table the first differing row and
+        cell).
         """
-        outcome, witness_n, mu, lam, steps, described, xi, table = _values(
-            data, 'verdict', ('outcome', 'witness_n', 'preperiod', 'period',
-                              'state_steps', 'field', 'xi', 'trace_table'))
-        if not isinstance(table, list):
-            raise ValueError(f"trace_table must be a list, got {table!r}")
-        table = [_values(r, 'trace_table row', TraceRow._fields)
-                 for r in table]
-        if outcome == STABLE:
-            ok = (witness_n is None and _is_count(mu, 0)
-                  and _is_count(lam, 1) and len(table) == mu + lam + 1)
-        elif outcome == UNSTABLE:
-            ok = (_is_count(witness_n, 1) and mu is None and lam is None
-                  and len(table) == witness_n)
-        else:
-            raise ValueError(f"unknown outcome {outcome!r}")
-        if not ok:
-            raise ValueError(
-                f"inconsistent {outcome} verdict: witness_n={witness_n!r}, "
-                f"preperiod={mu!r}, period={lam!r}, {len(table)} rows")
-        if not _is_count(steps, 0):
-            raise ValueError(f"state_steps must be >= 0, got {steps!r}")
-        if [r[0] for r in table] != list(range(1, len(table) + 1)):
-            raise ValueError("trace table rows are not numbered 1, 2, ...")
+        described, xi = _values(data, 'verdict', ('field', 'xi'))
         p, e = _values(described, 'field', ('p', 'e'))
-        if not _is_count(e, 1):
+        if type(e) is not int or e < 1:
             raise ValueError(f"field 'e' must be an int >= 1, got {e!r}")
         modulus = described.get('modulus')
         if modulus is not None:
             modulus = [int(s) for s in _text('modulus', modulus).split(',')]
         ctx = finite_field(p, e, modulus)
-
-        def elem(key, text, where=ctx):
-            return element_from_text(where, _text(key, text))
-
-        rows = tuple(
-            TraceRow(n, elem('a', a), elem('c', c), elem('d', d),
-                     elem('ratio', ratio), elem('trace', trace, ctx.prime_ctx))
-            for n, a, c, d, ratio, trace in table
-        )
-        return cls(
-            outcome=outcome,
-            witness_n=witness_n,
-            preperiod=mu,
-            period=lam,
-            xi=elem('xi', xi),
-            ctx=ctx,
-            state_steps=steps,
-            _rows=rows,
-        )
+        verdict = decide_inverse_stability(
+            element_from_text(ctx, _text('xi', xi)))
+        _check('verdict', data, verdict.to_dict())
+        return verdict
 
 
 def _values(data, what: str, keys) -> list:
@@ -307,9 +280,24 @@ def _text(key: str, value) -> str:
     return value
 
 
-def _is_count(v, least: int) -> bool:
-    """v is an int (not a bool) and at least ``least``."""
-    return isinstance(v, int) and not isinstance(v, bool) and v >= least
+def _check(where: str, got, want) -> None:
+    """ValueError, naming ``where`` and the first key or row below it that
+    differs, unless ``got`` holds every key of the dicts in ``want`` with
+    equal values, the same rows in its lists, and scalars of the same type
+    and value."""
+    if isinstance(want, dict):
+        for (key, w), g in zip(want.items(), _values(got, where, want)):
+            _check(f"{where} {key!r}", g, w)
+    elif isinstance(want, list):
+        if not isinstance(got, list):
+            raise ValueError(f"{where} must be a list, got {got!r}")
+        for n, (g, w) in enumerate(zip(got, want), 1):
+            _check(f"{where} row {n}", g, w)
+        if len(got) != len(want):
+            raise ValueError(f"{where} has {len(got)} rows; the decision "
+                             f"gives {len(want)}")
+    elif type(got) is not type(want) or got != want:
+        raise ValueError(f"{where} is {got!r}, the decision gives {want!r}")
 
 
 def decide_inverse_stability(xi: FieldElement) -> StabilityVerdict:
@@ -329,14 +317,14 @@ def decide_inverse_stability(xi: FieldElement) -> StabilityVerdict:
     ctx = xi.ctx
     if ctx.trace_v(xi.val) == 0:
         # Tr(xi) = 0: D_1 = g is already reducible
-        return StabilityVerdict(UNSTABLE, 1, None, None, 0, xi, ctx)
+        return StabilityVerdict(UNSTABLE, 1, None, None, xi)
     walk = _prime_cycle if xi.val < ctx.p else _pair_walk
-    return StabilityVerdict(*walk(ctx, xi.val), xi, ctx)
+    return StabilityVerdict(*walk(ctx, xi.val), xi)
 
 
 def _prime_cycle(ctx: FieldCtx, xi_v: int) -> tuple:
-    """The state walk's result in closed form, for xi in F_p^* (a packed
-    value below p) with Tr(xi) != 0.
+    """The state walk's (outcome, witness_n, preperiod, period) in closed
+    form, for xi in F_p^* (a packed value below p) with Tr(xi) != 0.
 
     The Frobenius fixes F_p, so t_n = tau = -1/xi for every n >= 2, and
     the recurrence gives r_n = a_n/c_n = tau^(2n - 3) and
@@ -347,11 +335,10 @@ def _prime_cycle(ctx: FieldCtx, xi_v: int) -> tuple:
     2^(n-1) mod 2^s M reach their cycle at n - 1 = s, the first that is 0
     mod 2^s, and then repeat with period ord_M(2).  So the states s_2,
     s_3, ... have preperiod max(s - 1, 0) and period
-    lcm(ord(tau^2), ord_M(2)), and the walk would take preperiod + period
-    steps.  Orders in the cyclic group F_p^* divide p - 1, whose prime
-    factors the prime context keeps from the first call on (Lidl and
-    Niederreiter, Finite Fields, ch. 3); ord_M(2) divides phi(M), which
-    is factored by trial division.
+    lcm(ord(tau^2), ord_M(2)).  Orders in the cyclic group F_p^* divide
+    p - 1, whose prime factors the prime context keeps from the first call
+    on (Lidl and Niederreiter, Finite Fields, ch. 3); ord_M(2) divides
+    phi(M), which is factored by trial division.
     """
     p = ctx.p
     primes = _unit_primes(ctx.prime_ctx)
@@ -361,8 +348,7 @@ def _prime_cycle(ctx: FieldCtx, xi_v: int) -> tuple:
     phi = _totient(odd, primes)
     lam = math.lcm(o // math.gcd(o, 2),
                    _order(2, odd, phi, _prime_factors(phi)))
-    mu = max(s - 1, 0)
-    return STABLE, None, mu, lam, mu + lam
+    return STABLE, None, max(s - 1, 0), lam
 
 
 def _unit_primes(ctx: FieldCtx) -> list:
@@ -393,7 +379,8 @@ def _totient(n: int, primes) -> int:
 
 
 def _pair_walk(ctx: FieldCtx, xi_v: int) -> tuple:
-    """The state walk's result, for Tr(xi) != 0, from the (t, r) orbit.
+    """The state walk's (outcome, witness_n, preperiod, period), for
+    Tr(xi) != 0, from the (t, r) orbit.
 
     The state (a, c, d) is c (r, 1, t) with r = a/c and t = d/c.  With
     u_n = xi - t_n^p + t_n, never 0 as Tr(u_n) = Tr(xi), the pair moves on
@@ -428,7 +415,7 @@ def _pair_walk(ctx: FieldCtx, xi_v: int) -> tuple:
         if first.setdefault(key, n) != n:     # a repeat keeps its first n
             break
         if not trace(r):
-            return UNSTABLE, n, None, None, n - 2
+            return UNSTABLE, n, None, None
         step = after.get(t)
         if step is None:
             u = add(sub(xi_v, frob(t)), t)
@@ -455,7 +442,7 @@ def _pair_walk(ctx: FieldCtx, xi_v: int) -> tuple:
     a = pow(2, lap, g) + g
     phi = _totient(g, primes)
     tau = _order(a, g * (a - 1), g * phi, primes + _prime_factors(phi))
-    return STABLE, None, mu, lap * tau, mu + lap * tau
+    return STABLE, None, mu, lap * tau
 
 
 # ---------------------------------------------------------------------------

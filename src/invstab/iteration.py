@@ -10,7 +10,9 @@ because g(N/D) = (N/D)^p - N/D + xi over a common denominator D^p.  The
 p-th powers go through the coefficient-wise Frobenius shortcut, which agrees
 with the naive product in characteristic p.  Each step asserts that the new
 fraction is reduced; that is a theorem for this family, so a failure
-indicates a bug rather than bad input.
+indicates a bug rather than bad input.  The check reads gcd(D, D') instead
+of gcd(N', D') = gcd(D^p, D'): every irreducible factor of D^p divides D,
+so the two are 1 together, and D is p times shorter.
 
 deg D_n = p^n grows fast, so :func:`denominator` enforces a degree cap.
 The module also walks forward orbits of individual points on P^1(F_q),
@@ -69,7 +71,8 @@ def iterate_step(fr: IterateFraction, xi: FieldElement) -> IterateFraction:
     new_num = frobenius_power(den)
     new_den = (frobenius_power(num) - num * den ** (p - 1)
                + Poly.constant(xi) * new_num)
-    common = gcd(new_num, new_den)
+    # gcd(D^p, D') = 1 exactly when gcd(D, D') = 1
+    common = gcd(den, new_den)
     if common.degree != 0:
         raise GcdNotOne(
             f"iterate {fr.n + 1} is not reduced; this should be impossible")

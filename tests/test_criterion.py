@@ -2,6 +2,7 @@
 
 import functools
 import gc
+import json
 
 import pytest
 
@@ -275,7 +276,7 @@ def test_decide_unstable_example():
 
 def test_decide_builds_rows_on_first_read():
     verdict = decide_inverse_stability(V)
-    assert verdict._rows is None
+    assert 'trace_table' not in vars(verdict)
     rows = verdict.trace_table
     assert verdict.trace_table is rows            # built once
     assert [r.cells() for r in rows] == [
@@ -317,10 +318,16 @@ def test_verdict_invariants_sweep():
 
 
 def test_verdict_round_trip():
-    for xi in (W, V, F3.one, finite_field(2, 2).one):
+    """to_dict, json and from_dict give the verdict back, also on GF(101^2)
+    and GF(127^2), above ZECH_MAX_ORDER (85,3: witness 4; 53,53: stable,
+    preperiod 13, period 36)."""
+    above = [fields.element_from_text(finite_field(p, 2), text)
+             for p, text in ((101, '85,3'), (127, '53,53'))]
+    assert all(x.ctx.order > fields.ZECH_MAX_ORDER for x in above)
+    for xi in [W, V, F3.one, finite_field(2, 2).one] + above:
         verdict = decide_inverse_stability(xi)
         data = verdict.to_dict()
-        back = StabilityVerdict.from_dict(data)
+        back = StabilityVerdict.from_dict(json.loads(json.dumps(data)))
         assert back.outcome == verdict.outcome
         assert back.witness_n == verdict.witness_n
         assert back.preperiod == verdict.preperiod
@@ -328,6 +335,7 @@ def test_verdict_round_trip():
         assert back.state_steps == verdict.state_steps
         assert back.xi == verdict.xi and back.ctx is verdict.ctx
         assert back.trace_table == verdict.trace_table
+        assert back.to_dict() == data
 
 
 #: marks a key that a from_dict test drops from the verdict data
@@ -409,7 +417,29 @@ def test_verdict_from_dict_rejects_misnumbered_rows():
     data = decide_inverse_stability(W).to_dict()
     rows = data['trace_table']
     rows[0], rows[1] = rows[1], rows[0]
-    with pytest.raises(ValueError, match='numbered'):
+    with pytest.raises(ValueError, match="row 1 'n'"):
+        StabilityVerdict.from_dict(data)
+
+
+def _bump(row, key, p):
+    """Raise the first coefficient of a row's element text by one mod p."""
+    first, *rest = row[key].split(',')
+    row[key] = ','.join([str((int(first) + 1) % p)] + rest)
+
+
+@pytest.mark.parametrize('xi, tamper, match', [
+    (W, lambda d: _bump(d['trace_table'][2], 'trace', 3), "row 3 'trace'"),
+    (W, lambda d: d.update(state_steps=d['state_steps'] + 1),
+     "'state_steps'"),
+    (V, lambda d: _bump(d['trace_table'][-1], 'ratio', 5), "row 8 'ratio'"),
+], ids=['trace-cell', 'state-steps', 'last-ratio'])
+def test_verdict_from_dict_rejects_a_tampered_record(xi, tamper, match):
+    """A record that parses but differs from the decision in one value:
+    row 3's trace and the stable state_steps of W, and the last ratio of
+    the unstable V."""
+    data = decide_inverse_stability(xi).to_dict()
+    tamper(data)
+    with pytest.raises(ValueError, match=match):
         StabilityVerdict.from_dict(data)
 
 
