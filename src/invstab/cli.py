@@ -235,19 +235,46 @@ def _rows_text(cells, quiet: bool) -> str:
 
 
 def _cmd_search(args) -> int:
+    """One row per xi, deciding one seed per orbit of xi -> xi^p and
+    xi -> -xi.
+
+    Both maps carry the criterion's states of xi onto those of its image
+    by an injective map, so the image has the same outcome, witness,
+    preperiod and period.  The Frobenius sigma is a field automorphism
+    that fixes the recurrence's coefficients, which lie in F_p, so the
+    states of sigma(xi) are the sigma(a_n, c_n, d_n), and
+    Tr(sigma x) = Tr(x).  For odd p, (-t)^p = -t^p, so from n = 2 on the
+    states of -xi are (a_n, -c_n, d_n): t and r change sign with c, and
+    Tr(-r) = -Tr(r) vanishes with Tr(r); at n = 1, Tr(-xi) = -Tr(xi).  In
+    characteristic 2 negation is the identity.  The group the two maps
+    generate has order e, or 2e for odd p, so a seed's orbit is short.
+
+    The first seed of each orbit in packed order is decided, and its
+    verdict columns wait in ``shared`` for the rest of its orbit; xi and
+    Tr(xi) are rendered for every seed.
+    """
     ctx = _make_ctx(args)
+    header = ('xi', 'trace', 'outcome', 'witness_n', 'preperiod', 'period')
+    frobenius, neg, trace = ctx.frobenius_v, ctx.neg_v, ctx.trace_v
+    shared = {}
     rows = []
     for xi in ctx.elements():
-        verdict = decide_inverse_stability(xi)
-        rows.append({
-            'xi': element_to_text(xi),
-            'trace': element_to_text(abs_trace(xi)),
-            'outcome': verdict.outcome,
-            'witness_n': verdict.witness_n,
-            'preperiod': verdict.preperiod,
-            'period': verdict.period,
-        })
-    header = ('xi', 'trace', 'outcome', 'witness_n', 'preperiod', 'period')
+        v = xi.val
+        columns = shared.pop(v, None)
+        if columns is None:
+            verdict = decide_inverse_stability(xi)
+            columns = {k: getattr(verdict, k) for k in header[2:]}
+            orbit = {v}
+            y = frobenius(v)
+            while y != v:
+                orbit.add(y)
+                y = frobenius(y)
+            orbit.update([neg(y) for y in orbit])
+            orbit.discard(v)
+            shared.update(dict.fromkeys(orbit, columns))
+        # a prime-field element's text is its integer
+        rows.append({'xi': element_to_text(xi), 'trace': str(trace(v)),
+                     **columns})
     _render(args, lambda: {'field': ctx.describe(), 'results': rows},
             header, (_cells(r, header) for r in rows))
     return EXIT_OK

@@ -10,7 +10,12 @@ import pytest
 
 from invstab import cli, criterion
 from invstab.criterion import StabilityVerdict, decide_inverse_stability
-from invstab.fields import finite_field
+from invstab.fields import (
+    ZECH_MAX_ORDER,
+    abs_trace,
+    element_to_text,
+    finite_field,
+)
 from invstab.iteration import denominator
 from invstab.polys import artin_schreier, poly_to_text
 from invstab.xcheck import EquivalenceReport
@@ -161,6 +166,55 @@ def test_search_json(capsys):
     assert payload['schema'] == 1
     assert payload['field'] == {'p': 2, 'e': 1, 'modulus': None}
     assert [r['outcome'] for r in payload['results']] == ['unstable', 'stable']
+
+
+def _search_fields():
+    """(search argv, field) for F_9 over x^2 + 2x + 2, every depth-1 field
+    of order <= 1024 with p <= 31, and GF(2^13) and GF(3^9), the two
+    smallest fields above ZECH_MAX_ORDER that are cheap to search."""
+    sizes = [(p, e) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+             for e in range(1, 11) if p ** e <= 1024] + [(2, 13), (3, 9)]
+    return [(F9_ARGS, finite_field(3, 2, modulus=(2, 2, 1)))] + [
+        (['--p', str(p), '--e', str(e)], finite_field(p, e))
+        for p, e in sizes]
+
+
+def test_search_matches_direct_decisions(capsys):
+    """Every csv row of search is the row of the seed's own decision:
+    sharing a verdict along the Frobenius/negation orbit changes none."""
+    searched = _search_fields()
+    assert len(searched) == 40
+    assert all(ctx.order > ZECH_MAX_ORDER for _, ctx in searched[-2:])
+    for argv, ctx in searched:
+        rc, out, _ = run(capsys, ['search'] + argv + ['--format', 'csv'])
+        assert rc == cli.EXIT_OK
+        expected = [['xi', 'trace', 'outcome', 'witness_n', 'preperiod',
+                     'period']]
+        for xi in ctx.elements():
+            v = decide_inverse_stability(xi)
+            expected.append([element_to_text(xi),
+                             element_to_text(abs_trace(xi)), v.outcome]
+                            + ['' if k is None else str(k) for k in
+                               (v.witness_n, v.preperiod, v.period)])
+        assert list(csv.reader(io.StringIO(out))) == expected, argv
+
+
+def test_search_decides_once_per_orbit(capsys, monkeypatch):
+    """search decides one seed per orbit of xi -> xi^p and xi -> -xi."""
+    calls = []
+
+    def counting(xi):
+        calls.append(xi)
+        return decide_inverse_stability(xi)
+    monkeypatch.setattr(cli, 'decide_inverse_stability', counting)
+    for argv, decisions in ((['--p', '3', '--e', '6'], 68),
+                            (['--p', '5', '--e', '4'], 87),
+                            (['--p', '2', '--e', '10'], 108),
+                            (['--p', '11', '--e', '2'], 36),
+                            (['--p', '101'], 51)):
+        calls.clear()
+        assert run(capsys, ['search'] + argv + ['--quiet'])[0] == cli.EXIT_OK
+        assert len(calls) == decisions, argv
 
 
 # -- generate -------------------------------------------------------------------

@@ -481,6 +481,20 @@ def _verdict_tuple(xi):
     return (v.outcome, v.witness_n, v.preperiod, v.period, v.state_steps)
 
 
+def test_verdict_shared_by_frobenius_and_negation():
+    """On every seed of GF(2^6), GF(3^4), GF(5^3), GF(7^2) and GF(11^2),
+    xi^p and, for odd p, -xi have xi's outcome, witness, cycle data and
+    state_steps: the orbit argument search relies on, here on the
+    decision alone."""
+    for p, e in ((2, 6), (3, 4), (5, 3), (7, 2), (11, 2)):
+        ctx = finite_field(p, e)
+        verdicts = {xi.val: _verdict_tuple(xi) for xi in ctx.elements()}
+        for xi in ctx.elements():
+            images = [xi ** p] + ([-xi] if p % 2 else [])
+            for image in images:
+                assert verdicts[image.val] == verdicts[xi.val], (xi, image)
+
+
 def test_log_walk_agrees_with_packed_walk():
     """Outcome, witness, cycle data and state_steps of the decision equal
     the packed reference walk's on every seed with Tr(xi) != 0 of every
