@@ -14,6 +14,7 @@ from .fields import (
     FieldElement,
     abs_trace,
     element_from_text,
+    element_texts,
     element_to_text,
     extension_field,
     finite_field,
@@ -76,8 +77,9 @@ __version__ = '0.1.0'
 __all__ = [
     'errors',
     'MAX_DEPTH', 'MAX_PRIME', 'FieldCtx', 'FieldElement', 'abs_trace',
-    'element_from_text', 'element_to_text', 'extension_field',
-    'finite_field', 'lift', 'prime_field', 'rel_trace', 'relative_degree',
+    'element_from_text', 'element_texts', 'element_to_text',
+    'extension_field', 'finite_field', 'lift', 'prime_field', 'rel_trace',
+    'relative_degree',
     'Poly', 'artin_schreier', 'find_irreducible', 'frobenius_power', 'gcd',
     'is_irreducible', 'poly_to_text', 'powmod', 'reciprocal',
     'DEFAULT_DEGREE_CAP', 'INFINITY', 'IterateFraction', 'denominator',

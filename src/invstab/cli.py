@@ -35,6 +35,7 @@ from .fields import (
     FieldElement,
     abs_trace,
     element_from_text,
+    element_texts,
     element_to_text,
     finite_field,
 )
@@ -153,10 +154,19 @@ def _render(args, payload, header, rows, text=None) -> None:
     for their own formats, so a command can leave out of them (or pass
     ``rows`` as a generator) what the other formats do not print.
     This is the one place that reads --format.
+
+    json is exactly ``json.dumps(..., indent=2)`` and a newline, but an
+    indent sends ``json`` to its pure-Python encoder, so :func:`_json_text`
+    has the C encoder write it with no indent and an item separator of
+    ',\\n' and the items' indent, and then edits that text.  The edits are
+    sound because the encoder escapes every control character, so every raw
+    newline in its output comes from a separator, and a scalar's text never
+    ends in ``}`` or ``]``, so a separator after one of those follows a
+    container member.
     """
     if args.format == 'json':
-        out = json.dumps({'schema': SCHEMA_VERSION, 'command': args.command,
-                          **payload()}, indent=2) + '\n'
+        out = _json_text({'schema': SCHEMA_VERSION, 'command': args.command,
+                          **payload()}) + '\n'
     elif args.format == 'csv':
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator='\n')
@@ -168,6 +178,57 @@ def _render(args, payload, header, rows, text=None) -> None:
     else:
         out = _table_text(header, rows, args.quiet)
     _emit(args, out)
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+def _members(obj):
+    return obj.values() if isinstance(obj, dict) else obj
+
+
+def _json_text(obj, level=0) -> str:
+    """``json.dumps(obj, indent=2)`` for ``obj`` at indent ``level``.
+
+    A container of scalars is one C encoder call, with the line breaks
+    after its opening and before its closing bracket added.  A list of
+    non-empty scalar-only containers of one kind (search results,
+    trace-table rows, verify pairs) is one call at the indent of the
+    members' items; each ``}`` + separator + ``{`` (or ``]``, ``[``)
+    between two members is then rewritten with the members' own indent.
+    Any other container is one call with 0 in place of each container
+    member, split at its separators, and each such member's text, from a
+    call at the next level, replaces its 0.
+    """
+    if not isinstance(obj, _CONTAINERS) or not obj:
+        return json.dumps(obj)
+    pad = '\n' + '  ' * level
+    sep = ',' + pad + '  '
+    members = list(_members(obj))
+    nested = [i for i, v in enumerate(members) if isinstance(v, _CONTAINERS)]
+    kinds = {isinstance(v, dict) for v in members}
+    if (len(nested) == len(members) and len(kinds) == 1 and all(members)
+            and not isinstance(obj, dict) and not any(
+                isinstance(x, _CONTAINERS) for v in members
+                for x in _members(v))):
+        inner = sep + '  '
+        text = json.JSONEncoder(separators=(inner, ': ')).encode(obj)
+        o, c = '{}' if kinds.pop() else '[]'
+        rows = text[2:-2].replace(c + inner + o,
+                                  sep[1:] + c + sep + o + inner[1:])
+        return '[' + sep[1:] + o + inner[1:] + rows + sep[1:] + c + pad + ']'
+    if nested:
+        flat = members[:]
+        for i in nested:
+            flat[i] = 0
+        obj = dict(zip(obj, flat)) if isinstance(obj, dict) else flat
+    text = json.JSONEncoder(separators=(sep, ': ')).encode(obj)
+    if nested:
+        items = text[1:-1].split(sep)
+        for i in nested:
+            items[i] = items[i][:-1] + _json_text(members[i], level + 1)
+        text = text[0] + sep.join(items) + text[-1]
+    return text[0] + sep[1:] + text[1:-1] + pad + text[-1]
 
 
 def _table_text(header, rows, quiet: bool) -> str:
@@ -251,18 +312,18 @@ def _cmd_search(args) -> int:
 
     The first seed of each orbit in packed order is decided, and its
     verdict columns wait in ``shared`` for the rest of its orbit; xi and
-    Tr(xi) are rendered for every seed.
+    Tr(xi) are rendered for every seed, xi from one generator over the
+    field's texts, so only a decided seed becomes a FieldElement.
     """
     ctx = _make_ctx(args)
     header = ('xi', 'trace', 'outcome', 'witness_n', 'preperiod', 'period')
     frobenius, neg, trace = ctx.frobenius_v, ctx.neg_v, ctx.trace_v
     shared = {}
     rows = []
-    for xi in ctx.elements():
-        v = xi.val
+    for v, text in enumerate(element_texts(ctx)):
         columns = shared.pop(v, None)
         if columns is None:
-            verdict = decide_inverse_stability(xi)
+            verdict = decide_inverse_stability(FieldElement(ctx, v))
             columns = {k: getattr(verdict, k) for k in header[2:]}
             orbit = {v}
             y = frobenius(v)
@@ -272,9 +333,8 @@ def _cmd_search(args) -> int:
             orbit.update([neg(y) for y in orbit])
             orbit.discard(v)
             shared.update(dict.fromkeys(orbit, columns))
-        # a prime-field element's text is its integer
-        rows.append({'xi': element_to_text(xi), 'trace': str(trace(v)),
-                     **columns})
+        # a trace lies in F_p, whose element's text is its integer
+        rows.append({'xi': text, 'trace': str(trace(v)), **columns})
     _render(args, lambda: {'field': ctx.describe(), 'results': rows},
             header, (_cells(r, header) for r in rows))
     return EXIT_OK

@@ -57,6 +57,7 @@ fixed by the field.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -499,6 +500,36 @@ def _block_kernel(base, f, encode):
     return mul, power
 
 
+#: vectors of at most this many slots pack and unpack a slot at a time, in
+#: time quadratic in the slot count; longer ones split in halves first.
+#: The loop is as fast up to a few hundred slots, and every layout of a
+#: Rabin test up to degree 256 stays on it
+_LOOP_SLOTS = 512
+
+
+def _pack_slots(digits, width):
+    """The integer with digit i in slot i of ``width`` bits."""
+    if len(digits) > _LOOP_SLOTS:
+        half = len(digits) // 2
+        return (_pack_slots(digits[:half], width)
+                | _pack_slots(digits[half:], width) << half * width)
+    x = 0
+    for c in reversed(digits):
+        x = x << width | c
+    return x
+
+
+def _unpack_slots(x, width, n):
+    """Slots 0 .. n - 1 of ``width`` bits of x, whose higher bits may be
+    set."""
+    if n > _LOOP_SLOTS:
+        half = n // 2
+        return (_unpack_slots(x & ((1 << half * width) - 1), width, half)
+                + _unpack_slots(x >> half * width, width, n - half))
+    mask = (1 << width) - 1
+    return [x >> (k * width) & mask for k in range(n)]
+
+
 class _Kron:
     """Kronecker-substitution layout for polynomial products over F_p or
     F_{p^e}, for :mod:`.polys`.
@@ -534,9 +565,8 @@ class _Kron:
     Every layout has slots of B + 1 bits.  Barrett products chain, the
     bigint multiplies dominate at large degrees, and wider slots (2B + 2
     bits for a single multiply-shift, or whole bytes) made them slower.
-    :meth:`pack` and :meth:`unpack` shift one digit at a time, quadratic in
-    the number of slots: a power pays that once, a single product on every
-    call, a small share of each command measured.
+    :meth:`pack` and :meth:`unpack` go through :func:`_pack_slots` and
+    :func:`_unpack_slots`, which split a long vector in halves.
     """
 
     __slots__ = ('p', 'e', 'width', 'stride', 'bits', 'blocks', 'fold',
@@ -574,17 +604,13 @@ class _Kron:
             for pj in [p ** j for j in range(self.e)]:
                 digits += [c // pj % p for c in vals]
                 digits += gap
-        x, width = 0, self.width
-        for c in reversed(digits):
-            x = x << width | c
-        return x
+        return _pack_slots(digits, self.width)
 
     def unpack(self, x, n):
         """Field values of coefficients 0 .. n - 1 of a reduced packed
         integer."""
         stride, width = self.stride, self.width
-        mask = (1 << width) - 1
-        blocks = [[x >> (k * width) & mask for k in range(start, start + n)]
+        blocks = [_unpack_slots(x >> (start * width), width, n)
                   for start in range(0, self.e * stride, stride)]
         out = blocks.pop()
         p = self.p
@@ -1152,6 +1178,19 @@ def element_to_text(x: FieldElement) -> str:
     if ctx.depth > 1:
         raise ValueError("no text encoding for towers above depth 1")
     return ','.join(str(c) for c in ctx.decode_v(x.val))
+
+
+def element_texts(ctx: FieldCtx) -> Iterator[str]:
+    """:func:`element_to_text` of every element, in packed-value order.
+
+    ``itertools.product`` varies its last position fastest and the packed
+    value its lowest digit, so each tuple is the digits high first.
+    """
+    if ctx.depth > 1:
+        raise ValueError("no text encoding for towers above depth 1")
+    digits = [str(c) for c in range(ctx.p)]
+    return (','.join(t[::-1])
+            for t in itertools.product(digits, repeat=ctx.degree))
 
 
 def element_from_text(ctx: FieldCtx, text: str) -> FieldElement:

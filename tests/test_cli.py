@@ -13,7 +13,9 @@ from invstab.criterion import StabilityVerdict, decide_inverse_stability
 from invstab.fields import (
     ZECH_MAX_ORDER,
     abs_trace,
+    element_texts,
     element_to_text,
+    extension_field,
     finite_field,
 )
 from invstab.iteration import denominator
@@ -29,6 +31,11 @@ def run(capsys, argv):
     rc = cli.main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def assert_indented_dumps(out):
+    """json stdout is json.dumps(payload, indent=2) and a newline."""
+    assert out == json.dumps(json.loads(out), indent=2) + '\n'
 
 
 # -- check ----------------------------------------------------------------------
@@ -180,23 +187,44 @@ def _search_fields():
 
 
 def test_search_matches_direct_decisions(capsys):
-    """Every csv row of search is the row of the seed's own decision:
-    sharing a verdict along the Frobenius/negation orbit changes none."""
+    """Every csv row and json result of search is the row of the seed's own
+    decision: sharing a verdict along the Frobenius/negation orbit, and
+    writing xi from the field's text generator, change none.  The json
+    stdout is also json.dumps(indent=2) of what it loads to."""
     searched = _search_fields()
     assert len(searched) == 40
     assert all(ctx.order > ZECH_MAX_ORDER for _, ctx in searched[-2:])
+    header = ('xi', 'trace', 'outcome', 'witness_n', 'preperiod', 'period')
     for argv, ctx in searched:
         rc, out, _ = run(capsys, ['search'] + argv + ['--format', 'csv'])
         assert rc == cli.EXIT_OK
-        expected = [['xi', 'trace', 'outcome', 'witness_n', 'preperiod',
-                     'period']]
+        rc, text, _ = run(capsys, ['search'] + argv + ['--format', 'json'])
+        assert rc == cli.EXIT_OK
+        results = []
         for xi in ctx.elements():
             v = decide_inverse_stability(xi)
-            expected.append([element_to_text(xi),
-                             element_to_text(abs_trace(xi)), v.outcome]
-                            + ['' if k is None else str(k) for k in
-                               (v.witness_n, v.preperiod, v.period)])
+            results.append(dict(zip(header, (
+                element_to_text(xi), element_to_text(abs_trace(xi)),
+                v.outcome, v.witness_n, v.preperiod, v.period))))
+        expected = [list(header)] + [
+            ['' if k is None else str(k) for k in r.values()]
+            for r in results]
         assert list(csv.reader(io.StringIO(out))) == expected, argv
+        assert json.loads(text)['results'] == results, argv
+        assert_indented_dumps(text)
+
+
+def test_element_texts_in_packed_order():
+    """fields.element_texts lists element_to_text of every element in
+    packed order, on every searched field; a tower has no texts."""
+    for _, ctx in _search_fields():
+        assert list(element_texts(ctx)) == [
+            element_to_text(x) for x in ctx.elements()], ctx
+    F9 = finite_field(3, 2, modulus=(2, 2, 1))
+    assert list(element_texts(F9))[:4] == ['0,0', '1,0', '2,0', '0,1']
+    tower = extension_field(F9, artin_schreier(F9.modulus_root))
+    with pytest.raises(ValueError):
+        element_texts(tower)
 
 
 def test_search_decides_once_per_orbit(capsys, monkeypatch):
@@ -579,6 +607,33 @@ def test_cli_bytes_pinned(capsys):
                                  + rest + ['--format', fmt] + quiet)
                 got.append(f"{rc}:{hashlib.sha256(out.encode()).hexdigest()}")
         assert tuple(got) == expected, line
+
+
+def test_json_output_is_indented_dumps(capsys):
+    """Every pinned command line writes, with --format json, exactly
+    json.dumps(indent=2) of the payload it loads to."""
+    for line in _PINNED_CLI:
+        command, field, *rest = line.split()
+        for quiet in ([], ['--quiet']):
+            _, out, _ = run(capsys, [command] + _PINNED_FIELDS[field] + rest
+                            + ['--format', 'json'] + quiet)
+            assert_indented_dumps(out)
+
+
+@pytest.mark.parametrize('obj', [
+    {}, [], [[]], [{}], [{}, {}], [[], [1]], [{'a': 1}, {}],
+    [{'a': 1}, [1, 2]], [[1, [2]], [3]], [{'a': [1]}, {'a': 2}],
+    {'a': {'b': {'c': [1, {'d': []}]}}},
+    [{'x': '},\n  {', 'y': '],'}, {'x': '}, {', 'y': '],\n['}],
+    [['a\nb', '],'], ('é', '\u2603 \x00')],
+    {'s': 'grüße', 'rows': [{'k': 'ö'}, {'k': '}'}]},
+    [True, False, None, 1.5, -0.0, 1e300, float('inf'), float('nan')],
+    ((1, 2), (3, 'a')), {'t': (1, (2, 3))}, [(1,), [2]],
+    {1: [1], None: {'a': (1,)}, 2.5: 0, False: []},
+    'a string', 7, None,
+])
+def test_json_text_matches_indented_dumps(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2)
 
 
 # -- errors --------------------------------------------------------------------------

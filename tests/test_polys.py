@@ -9,8 +9,11 @@ import pytest
 from invstab import errors
 from invstab.criterion import decide_inverse_stability
 from invstab.fields import (
+    _LOOP_SLOTS,
     _Kron,
+    _pack_slots,
     _slot_reducer,
+    _unpack_slots,
     element_from_text,
     extension_field,
     finite_field,
@@ -318,6 +321,25 @@ def test_slot_reduction_against_per_slot_remainder():
         extremes += [rng.randrange(k * big, (k + 1) * big)
                      for k in (rng.randrange(top // big) for _ in range(500))]
         reduce_case(big, b, width, extremes)
+
+
+def test_slot_packing_by_halves():
+    """_pack_slots and _unpack_slots against one slot at a time, on both
+    sides of _LOOP_SLOTS and well above it, with set bits above the slots
+    unpacked; a long vector over F_9 packs and unpacks unchanged."""
+    rng = random.Random(2718)
+    for width in (2, 13, 31):
+        for n in (0, 1, _LOOP_SLOTS - 1, _LOOP_SLOTS, _LOOP_SLOTS + 1,
+                  2 * _LOOP_SLOTS + 3, 5 * _LOOP_SLOTS - 7):
+            digits = [rng.randrange(1 << width) for _ in range(n)]
+            x = sum(c << (k * width) for k, c in enumerate(digits))
+            assert _pack_slots(digits, width) == x, (width, n)
+            high = x | rng.randrange(1, 1 << 64) << (n * width)
+            assert _unpack_slots(high, width, n) == digits, (width, n)
+    m = 3 * _LOOP_SLOTS
+    lay = _Kron.fit(F9, m, 2 * m - 1)
+    vals = [rng.randrange(9) for _ in range(m)]
+    assert lay.unpack(lay.pack(vals), m) == vals
 
 
 def test_newton_mu_matches_long_division():
