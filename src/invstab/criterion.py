@@ -18,20 +18,20 @@ The state space (a, c, d) is finite, of size at most q^3, so the sequence of
 states from n = 2 on is eventually periodic: once the cycle closes with no
 zero trace, none can ever appear and g is stable.  The decision never walks
 the states themselves.  Writing t = d/c and r = a/c, the state is
-c (r, 1, t); the pair (t, r) moves on its own and the trace test reads only
-r, while c follows c_(n+1) = c_n^2 (xi - t^p + t) and never feeds back.
+c (r, 1, t); t moves on its own, r follows t and is all the trace test
+reads, and c_(n+1) = c_n^2 (xi - t^p + t) never feeds back.
 
 :func:`decide_inverse_stability` has two paths.  A seed xi in F_p^* needs
 no walk (:func:`_prime_cycle`): the Frobenius fixes t = -1/xi, so r_n and
 c_n are powers of -1/xi and xi, no trace vanishes when Tr(xi) != 0, and
 the cycle data come from the order of xi in F_p^*.  Every other seed walks
-the (t, r) orbit on packed values to the first zero trace or the first
-repeated pair (:func:`_pair_walk`), and a stable seed gets the cycle data
-of the states from element orders in F_q^*, with c computed over one lap
-and a few steps.  Both return what a walk over the states would find:
-the outcome, the witness, the preperiod and the period.  The verdict holds
-these and xi, and derives the rest from them: ``state_steps`` in one
-property, and the table by :func:`trace_rows` when
+t on packed values to its first repeat, which is where the (t, r) cycle
+starts, then steps r and c around the t-cycle to the first zero trace or
+the lap where r returns (:func:`_t_walk`); a stable seed gets the cycle
+data of the states from element orders in F_q^*.  Both return what a walk
+over the states would find: the outcome, the witness, the preperiod and
+the period.  The verdict holds these and xi, and derives the rest:
+``state_steps`` in one property, and the table by :func:`trace_rows` when
 :attr:`StabilityVerdict.trace_table` is first read.
 
 The module also carries the closed-form trace of a general Moebius transform
@@ -309,8 +309,8 @@ def decide_inverse_stability(xi: FieldElement) -> StabilityVerdict:
     state is ever advanced past it, so the reported witness is minimal and
     no state with c = 0 is stepped.  A seed in F_p^* (packed value below
     p) is decided in closed form (:func:`_prime_cycle`), so a prime field
-    walks nothing.  Every other seed walks the (t, r) orbit, and a stable
-    one gets its cycle data from orders in F_q^* (:func:`_pair_walk`).
+    walks nothing.  Every other seed walks the orbit of t, and a stable
+    one gets its cycle data from orders in F_q^* (:func:`_t_walk`).
     Both give what a walk over the states would.  No row is built here:
     the verdict's ``trace_table`` is computed on first access.
     """
@@ -318,7 +318,7 @@ def decide_inverse_stability(xi: FieldElement) -> StabilityVerdict:
     if ctx.trace_v(xi.val) == 0:
         # Tr(xi) = 0: D_1 = g is already reducible
         return StabilityVerdict(UNSTABLE, 1, None, None, xi)
-    walk = _prime_cycle if xi.val < ctx.p else _pair_walk
+    walk = _prime_cycle if xi.val < ctx.p else _t_walk
     return StabilityVerdict(*walk(ctx, xi.val), xi)
 
 
@@ -378,71 +378,69 @@ def _totient(n: int, primes) -> int:
     return phi
 
 
-def _pair_walk(ctx: FieldCtx, xi_v: int) -> tuple:
+def _t_walk(ctx: FieldCtx, xi_v: int) -> tuple:
     """The state walk's (outcome, witness_n, preperiod, period), for
-    Tr(xi) != 0, from the (t, r) orbit.
+    Tr(xi) != 0, from the orbit of t.
 
     The state (a, c, d) is c (r, 1, t) with r = a/c and t = d/c.  With
-    u_n = xi - t_n^p + t_n, never 0 as Tr(u_n) = Tr(xi), the pair moves on
-    its own, t_(n+1) = -1/u_n and r_(n+1) = r_n t_n t_(n+1) from
-    t_2 = r_2 = -1/xi, while c_(n+1) = c_n^2 u_n from c_2 = xi never feeds
-    back.  The trace test reads only r, so the walk steps (t, r), keeping
-    (t_(n+1), t_n t_(n+1), u_n) per t, to the first zero trace (unstable,
-    the least witness) or the first repeated pair, (t, r)_n = (t, r)_seen:
-    stable, as no new r can follow.
+    u_n = xi - t_n^p + t_n, never 0 as Tr(u_n) = Tr(xi), t_(n+1) = -1/u_n
+    moves on its own from t_2 = -1/xi, while r_(n+1) = r_n t_n t_(n+1) from
+    r_2 = -1/xi and c_(n+1) = c_n^2 u_n from c_2 = xi never feed back.
+    t^p - t lies in the trace-zero hyperplane, so t_3, t_4, ... take at
+    most q/p values.  The walk steps t, r and c, testing Tr(r_n) and
+    keeping (t_n t_(n+1), u_n, c_n, r_n) at each n, to the first zero trace
+    (unstable, the least witness) or the first repeated t, t_(N+L) = t_N.
+    No t before N returns, so neither does a pair (t, r): the pairs' cycle
+    starts at N, and its length P is the least kL > 0 with r_(N+kL) = r_N.
+    From N + L the walk steps r and c around the L kept steps of the
+    t-cycle to the first zero trace or to that lap: stable, as no new r
+    can follow.
 
-    The cycle data are those of the states, and c decides them.  From
-    seen on, u has period P = n - seen, so on logs x_n = log c_n a lap
-    is x -> 2^P x + B mod q - 1, B fixed by n mod P.  Let q - 1 = 2^s M,
-    M odd.  Mod M a lap is a bijection; mod 2^s, s steps send every x to
-    one fixed point, its only periodic point.  So s_n is on the cycle
-    exactly when Y = c_(n+P)/c_n has odd order, and the first such n, N0,
-    is at most seen + s.  With g the order of Y at N0, k laps return c_N0
-    when g divides 1 + a + ... + a^(k-1) = (a^k - 1)/(a - 1), a = 2^P,
-    that is when a^k = 1 mod g (a - 1) for any a > 1 congruent to 2^P
-    mod g.  The least such k, tau, divides g phi(g).  The preperiod is
-    N0 - 2 and the period P tau (Knuth, TAOCP vol. 2, section 3.1; Lidl
-    and Niederreiter, Finite Fields, ch. 3).
+    The cycle data are those of the states, and c decides them.  From N on
+    a lap of P steps is x -> 2^P x + B mod q - 1 on logs x_n = log c_n,
+    B fixed by n mod L.  Let q - 1 = 2^s M, M odd.  Mod M a lap is a
+    bijection; mod 2^s, s steps send every x to one fixed point, its only
+    periodic point.  So s_n is on the cycle exactly when
+    Y_n = c_(n+P)/c_n has odd order.  u has period L, which divides P, so
+    Y_(n+1) = Y_n^2: with ord(Y_N) = 2^v g, g odd, the cycle starts at
+    N0 = N + v, where Y has order g.  k laps return c_N0 when g divides
+    1 + a + ... + a^(k-1) = (a^k - 1)/(a - 1), a = 2^P, that is when
+    a^k = 1 mod g (a - 1) for any a > 1 congruent to 2^P mod g.  The least
+    such k, tau, divides g phi(g).  The preperiod is N0 - 2 and the period
+    P tau (Knuth, TAOCP vol. 2, section 3.1; Lidl and Niederreiter, Finite
+    Fields, ch. 3).
     """
     mul, inv, neg, trace = ctx.mul_v, ctx.inv_v, ctx.neg_v, ctx.trace_v
-    sub, add, frob = ctx.sub_v, ctx.add_v, ctx.frobenius_v
-    q = ctx.order
-    after = {}          # t_n -> (t_(n+1), t_n t_(n+1), u_n)
-    t2 = t = r = neg(inv(xi_v))
-    n, first = 2, {}
-    while True:
-        key = t * q + r
-        if first.setdefault(key, n) != n:     # a repeat keeps its first n
-            break
+    t = r = neg(inv(xi_v))
+    c, first, steps = xi_v, {}, []      # first[t_n] = n - 2, an index of steps
+    while t not in first:
         if not trace(r):
-            return UNSTABLE, n, None, None
-        step = after.get(t)
-        if step is None:
-            u = add(sub(xi_v, frob(t)), t)
-            nxt = neg(inv(u))
-            step = after[t] = (nxt, mul(t, nxt), u)
-        t, r = step[0], mul(r, step[1])
-        n += 1
-    seen = first[key]
-    lap = n - seen
-    m = q - 1
-    s = (m & -m).bit_length() - 1
-    odd = m >> s
-    cs, t = [xi_v], t2                  # cs[k] = c_(k+2), up to c_(seen+s+P)
-    for _ in range(seen + s + lap - 2):
-        t, _, u = after[t]
-        cs.append(mul(mul(cs[-1], cs[-1]), u))
-    # N0 = mu + 2, the first n >= seen whose lap ratio Y has odd order
-    for mu in range(seen - 2, seen - 1 + s):
-        y = mul(cs[mu + lap], inv(cs[mu]))
-        if ctx.pow_v(y, odd) == 1:
-            break
+            return UNSTABLE, len(steps) + 2, None, None
+        first[t] = len(steps)
+        u = ctx.add_v(ctx.sub_v(xi_v, ctx.frobenius_v(t)), t)
+        nxt = neg(inv(u))
+        tt = mul(t, nxt)
+        steps.append((tt, u, c, r))
+        t, r, c = nxt, mul(r, tt), mul(mul(c, c), u)
+    pre = first[t]                      # N - 2
+    lap = steps[pre:]
+    c_n, r_n = lap[0][2:]               # c_N and r_N
+    n = len(steps) + 2                  # N + L
+    while r != r_n:
+        for tt, u, _, _ in lap:
+            if not trace(r):
+                return UNSTABLE, n, None, None
+            r, c = mul(r, tt), mul(mul(c, c), u)
+            n += 1
     primes = _unit_primes(ctx)
-    g = _order(FieldElement(ctx, y), None, m, primes)
-    a = pow(2, lap, g) + g
+    o = _order(FieldElement(ctx, mul(c, inv(c_n))), None, ctx.order - 1,
+               primes)
+    v = (o & -o).bit_length() - 1
+    g, period = o >> v, n - 2 - pre     # P = n - N
+    a = pow(2, period, g) + g
     phi = _totient(g, primes)
     tau = _order(a, g * (a - 1), g * phi, primes + _prime_factors(phi))
-    return STABLE, None, mu, lap * tau
+    return STABLE, None, pre + v, period * tau
 
 
 # ---------------------------------------------------------------------------

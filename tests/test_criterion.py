@@ -3,6 +3,7 @@
 import functools
 import gc
 import json
+import tracemalloc
 
 import pytest
 
@@ -69,6 +70,61 @@ def packed_walk(ctx, xi_v):
         n += 1
     seen = first[state]
     return STABLE, None, seen - 2, n - seen, n - 2
+
+
+def pair_walk(ctx, xi_v):
+    """Second reference for a seed outside F_p with Tr(xi) != 0: walk the
+    pairs (t, r) = (d/c, a/c) to the first zero trace or the first
+    repeated pair, then get the states' cycle data from c over one lap
+    and a few steps past the repeat.  Returns (outcome, witness_n,
+    preperiod, period).
+
+    t_(n+1) = -1/u_n, r_(n+1) = r_n t_n t_(n+1) and c_(n+1) = c_n^2 u_n with
+    u_n = xi - t_n^p + t_n.  From the repeat at n = seen on, a lap of
+    P = n - seen steps maps log c to 2^P log c + B mod q - 1; the states'
+    cycle starts at the first n >= seen whose lap ratio c_(n+P)/c_n has
+    odd order, and its length is P times the least number of laps that
+    returns c."""
+    mul, inv, neg, trace = ctx.mul_v, ctx.inv_v, ctx.neg_v, ctx.trace_v
+    sub, add, frob = ctx.sub_v, ctx.add_v, ctx.frobenius_v
+    q = ctx.order
+    after = {}          # t_n -> (t_(n+1), t_n t_(n+1), u_n)
+    t2 = t = r = neg(inv(xi_v))
+    n, first = 2, {}
+    while True:
+        key = t * q + r
+        if first.setdefault(key, n) != n:     # a repeat keeps its first n
+            break
+        if not trace(r):
+            return UNSTABLE, n, None, None
+        step = after.get(t)
+        if step is None:
+            u = add(sub(xi_v, frob(t)), t)
+            nxt = neg(inv(u))
+            step = after[t] = (nxt, mul(t, nxt), u)
+        t, r = step[0], mul(r, step[1])
+        n += 1
+    seen = first[key]
+    lap = n - seen
+    m = q - 1
+    s = (m & -m).bit_length() - 1
+    odd = m >> s
+    cs, t = [xi_v], t2                  # cs[k] = c_(k+2), up to c_(seen+s+P)
+    for _ in range(seen + s + lap - 2):
+        t, _, u = after[t]
+        cs.append(mul(mul(cs[-1], cs[-1]), u))
+    # N0 = mu + 2, the first n >= seen whose lap ratio Y has odd order
+    for mu in range(seen - 2, seen - 1 + s):
+        y = mul(cs[mu + lap], inv(cs[mu]))
+        if ctx.pow_v(y, odd) == 1:
+            break
+    primes = criterion._unit_primes(ctx)
+    g = criterion._order(FieldElement(ctx, y), None, m, primes)
+    a = pow(2, lap, g) + g
+    phi = criterion._totient(g, primes)
+    tau = criterion._order(a, g * (a - 1), g * phi,
+                           primes + fields._prime_factors(phi))
+    return STABLE, None, mu, lap * tau
 
 
 # -- seeds and single steps -----------------------------------------------------
@@ -515,6 +571,37 @@ def test_log_walk_agrees_with_packed_walk():
         assert _verdict_tuple(xi) == packed_walk(xi.ctx, xi.val), xi
 
 
+def test_t_walk_agrees_with_pair_walk():
+    """The decision's outcome, witness and cycle data equal the pair walk's
+    on all 7,710 seeds outside F_p with Tr(xi) != 0 of every F_(p^2),
+    p <= 43, and on 68,3 and 60,39 of GF(101^2) and 5,109 and 66,124 of
+    GF(127^2)."""
+    seeds = [xi for p in range(2, 44) if all(p % k for k in range(2, p))
+             for xi in finite_field(p, 2).elements()
+             if xi.val >= p and xi.ctx.trace_v(xi.val)]
+    assert len(seeds) == 7710
+    for p, texts in ((101, ('68,3', '60,39')), (127, ('5,109', '66,124'))):
+        seeds += [fields.element_from_text(finite_field(p, 2), text)
+                  for text in texts]
+    for xi in seeds:
+        assert _verdict_tuple(xi)[:4] == pair_walk(xi.ctx, xi.val), xi
+
+
+def test_t_walk_memory_is_flat():
+    """Deciding GF(101^2) 60,39 (a pair cycle of 5,100) allocates under
+    64 KB at its peak: the walk keeps one step per t, not one per pair."""
+    xi = fields.element_from_text(finite_field(101, 2), '60,39')
+    decide_inverse_stability(xi)            # field tables built outside
+    tracemalloc.start()
+    try:
+        verdict = decide_inverse_stability(xi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.outcome == STABLE
+    assert peak < 64 * 1024, peak
+
+
 def test_log_walk_on_fresh_contexts(monkeypatch):
     """Contexts built after the context caches are emptied, as the benchmark
     does before every command, get their own tables: verdicts stay right
@@ -534,7 +621,7 @@ def test_log_walk_on_fresh_contexts(monkeypatch):
 
 
 def test_prime_cycle_agrees_with_log_walk():
-    """The closed form for xi in F_p^* returns the (t, r) walk's outcome,
+    """The closed form for xi in F_p^* returns the t-walk's outcome,
     witness, cycle data and state_steps on every seed of every prime
     field F_p, p < 256, and on the F_p seeds with Tr(xi) != 0 of GF(3^2),
     GF(5^3), GF(11^2), GF(2^5) and a depth-2 tower of degree 4 over F_3."""
@@ -547,7 +634,7 @@ def test_prime_cycle_agrees_with_log_walk():
         for v in range(1, ctx.p):
             if ctx.trace_v(v):
                 assert criterion._prime_cycle(ctx, v) == (
-                    criterion._pair_walk(ctx, v)), (ctx, v)
+                    criterion._t_walk(ctx, v)), (ctx, v)
                 seeds += 1
     assert seeds == 6027 + 2 + 4 + 10 + 1 + 2
 
