@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import random
 import sys
@@ -209,8 +210,9 @@ def _json_text(obj, level=0) -> str:
     kinds = {isinstance(v, dict) for v in members}
     if (len(nested) == len(members) and len(kinds) == 1 and all(members)
             and not isinstance(obj, dict) and not any(
-                isinstance(x, _CONTAINERS) for v in members
-                for x in _members(v))):
+                issubclass(t, _CONTAINERS) for t in set(map(
+                    type, itertools.chain.from_iterable(
+                        map(_members, members)))))):
         inner = sep + '  '
         text = json.JSONEncoder(separators=(inner, ': ')).encode(obj)
         o, c = '{}' if kinds.pop() else '[]'

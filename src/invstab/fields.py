@@ -42,7 +42,14 @@ Up to order ZECH_MAX_ORDER, F_p[X]/(m) builds on its first arithmetic
 call one table of discrete logs, antilogs and Zech logarithms
 Z(k) = log(1 + g^k) with that product, and every add, sub, neg, mul and
 inv is a lookup in it: x + y = g^(log x + Z(log y - log x)) (Lidl &
-Niederreiter, Finite Fields, section 9.3).  Such a context also computes
+Niederreiter, Finite Fields, section 9.3).  The antilogs are built a
+doubling at a time on whole integers: the base-p digits of g^0 .. g^(s-1)
+sit in digit planes, one 16-bit lane per power, and the digit matrix of
+x -> g^s x takes them to g^s .. g^(2s-1) in n^2 multiply-adds and one
+slot reduction per plane, n = deg m (:func:`_log_exp`).  A lane holds at
+most n (p - 1)^2 before reduction, so a table is built only where that
+stays below 2^15: every such field of degree >= 2, and the degree-1
+extensions with p <= 181.  Such a context also computes
 x^p as g^(p log x), and every context up to that order keeps its trace as
 a q-entry table filled from the trace vector, so every map the criterion's
 walk steps with is a lookup.
@@ -58,6 +65,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
+import sys
+from array import array
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -79,9 +89,11 @@ MAX_DEPTH = 2
 
 #: Largest order of a field that computes on tables: the discrete logs and
 #: Zech logarithms of F_p[X]/(m) (:func:`_zech_ops`) and the trace of every
-#: element.  A single ``check`` pays for the whole Zech table: 20-35 ms for
-#: GF(3^8) and GF(2^12), the largest below the bound (CPython 3.11 on a
-#: 2-vCPU Linux container).
+#: element.  A single ``check`` pays for the whole Zech table: 2.5 ms for
+#: GF(3^8) and 2.4 ms for GF(2^12), the largest below the bound, and 1.8 ms
+#: for GF(89^2), each the best of 7 (about 4.5 ms for either of the first
+#: two as the median of five such bests; CPython 3.11 on a shared 2-vCPU
+#: Linux container, ``BENCH_antilogs.json``).
 ZECH_MAX_ORDER = 8000
 
 
@@ -231,37 +243,88 @@ def _linear_map(p, images):
     return apply
 
 
-def _log_exp(q, p, n, mul):
+#: bits of one lane of :func:`_log_exp`'s digit planes, one ``array('H')``
+#: item; its docstring gives the bounds a lane needs.
+_LANE = 16
+
+
+def _log_exp(q, p, n, mul, power):
     """(logs, exps) of the cyclic group F_q^*, q = p^n, by the product
-    ``mul``.
+    ``mul`` and its ``power``.
 
     With g the least packed value that generates the group (found from the
-    prime factors of q - 1), ``exps[k]`` is g^k for k in [0, q - 1) and
-    ``logs[x]`` is the k with g^k = x (None for x = 0).  Multiplying by g
-    is F_p-linear, so the antilogs step by one :func:`_linear_map` built
-    from n products."""
+    prime factors of q - 1; for n > 1 none lies in F_p, whose elements have
+    order dividing p - 1), ``exps[k]`` is g^k for k in [0, q - 1) and
+    ``logs[x]`` is the k with g^k = x (None for x = 0).
+
+    The antilogs double a block of powers at a time, every lane at once.
+    Plane i holds digit i of g^0 .. g^(s-1), one ``_LANE``-bit lane per
+    power.  Multiplying by g^s is F_p-linear; let A_s be its n x n digit
+    matrix, column k the digits of g^s p^k (A_1 from n products by
+    ``mul``).  Then A_s times the planes gives the planes of
+    g^s .. g^(2s-1) (on the last doubling only the powers still missing),
+    ORed in at lane s: n^2 small-int multiply-adds and one
+    :func:`_slot_reducer` call per plane.  A_(2s) = A_s^2 rides in the
+    same product: lane k of ``mat[i]`` holds entry (i, k) of A_s, and
+    ``mat`` sits in the lanes just above the powers.  After
+    ceil(log2(q - 1)) doublings, sum(plane_i p^i) holds each packed
+    antilog in its own lane, and one ``array('H')`` unpacks them all.
+
+    Lane bounds: before reduction a lane holds at most n (p - 1)^2.  That is
+    15,488 at GF(89^2), the most of any field of degree n >= 2 up to
+    ZECH_MAX_ORDER, and FieldCtx builds a table only where it is below
+    2^15.  So the reducer sees lane values below 2^b,
+    b = bitlen(n (p - 1)^2) <= 15, in lanes of _LANE >= b + 1 bits, as it
+    requires.  An antilog is below q <= ZECH_MAX_ORDER < 2^16, so the
+    read-out carries from no lane into the next."""
     m = q - 1
     primes = _prime_factors(m)
-    g = next(v for v in range(1, q)
-             if all(_power(mul, v, m // ell) != 1 for ell in primes))
-    times_g = _linear_map(p, [mul(p ** k, g) for k in range(n)])
+    g = next(v for v in range(p if n > 1 else 1, q)
+             if all(power(v, m // ell) != 1 for ell in primes))
+    reduce = _slot_reducer(p, (n * (p - 1) ** 2).bit_length(), _LANE,
+                           m + n)
+    decode = _codec(p, n)[0]
+    mat = [_pack_slots(row, _LANE)
+           for row in zip(*[decode(mul(p ** k, g)) for k in range(n)])]
+    planes = [1] + [0] * (n - 1)
+    s = 1
+    while s < m:
+        rows = [_lanes(a, n) for a in mat]
+        shift = _LANE * min(s, m - s)
+        low = (1 << shift) - 1
+        src = [x & low | a << shift for x, a in zip(planes, mat)]
+        out = [reduce(sum(map(operator.mul, row, src))) for row in rows]
+        planes = [x | (y & low) << _LANE * s for x, y in zip(planes, out)]
+        mat = [y >> shift for y in out]
+        s *= 2
+    packed = 0
+    for x in reversed(planes):
+        packed = packed * p + x
+    exps = _lanes(packed, m).tolist()
     logs = [None] * q
-    exps = []
-    x = 1
-    for k in range(m):
+    for k, x in enumerate(exps):
         logs[x] = k
-        exps.append(x)
-        x = times_g(x)
     return logs, exps
+
+
+def _lanes(x, count):
+    """Lanes 0 .. count - 1 of x, ``_LANE`` bits each, as an ``array('H')``."""
+    out = array('H', x.to_bytes(2 * count, 'little'))
+    if sys.byteorder == 'big':
+        out.byteswap()
+    return out
 
 
 def _zech_ops(p, d, ext_ops):
     """Closures for F_p[X]/(m), m of degree d, as lookups in one table.
 
-    The table, built by the packed product of ``ext_ops`` (the closures of
-    :func:`_ext_ops`) on the first call that needs it, holds logs and
-    antilogs (:func:`_log_exp`) and the Zech logarithms
-    Z(k) = log(1 + g^k), None where 1 + g^k = 0.  With
+    The table, built by the packed product and power of ``ext_ops`` (the
+    closures of :func:`_ext_ops`) on the first call that needs it, holds
+    logs and antilogs (:func:`_log_exp`) and the Zech logarithms
+    Z(k) = log(1 + g^k), None where 1 + g^k = 0.  The antilogs double a
+    block of powers at a time in 16-bit lanes, one lane per power, which
+    holds while d (p - 1)^2 < 2^15 and q <= 2^16: the caller,
+    :class:`FieldCtx`, asks for a table only there.  With
     q = p^d and m = q - 1, x y = g^(log x + log y), 1/x = g^(-log x) and
     x + y = x (1 + y/x) = g^(log x + Z(log y - log x)); x - y adds
     log(-y) = log y + log(-1).  Every list index lies in [-m, m), and a
@@ -276,7 +339,7 @@ def _zech_ops(p, d, ext_ops):
 
     def build():
         nonlocal logs, exps, zech, neg_logs
-        logs, exps = _log_exp(q, p, d, ext_mul)
+        logs, exps = _log_exp(q, p, d, ext_mul, ext_ops[7])
         # 1 + x changes only the lowest base-p digit of x
         zech = [logs[x - x % p + (x + 1) % p] for x in exps]
         log_neg_one = logs[p - 1]
@@ -730,7 +793,10 @@ class FieldCtx:
             self.order = base.order ** d
             self.prime_ctx = base.prime_ctx
             ops = _ext_ops(base, d, modulus_vals)
-            if self.depth == 1 and self.order <= ZECH_MAX_ORDER:
+            # every depth-1 field up to ZECH_MAX_ORDER but a degree-1
+            # extension F_p[X]/(X - c) with p > 181, too wide for the lanes
+            if (self.depth == 1 and self.order <= ZECH_MAX_ORDER
+                    and d * (p - 1) ** 2 < 1 << (_LANE - 1)):
                 ops, self._zech_table = _zech_ops(p, d, ops)
         (self.add_v, self.sub_v, self.neg_v, self.mul_v, self.inv_v,
          self.decode_v, self.encode_v, self._pow) = ops
@@ -1041,7 +1107,11 @@ def extension_field(base: FieldCtx, modulus) -> FieldCtx:
     if base.depth >= MAX_DEPTH:
         raise DepthExceeded(
             f"cannot extend beyond {MAX_DEPTH} levels above the prime field")
-    vals = _trim(_coerce_vals(base, modulus))
+    from . import polys
+    if isinstance(modulus, polys.Poly) and modulus.ctx is base:
+        vals = modulus.vals         # packed values over base, trimmed
+    else:
+        vals = _trim(_coerce_vals(base, modulus))
     if len(vals) < 2:
         raise NotMonic("modulus must have degree >= 1")
     if vals[-1] != 1:
@@ -1050,8 +1120,7 @@ def extension_field(base: FieldCtx, modulus) -> FieldCtx:
     ctx = _extension_cache.get(key)
     if ctx is not None:
         return ctx
-    from . import polys
-    mod_poly = polys.Poly(base, [FieldElement(base, v) for v in vals])
+    mod_poly = polys.Poly._make(base, vals)
     if len(vals) > 2 and not polys.is_irreducible(mod_poly):
         raise ReducibleModulus(f"{mod_poly!r} factors over {base!r}")
     ctx = FieldCtx(base.p, base, vals)

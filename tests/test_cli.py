@@ -1,6 +1,7 @@
 """End-to-end tests for the command line front end."""
 
 import argparse
+import collections
 import csv
 import hashlib
 import io
@@ -620,6 +621,10 @@ def test_json_output_is_indented_dumps(capsys):
             assert_indented_dumps(out)
 
 
+class _ListSub(list):
+    """A list subclass, which json encodes as a list."""
+
+
 @pytest.mark.parametrize('obj', [
     {}, [], [[]], [{}], [{}, {}], [[], [1]], [{'a': 1}, {}],
     [{'a': 1}, [1, 2]], [[1, [2]], [3]], [{'a': [1]}, {'a': 2}],
@@ -631,6 +636,12 @@ def test_json_output_is_indented_dumps(capsys):
     ((1, 2), (3, 'a')), {'t': (1, (2, 3))}, [(1,), [2]],
     {1: [1], None: {'a': (1,)}, 2.5: 0, False: []},
     'a string', 7, None,
+    # rows of one kind whose items hold a container take the nested path
+    [{'a': _ListSub([1])}, {'a': 2}], [[1], _ListSub([2])],
+    [{'a': collections.OrderedDict(b=1)}, {'a': 2}],
+    [collections.OrderedDict(a=1), collections.OrderedDict(a=(2, 3))],
+    [[1, (2, 3)], [4]], [{'a': 1}, {'b': ()}],
+    [[[]], [1]], [[1, []], [2]], [[1], [2, []]],
 ])
 def test_json_text_matches_indented_dumps(obj):
     assert cli._json_text(obj) == json.dumps(obj, indent=2)

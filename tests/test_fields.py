@@ -251,12 +251,47 @@ def depth1_fields(bound):
             for e in range(2, 14) if p ** e <= bound] + [F9, F25]
 
 
+def tabled_fields():
+    """Every default depth-1 field of order <= ZECH_MAX_ORDER (49 of
+    them), the degree-1 extensions F_p[X]/(X + 1) for p = 2, 3 and 181,
+    the largest p whose digit products fit a lane, and four non-default
+    moduli, GF(89^2) and GF(2^12) among them."""
+    ctxs = [finite_field(p, e)
+            for p in range(2, ZECH_MAX_ORDER + 1) if _prime_factors(p) == [p]
+            for e in range(2, 14) if p ** e <= ZECH_MAX_ORDER]
+    assert len(ctxs) == 49
+    assert sum(ctx.order for ctx in ctxs) == 96318
+    ctxs += [extension_field(prime_field(p), [1, 1]) for p in (2, 3, 181)]
+    ctxs += [F9, F25, finite_field(89, 2, modulus=(86, 0, 1)),
+             finite_field(2, 12, modulus=(1, 0, 0, 1) + (0,) * 8 + (1,))]
+    return ctxs
+
+
 def test_zech_table_against_flat_product():
-    """On every depth-1 field of order <= 729 and on GF(3^8), GF(2^12) and
-    GF(89^2), the largest below ZECH_MAX_ORDER: exps[k + 1] is the
-    factory's product of exps[k] and g, every Zech entry is the log of the
-    factory's 1 + g^k (None where that is 0), and inv_v(x) times x is 1
-    under the factory's product for every x != 0."""
+    """On every field of tabled_fields(), the antilogs: exps[k + 1] is the
+    factory's product of exps[k] and g = exps[1], g^(q - 1) = 1, no packed
+    value below g generates F_q^*, so g is the least generator, and logs
+    inverts exps; GF(2)[X]/(X + 1) has the one-entry table exps = [1].
+    On every depth-1 field of order <= 729 and on GF(3^8), GF(2^12) and
+    GF(89^2), the largest below ZECH_MAX_ORDER: every Zech entry is the
+    log of the factory's 1 + g^k (None where that is 0), and inv_v(x)
+    times x is 1 under the factory's product for every x != 0."""
+    for ctx in tabled_fields():
+        fmul = factory_ops(ctx)[3]
+        logs, exps, _ = ctx._zech_table()
+        m = ctx.order - 1
+        g = exps[1 % m]
+        assert len(exps) == m and exps[0] == 1 and fmul(exps[-1], g) == 1
+        for k in range(m - 1):
+            assert exps[k + 1] == fmul(exps[k], g), (ctx, k)
+        primes = _prime_factors(m)
+        assert all(_power(fmul, g, m // ell) != 1 for ell in primes), ctx
+        assert all(any(_power(fmul, v, m // ell) == 1 for ell in primes)
+                   for v in range(1, g)), ctx
+        assert logs[0] is None
+        assert all(logs[x] == k for k, x in enumerate(exps)), ctx
+    F2 = extension_field(prime_field(2), [1, 1])
+    assert F2._zech_table()[:2] == ([None, 0], [1])
     ctxs = depth1_fields(729) + [finite_field(3, 8), finite_field(2, 12),
                                  finite_field(89, 2)]
     assert len(ctxs) == 28
@@ -264,12 +299,7 @@ def test_zech_table_against_flat_product():
     for ctx in ctxs:
         fadd, _, _, fmul = factory_ops(ctx)[:4]
         logs, exps, zech = ctx._zech_table()
-        m = ctx.order - 1
-        g = exps[1 % m]
-        assert exps[0] == 1 and fmul(exps[-1], g) == 1
-        for k in range(m - 1):
-            assert exps[k + 1] == fmul(exps[k], g), (ctx, k)
-        assert len(zech) == m
+        assert len(zech) == ctx.order - 1
         for k, z in enumerate(zech):
             one_plus = fadd(1, exps[k])
             assert z == logs[one_plus], (ctx, k)
@@ -278,6 +308,27 @@ def test_zech_table_against_flat_product():
             assert fmul(x, ctx.inv_v(x)) == 1, (ctx, x)
     with pytest.raises(errors.DivisionByZero):
         F9.inv_v(0)
+
+
+def test_lane_bound_holds_for_every_table():
+    """_log_exp's 16-bit lanes hold n (p - 1)^2 before reduction, so the
+    reducer needs n (p - 1)^2 < 2^15, and an antilog, so q <= 2^16.  Every
+    field with a Zech table meets both, so raising ZECH_MAX_ORDER (or the
+    lane width) past them fails here.  The degree-1 extensions with
+    p > 181, whose products are too wide, get no table and multiply by the
+    factory's product."""
+    assert fields._LANE == 16
+    for ctx in tabled_fields():
+        assert ctx._zech_table is not None
+        n, p = ctx.degree, ctx.p
+        assert n * (p - 1) ** 2 < 2 ** 15 and ctx.order <= 2 ** 16, ctx
+    widths = [ctx.degree * (ctx.p - 1) ** 2 for ctx in tabled_fields()]
+    assert max(widths[:49]) == 2 * 88 ** 2 and max(widths) == 180 ** 2
+    for p in (191, 7993):
+        K = extension_field(prime_field(p), [1, 1])
+        assert K._zech_table is None
+        assert K.mul_v(p - 2, 5) == (p - 2) * 5 % p
+        assert K.inv_v(5) * 5 % p == 1
 
 
 @pytest.fixture
@@ -395,6 +446,30 @@ def test_extension_cache_keyed_by_base_context(fresh_caches):
     assert K.from_coeffs([F.one, F.zero]) == K.one
     assert K is not old and K.base is F
     assert finite_field(3, 2) is K
+
+
+def test_poly_modulus_reads_its_values(fresh_caches):
+    """A Poly modulus over the base gives the identical cached context as
+    its coefficient list, its elements or its integers, whichever comes
+    first; a Poly over another field still raises CtxMismatch, the zero
+    Poly over another field NotMonic, and a non-monic or reducible Poly
+    over the base its own error."""
+    f = artin_schreier(F9.modulus_root)             # X^3 - X + y over F_9
+    K = extension_field(F9, f)
+    assert extension_field(F9, list(f.coeffs)) is K
+    assert extension_field(F9, f.coeffs) is K
+    assert extension_field(F9, Poly(F9, f.coeffs)) is K
+    L = extension_field(F9, [1, 2, 0, 1])            # X^3 - X + 1
+    assert extension_field(F9, Poly(F9, [1, -1, 0, 1])) is L
+    assert L is not K and L.order == K.order == 9 ** 3
+    with pytest.raises(errors.CtxMismatch):
+        extension_field(F9, Poly(F25, [1, 0, 1]))
+    with pytest.raises(errors.NotMonic):
+        extension_field(F9, Poly(F25, []))
+    with pytest.raises(errors.NotMonic):
+        extension_field(F9, Poly(F9, [1, 1]) * 2)
+    with pytest.raises(errors.ReducibleModulus):
+        extension_field(F9, Poly(F9, [0, 0, 1]))
 
 
 # -- field axioms (seeded sweeps) --------------------------------------------
