@@ -38,18 +38,20 @@ is folded mod the moduli a block at a time, with every slot reduced mod p
 at once, so a power never leaves the slot form.  An inverse is the
 extended Euclid over the base on :mod:`.polys`, at every depth.
 
-Up to order ZECH_MAX_ORDER, F_p[X]/(m) builds on its first arithmetic
-call one table of discrete logs, antilogs and Zech logarithms
-Z(k) = log(1 + g^k) with that product, and every add, sub, neg, mul and
-inv is a lookup in it: x + y = g^(log x + Z(log y - log x)) (Lidl &
-Niederreiter, Finite Fields, section 9.3).  The antilogs are built a
-doubling at a time on whole integers: the base-p digits of g^0 .. g^(s-1)
-sit in digit planes, one 16-bit lane per power, and the digit matrix of
-x -> g^s x takes them to g^s .. g^(2s-1) in n^2 multiply-adds and one
-slot reduction per plane, n = deg m (:func:`_log_exp`).  A lane holds at
-most n (p - 1)^2 before reduction, so a table is built only where that
-stays below 2^15: every such field of degree >= 2, and the degree-1
-extensions with p <= 181.  Such a context also computes
+Up to order ZECH_MAX_ORDER, every extension, at depth 1 or 2, builds on
+its first arithmetic call one table of discrete logs, antilogs and Zech
+logarithms Z(k) = log(1 + g^k) with that product, and every add, sub,
+neg, mul and inv is a lookup in it: x + y = g^(log x + Z(log y - log x))
+(Lidl & Niederreiter, Finite Fields, section 9.3).  The table works on
+the n flat base-p digits of a packed value, n the degree over F_p, so one
+builder serves every depth.  The antilogs are built a doubling at a time
+on whole integers: the digits of g^0 .. g^(s-1) sit in digit planes, one
+16-bit lane per power, and the digit matrix of x -> g^s x takes them to
+g^s .. g^(2s-1) in n^2 multiply-adds and one slot reduction per plane
+(:func:`_log_exp`).  A lane holds at most n (p - 1)^2 before reduction,
+so a table is built only where that stays below 2^15: every such field of
+degree n >= 2 over F_p, towers such as F_9(gamma) (n = 6) among them,
+and the degree-1 extensions with p <= 181.  Such a context also computes
 x^p as g^(p log x), and every context up to that order keeps its trace as
 a q-entry table filled from the trace vector, so every map the criterion's
 walk steps with is a lookup.
@@ -88,12 +90,12 @@ MAX_PRIME = 1 << 20
 MAX_DEPTH = 2
 
 #: Largest order of a field that computes on tables: the discrete logs and
-#: Zech logarithms of F_p[X]/(m) (:func:`_zech_ops`) and the trace of every
-#: element.  A single ``check`` pays for the whole Zech table: 2.5 ms for
-#: GF(3^8) and 2.4 ms for GF(2^12), the largest below the bound, and 1.8 ms
-#: for GF(89^2), each the best of 7 (about 4.5 ms for either of the first
-#: two as the median of five such bests; CPython 3.11 on a shared 2-vCPU
-#: Linux container, ``BENCH_antilogs.json``).
+#: Zech logarithms of an extension at any depth (:func:`_zech_ops`) and the
+#: trace of every element.  A single ``check`` pays for the whole Zech
+#: table: 2.5 ms for GF(3^8) and 2.4 ms for GF(2^12), the largest below the
+#: bound, and 1.8 ms for GF(89^2), each the best of 7 (about 4.5 ms for
+#: either of the first two as the median of five such bests; CPython 3.11
+#: on a shared 2-vCPU Linux container, ``BENCH_antilogs.json``).
 ZECH_MAX_ORDER = 8000
 
 
@@ -125,8 +127,8 @@ def _prime_factors(n: int) -> list:
 # the first step to the last; the inverse is the extended Euclid over the
 # base on ``polys`` at every depth (``polys`` imports this module at load
 # time, so the factory imports it lazily).  Up to ZECH_MAX_ORDER,
-# _zech_ops turns the closures of F_p[X]/(m) into the lookups of its
-# table.
+# _zech_ops turns the closures of an extension, depth 1 or 2, into the
+# lookups of its table, built on the flat base-p digits.
 #
 # Two helpers serve every layer: _power is the one square-and-multiply loop
 # (FieldCtx.pow_v, Poly ** k, powmod and the Rabin test pass it their own
@@ -248,14 +250,19 @@ def _linear_map(p, images):
 _LANE = 16
 
 
-def _log_exp(q, p, n, mul, power):
+def _log_exp(q, p, n, start, mul, power):
     """(logs, exps) of the cyclic group F_q^*, q = p^n, by the product
-    ``mul`` and its ``power``.
+    ``mul`` and its ``power``; n counts the flat base-p digits, at any
+    depth.
 
     With g the least packed value that generates the group (found from the
-    prime factors of q - 1; for n > 1 none lies in F_p, whose elements have
-    order dividing p - 1), ``exps[k]`` is g^k for k in [0, q - 1) and
-    ``logs[x]`` is the k with g^k = x (None for x = 0).
+    prime factors of q - 1), ``exps[k]`` is g^k for k in [0, q - 1) and
+    ``logs[x]`` is the k with g^k = x (None for x = 0).  The search for g
+    begins at ``start``: the caller passes |K| for a proper extension of K
+    and 1 otherwise.  Every packed value below |K| is an element of K,
+    whose order divides |K| - 1, a proper divisor of q - 1, so none of them
+    generates, and g is the least generator all the same.  At depth 1,
+    K = F_p.
 
     The antilogs double a block of powers at a time, every lane at once.
     Plane i holds digit i of g^0 .. g^(s-1), one ``_LANE``-bit lane per
@@ -271,15 +278,17 @@ def _log_exp(q, p, n, mul, power):
     antilog in its own lane, and one ``array('H')`` unpacks them all.
 
     Lane bounds: before reduction a lane holds at most n (p - 1)^2.  That is
-    15,488 at GF(89^2), the most of any field of degree n >= 2 up to
-    ZECH_MAX_ORDER, and FieldCtx builds a table only where it is below
-    2^15.  So the reducer sees lane values below 2^b,
-    b = bitlen(n (p - 1)^2) <= 15, in lanes of _LANE >= b + 1 bits, as it
-    requires.  An antilog is below q <= ZECH_MAX_ORDER < 2^16, so the
+    15,488 at GF(89^2), or at a degree-2 tower over F_89[X]/(X - c), the
+    most of any field of degree n >= 2 over F_p up to ZECH_MAX_ORDER, and
+    FieldCtx builds a table only where it is below 2^15.  The
+    Artin-Schreier towers that ``xcheck`` builds stay far below: F_9(gamma)
+    has n = 6 and p = 3, 24 a lane.  So the reducer sees lane values below
+    2^b, b = bitlen(n (p - 1)^2) <= 15, in lanes of _LANE >= b + 1 bits, as
+    it requires.  An antilog is below q <= ZECH_MAX_ORDER < 2^16, so the
     read-out carries from no lane into the next."""
     m = q - 1
     primes = _prime_factors(m)
-    g = next(v for v in range(p if n > 1 else 1, q)
+    g = next(v for v in range(start, q)
              if all(power(v, m // ell) != 1 for ell in primes))
     reduce = _slot_reducer(p, (n * (p - 1) ** 2).bit_length(), _LANE,
                            m + n)
@@ -315,17 +324,20 @@ def _lanes(x, count):
     return out
 
 
-def _zech_ops(p, d, ext_ops):
-    """Closures for F_p[X]/(m), m of degree d, as lookups in one table.
+def _zech_ops(p, n, start, ext_ops):
+    """Closures for an extension of order q = p^n, n its degree over F_p
+    at any depth, as lookups in one table.
 
     The table, built by the packed product and power of ``ext_ops`` (the
     closures of :func:`_ext_ops`) on the first call that needs it, holds
-    logs and antilogs (:func:`_log_exp`) and the Zech logarithms
-    Z(k) = log(1 + g^k), None where 1 + g^k = 0.  The antilogs double a
-    block of powers at a time in 16-bit lanes, one lane per power, which
-    holds while d (p - 1)^2 < 2^15 and q <= 2^16: the caller,
-    :class:`FieldCtx`, asks for a table only there.  With
-    q = p^d and m = q - 1, x y = g^(log x + log y), 1/x = g^(-log x) and
+    logs and antilogs (:func:`_log_exp`, its generator search from
+    ``start``) and the Zech logarithms Z(k) = log(1 + g^k), None where
+    1 + g^k = 0.  It reads a packed value by its n flat base-p digits, the
+    same at every depth: 1 + x changes only digit 0, and -1 packs as
+    p - 1.  The antilogs double a block of powers at a time in 16-bit
+    lanes, one lane per power, which holds while n (p - 1)^2 < 2^15 and
+    q <= 2^16: the caller, :class:`FieldCtx`, asks for a table only
+    there.  With m = q - 1, x y = g^(log x + log y), 1/x = g^(-log x) and
     x + y = x (1 + y/x) = g^(log x + Z(log y - log x)); x - y adds
     log(-y) = log y + log(-1).  Every list index lies in [-m, m), and a
     negative one counts from the end, which is the same residue mod m.
@@ -333,13 +345,13 @@ def _zech_ops(p, d, ext_ops):
     (logs, exps, zech).
     """
     ext_mul, decode, encode = ext_ops[3], ext_ops[5], ext_ops[6]
-    q = p ** d
+    q = p ** n
     m = q - 1
     logs = exps = zech = neg_logs = None
 
     def build():
         nonlocal logs, exps, zech, neg_logs
-        logs, exps = _log_exp(q, p, d, ext_mul, ext_ops[7])
+        logs, exps = _log_exp(q, p, n, start, ext_mul, ext_ops[7])
         # 1 + x changes only the lowest base-p digit of x
         zech = [logs[x - x % p + (x + 1) % p] for x in exps]
         log_neg_one = logs[p - 1]
@@ -793,11 +805,16 @@ class FieldCtx:
             self.order = base.order ** d
             self.prime_ctx = base.prime_ctx
             ops = _ext_ops(base, d, modulus_vals)
-            # every depth-1 field up to ZECH_MAX_ORDER but a degree-1
-            # extension F_p[X]/(X - c) with p > 181, too wide for the lanes
-            if (self.depth == 1 and self.order <= ZECH_MAX_ORDER
-                    and d * (p - 1) ** 2 < 1 << (_LANE - 1)):
-                ops, self._zech_table = _zech_ops(p, d, ops)
+            # a table for every extension up to ZECH_MAX_ORDER, at any
+            # depth, whose n flat base-p digits fit the lanes: all but
+            # those of degree n = 1 over F_p with p > 181, such as
+            # F_p[X]/(X - c).  A proper extension (d > 1) has no generator
+            # among the base's values, so the search starts above them
+            n = self.total_degree
+            if (self.order <= ZECH_MAX_ORDER
+                    and n * (p - 1) ** 2 < 1 << (_LANE - 1)):
+                ops, self._zech_table = _zech_ops(
+                    p, n, base.order if d > 1 else 1, ops)
         (self.add_v, self.sub_v, self.neg_v, self.mul_v, self.inv_v,
          self.decode_v, self.encode_v, self._pow) = ops
 

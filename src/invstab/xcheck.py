@@ -10,21 +10,26 @@ Nothing in this module shares a code path with the formula it is checking:
   formula (:func:`rel_trace <.fields.rel_trace>` sums powers computed by
   plain powering, never the precomputed trace vector or Frobenius matrix
   that the fast paths use).  In :func:`rel_trace_oracle` the direct side
-  multiplies in K(gamma) with the tower product (one packed multiply of
-  the flat digits, folded by rows y^J mod K's modulus and X^I mod the
-  tower's, a block at a time) and divides
-  with the tower's extended Euclid over ``polys``; the formula side runs
-  in K alone, on K's closures and its Frobenius and trace maps.  The
+  computes in K(gamma) and the formula side in K alone, on K's closures
+  and its Frobenius and trace maps.  Up to ``fields.ZECH_MAX_ORDER``,
+  K(gamma) multiplies, divides and powers by its own Zech-log table:
+  F_16(gamma) and F_9(gamma) here, F_25(gamma) not.  That table is built
+  from the tower product (one packed multiply of the flat digits, folded
+  by rows y^J mod K's modulus and X^I mod the tower's, a block at a time),
+  and exhaustive tests check it against that product on every tower up to
+  F_64(gamma).  Above the bound the direct side uses the tower product
+  itself and the tower's extended Euclid over ``polys``.  Either way the
   two sides share only K's closures, from which the tower's X rows and
   Euclid are built; its y rows come from the digits of K's modulus.  On
-  fields up to ``fields.ZECH_MAX_ORDER``
-  those closures are lookups in a Zech-log table, built by the same
-  packed product that larger fields compute with.  Exhaustive tests check
-  the table against that product, and the product against a schoolbook
-  product on prime-field operators: every sum, difference, negation and
-  product on fields of order <= 81, and every antilog step, Zech entry
-  and inverse on fields of order <= 729 and on GF(3^8), GF(2^12) and
-  GF(89^2), the largest below the bound;
+  fields up to the bound K's closures are lookups in K's own Zech-log
+  table, built by the same packed product that larger fields compute
+  with.  Exhaustive tests check every table against that product, and
+  the product against a schoolbook product on prime-field operators:
+  every sum, difference, negation and product on fields of order <= 81
+  and on towers of order <= 64, and every antilog step, Zech entry and
+  inverse on fields of order <= 729, on the towers F_4(gamma) through
+  F_64(gamma) and F_9(gamma), and on GF(3^8), GF(2^12) and GF(89^2), the
+  largest below the bound;
 * traces are also recovered from the second-highest coefficient of a
   minimal polynomial found by plain linear algebra over the subfield.
 

@@ -215,9 +215,9 @@ def test_frobenius_matches_pth_power():
 
 
 def factory_ops(ctx):
-    """Fresh closures of the extension factory for a depth-1 context: the
-    packed product that builds its table and the extended Euclid over F_p,
-    the reference the table is checked against."""
+    """Fresh closures of the extension factory for an extension context at
+    any depth: the packed product that builds its table and the extended
+    Euclid over its base, the reference the table is checked against."""
     return _ext_ops(ctx.base, ctx.degree, ctx.modulus_vals)
 
 
@@ -254,8 +254,9 @@ def depth1_fields(bound):
 def tabled_fields():
     """Every default depth-1 field of order <= ZECH_MAX_ORDER (49 of
     them), the degree-1 extensions F_p[X]/(X + 1) for p = 2, 3 and 181,
-    the largest p whose digit products fit a lane, and four non-default
-    moduli, GF(89^2) and GF(2^12) among them."""
+    the largest p whose digit products fit a lane, four non-default
+    moduli, GF(89^2) and GF(2^12) among them, and the depth-2 towers of
+    tabled_towers()."""
     ctxs = [finite_field(p, e)
             for p in range(2, ZECH_MAX_ORDER + 1) if _prime_factors(p) == [p]
             for e in range(2, 14) if p ** e <= ZECH_MAX_ORDER]
@@ -264,7 +265,20 @@ def tabled_fields():
     ctxs += [extension_field(prime_field(p), [1, 1]) for p in (2, 3, 181)]
     ctxs += [F9, F25, finite_field(89, 2, modulus=(86, 0, 1)),
              finite_field(2, 12, modulus=(1, 0, 0, 1) + (0,) * 8 + (1,))]
-    return ctxs
+    return ctxs + tabled_towers()
+
+
+def tabled_towers():
+    """The depth-2 towers with a Zech table that these tests reach:
+    F_4(gamma), F_8(gamma), F_16(gamma), F_32(gamma), F_64(gamma) and
+    F_9(gamma) (gamma a root of X^p - X + xi), and F_16 as F_4[X]/(f) with
+    the non-Artin-Schreier f of test_field_axioms."""
+    K4 = finite_field(2, 2)
+    towers = [tower_over(finite_field(p, e))
+              for p, e in ((2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2))]
+    towers.append(extension_field(K4, find_irreducible(K4, 2)))
+    assert [L.order for L in towers] == [16, 64, 256, 1024, 4096, 729, 16]
+    return towers
 
 
 def test_zech_table_against_flat_product():
@@ -272,10 +286,13 @@ def test_zech_table_against_flat_product():
     factory's product of exps[k] and g = exps[1], g^(q - 1) = 1, no packed
     value below g generates F_q^*, so g is the least generator, and logs
     inverts exps; GF(2)[X]/(X + 1) has the one-entry table exps = [1].
-    On every depth-1 field of order <= 729 and on GF(3^8), GF(2^12) and
-    GF(89^2), the largest below ZECH_MAX_ORDER: every Zech entry is the
-    log of the factory's 1 + g^k (None where that is 0), and inv_v(x)
-    times x is 1 under the factory's product for every x != 0."""
+    On a tower, where the generator search starts at |K| because every
+    value below |K| lies in K, that check covers the skipped values.  On
+    every depth-1 field of order <= 729, on GF(3^8), GF(2^12) and
+    GF(89^2), the largest below ZECH_MAX_ORDER, and on every tower of
+    tabled_towers(): every Zech entry is the log of the factory's
+    1 + g^k (None where that is 0), and inv_v(x) times x is 1 under the
+    factory's product for every x != 0."""
     for ctx in tabled_fields():
         fmul = factory_ops(ctx)[3]
         logs, exps, _ = ctx._zech_table()
@@ -293,8 +310,8 @@ def test_zech_table_against_flat_product():
     F2 = extension_field(prime_field(2), [1, 1])
     assert F2._zech_table()[:2] == ([None, 0], [1])
     ctxs = depth1_fields(729) + [finite_field(3, 8), finite_field(2, 12),
-                                 finite_field(89, 2)]
-    assert len(ctxs) == 28
+                                 finite_field(89, 2)] + tabled_towers()
+    assert len(ctxs) == 35
     assert max(ctx.order for ctx in ctxs) <= ZECH_MAX_ORDER
     for ctx in ctxs:
         fadd, _, _, fmul = factory_ops(ctx)[:4]
@@ -311,19 +328,29 @@ def test_zech_table_against_flat_product():
 
 
 def test_lane_bound_holds_for_every_table():
-    """_log_exp's 16-bit lanes hold n (p - 1)^2 before reduction, so the
-    reducer needs n (p - 1)^2 < 2^15, and an antilog, so q <= 2^16.  Every
-    field with a Zech table meets both, so raising ZECH_MAX_ORDER (or the
-    lane width) past them fails here.  The degree-1 extensions with
-    p > 181, whose products are too wide, get no table and multiply by the
+    """_log_exp's 16-bit lanes hold n (p - 1)^2 before reduction, n the
+    number of flat base-p digits at any depth, so the reducer needs
+    n (p - 1)^2 < 2^15, and an antilog, so q <= 2^16.  Every field with a
+    Zech table meets both, so raising ZECH_MAX_ORDER (or the lane width)
+    past them fails here.  The Artin-Schreier towers reach 24 (F_9(gamma),
+    n = 6), and a degree-2 tower over F_89[X]/(X - 3) reaches
+    2 * 88^2, as GF(89^2) does.  The degree-1 extensions with p > 181,
+    whose products are too wide, get no table and multiply by the
     factory's product."""
     assert fields._LANE == 16
     for ctx in tabled_fields():
         assert ctx._zech_table is not None
-        n, p = ctx.degree, ctx.p
+        n, p = ctx.total_degree, ctx.p
         assert n * (p - 1) ** 2 < 2 ** 15 and ctx.order <= 2 ** 16, ctx
-    widths = [ctx.degree * (ctx.p - 1) ** 2 for ctx in tabled_fields()]
+    widths = [ctx.total_degree * (ctx.p - 1) ** 2 for ctx in tabled_fields()]
     assert max(widths[:49]) == 2 * 88 ** 2 and max(widths) == 180 ** 2
+    assert max(widths[-7:]) == 24
+    F89 = extension_field(prime_field(89), [86, 1])
+    L = extension_field(F89, find_irreducible(F89, 2))
+    assert (L.depth, L.total_degree, L.order) == (2, 2, 89 ** 2)
+    assert L._zech_table is not None
+    fmul = factory_ops(L)[3]
+    assert all(fmul(x, L.inv_v(x)) == 1 for x in range(1, L.order, 97))
     for p in (191, 7993):
         K = extension_field(prime_field(p), [1, 1])
         assert K._zech_table is None
@@ -405,9 +432,10 @@ def test_fresh_context_gets_its_own_table(fresh_caches):
 
 def test_block_kernel_built_once_per_context(monkeypatch, fresh_caches):
     """An extension context builds its product kernel once, when it is
-    constructed, and no product, power or inverse builds another.  A
-    degree-1 extension of F_9, with y rows and no X rows, multiplies and
-    powers as F_9 does."""
+    constructed, and no product, power or inverse builds another, its
+    Zech table included.  A degree-1 extension of F_9, with y rows and no
+    X rows, multiplies and powers as F_9 does, by its table and by the
+    factory's kernel."""
     built = []
     kernel = fields._block_kernel
 
@@ -427,11 +455,16 @@ def test_block_kernel_built_once_per_context(monkeypatch, fresh_caches):
     y = F9.modulus_root
     K = extension_field(F9, [y, 1])
     assert (K.degree, K.depth, len(built)) == (1, 2, 2)
+    # K's own ops are lookups in a Zech table built by that one kernel;
+    # fresh factory closures build a kernel of their own
+    ops = factory_ops(K)
+    fmul, power = ops[3], ops[7]
+    assert len(built) == 3
     for a in range(F9.order):
-        assert K.pow_v(a, 7) == F9.pow_v(a, 7), a
+        assert K.pow_v(a, 7) == power(a, 7) == F9.pow_v(a, 7), a
         for b in range(F9.order):
-            assert K.mul_v(a, b) == F9.mul_v(a, b), (a, b)
-    assert len(built) == 2
+            assert K.mul_v(a, b) == fmul(a, b) == F9.mul_v(a, b), (a, b)
+    assert len(built) == 3
 
 
 def test_extension_cache_keyed_by_base_context(fresh_caches):
@@ -699,21 +732,25 @@ def test_element_text_rejects_oversized_vector():
 
 
 def test_generic_ops_agree_with_prime_ext_ops():
-    """The extension factory's ops on a depth-1 field must match a
-    schoolbook reference, and the context's own ops (lookups in its Zech
-    table) must match the factory's.
+    """The extension factory's ops on a depth-1 field, and on a depth-2
+    tower, must match a schoolbook reference, and the context's own ops
+    (lookups in its Zech table) must match the factory's.
 
     The factory's product is one packed multiply of the flat digits folded
-    a block at a time, and its inverse the extended Euclid over F_p on
-    polys;
-    ref_product multiplies and reduces with the prime field's element
-    operators.  add/sub/neg/mul agree on every pair of every depth-1 field
-    of order <= 81.  Every nonzero element of every depth-1 field of order
-    <= 729 (default moduli, plus F_9 with modulus 2,2,1 and F_25 with
-    modulus 2,4,1) gets the same inverse from the factory and the table,
-    and both products confirm that inverse."""
-    ctxs = depth1_fields(729)
-    assert len(ctxs) == 25
+    a block at a time, and its inverse the extended Euclid over the base
+    on polys; ref_product multiplies and reduces with the base field's
+    element operators.  add/sub/neg/mul agree on every pair of every
+    depth-1 field of order <= 81 and of every tower of tabled_towers() of
+    order <= 64 (F_4(gamma), F_8(gamma) and F_4[X]/(f)).  Every nonzero
+    element of every depth-1 field of order <= 729 (default moduli, plus
+    F_9 with modulus 2,2,1 and F_25 with modulus 2,4,1) and of every such
+    tower of order <= 729 (F_16(gamma) and F_9(gamma) too) gets the same
+    inverse from the factory and the table, and both products confirm
+    that inverse."""
+    towers = [L for L in tabled_towers() if L.order <= 729]
+    assert sorted(L.order for L in towers) == [16, 16, 64, 256, 729]
+    ctxs = depth1_fields(729) + towers
+    assert len(ctxs) == 30
     for ctx in ctxs:
         assert ctx._zech_table is not None
         base, d = ctx.base, ctx.degree
@@ -804,14 +841,15 @@ def slot_bound_pairs(order):
 
 
 def test_tower_product_matches_schoolbook_reference():
-    """Tower mul_v (one packed multiply of the flat digits, folded a block
-    at a time) against ref_product, and add_v/sub_v/neg_v (the base's
-    closures digit by digit) against coefficient-wise base operators:
-    every pair of F_4(gamma) and
-    F_8(gamma); seeded pairs, squares, 0, 1 and lifted base elements of
-    F_9(gamma), F_16(gamma), F_25(gamma), F_49(gamma) and of F_16 as
-    F_4[X]/(f) with the non-Artin-Schreier f of test_field_axioms; and on
-    every tower the slot-bound pairs of slot_bound_pairs."""
+    """The factory's tower product (one packed multiply of the flat
+    digits, folded a block at a time) against ref_product, and its
+    add/sub/neg (the base's closures digit by digit) against
+    coefficient-wise base operators, through factory_ops, since the
+    context's own ops are Zech lookups up to ZECH_MAX_ORDER: every pair of
+    F_4(gamma) and F_8(gamma); seeded pairs, squares, 0, 1 and lifted base
+    elements of F_9(gamma), F_16(gamma), F_25(gamma), F_49(gamma) and of
+    F_16 as F_4[X]/(f) with the non-Artin-Schreier f of test_field_axioms;
+    and on every tower the slot-bound pairs of slot_bound_pairs."""
     rng = random.Random(6060)
     K4 = finite_field(2, 2)
     towers = [tower_over(base)
@@ -831,12 +869,13 @@ def test_tower_product_matches_schoolbook_reference():
                 pairs += [(x, x)] + [(x, c) for c in special]
                 pairs += [(c, x) for c in special]
         pairs += slot_bound_pairs(L.order)
+        fadd, fsub, fneg, fmul = factory_ops(L)[:4]
         for x, y in pairs:
             u, v = unpacked(base, L.degree, x), unpacked(base, L.degree, y)
-            assert L.mul_v(x, y) == packed(ref_product(modulus, u, v)), (L, x, y)
-            assert L.add_v(x, y) == packed([s + t for s, t in zip(u, v)])
-            assert L.sub_v(x, y) == packed([s - t for s, t in zip(u, v)])
-            assert L.neg_v(x) == packed([-s for s in u])
+            assert fmul(x, y) == packed(ref_product(modulus, u, v)), (L, x, y)
+            assert fadd(x, y) == packed([s + t for s, t in zip(u, v)])
+            assert fsub(x, y) == packed([s - t for s, t in zip(u, v)])
+            assert fneg(x) == packed([-s for s in u])
 
 
 def power_shapes():
@@ -858,12 +897,13 @@ def ref_power(modulus, u, k):
 
 
 def test_tower_power_matches_reference_powering():
-    """Tower pow_v (spread once, square and multiply in slot form with a
-    slot-parallel reduction after each step, gather once) against _power
-    over ref_product on every shape of power_shapes, with exponents |K|^i
-    for 0 < i < m (rel_trace's conjugates) and q - 2 (an inverse): three
-    seeded operands and the slot-bound operands of slot_bound_pairs (every
-    digit p - 1, 0 and 1)."""
+    """The factory's tower power (spread once, square and multiply in
+    slot form with a slot-parallel reduction after each step, gather once),
+    taken through factory_ops because pow_v runs on the Zech table up to
+    ZECH_MAX_ORDER, against _power over ref_product on every shape of
+    power_shapes, with exponents |K|^i for 0 < i < m (rel_trace's
+    conjugates) and q - 2 (an inverse): three seeded operands and the
+    slot-bound operands of slot_bound_pairs (every digit p - 1, 0 and 1)."""
     rng = random.Random(6064)
     shapes = power_shapes()
     assert sorted((L.degree, L.base.total_degree) for L in shapes) == [
@@ -875,27 +915,30 @@ def test_tower_power_matches_reference_powering():
         exps = [base.order ** i for i in range(1, d)] + [L.order - 2]
         xs = [rng.randrange(L.order) for _ in range(3)]
         xs += sorted({x for pair in slot_bound_pairs(L.order) for x in pair})
+        power = factory_ops(L)[7]
         for x in xs:
             u = unpacked(base, d, x)
             for k in exps:
-                assert L.pow_v(x, k) == packed(ref_power(modulus, u, k)), (
+                assert power(x, k) == packed(ref_power(modulus, u, k)), (
                     L, x, k)
 
 
 def test_tower_power_exhaustive_on_small_towers():
     """Every power x^k, k = 1 .. q, of every element of F_4(gamma) (order
-    16) and F_8(gamma) (order 64), against a running ref_product; every
-    product of both is checked in
-    test_tower_product_matches_schoolbook_reference."""
+    16) and F_8(gamma) (order 64), by the factory's slot-form power and by
+    pow_v on the Zech table, against a running ref_product; every product
+    of both is checked in test_tower_product_matches_schoolbook_reference."""
     for base in (finite_field(2, 2), finite_field(2, 3)):
         L = tower_over(base)
         d = L.degree
         modulus = [base.element(v) for v in L.modulus_vals]
+        power = factory_ops(L)[7]
         for x in range(L.order):
             u = unpacked(base, d, x)
             acc = u
             for k in range(1, L.order + 1):
-                assert L.pow_v(x, k) == packed(acc), (L, x, k)
+                want = packed(acc)
+                assert power(x, k) == L.pow_v(x, k) == want, (L, x, k)
                 acc = ref_product(modulus, acc, u)
 
 
