@@ -30,8 +30,14 @@ import json
 import random
 import sys
 
-from .criterion import STABLE, TraceRow, decide_inverse_stability, trace_rows
-from .errors import InvstabError, NotGenerating
+from .criterion import (
+    STABLE,
+    TraceRow,
+    _decide_v,
+    decide_inverse_stability,
+    trace_rows,
+)
+from .errors import InvstabError, NotGenerating, TableTooLarge
 from .fields import (
     FieldElement,
     abs_trace,
@@ -56,6 +62,11 @@ EXIT_USAGE = 2
 EXIT_UNSTABLE = 3
 
 SCHEMA_VERSION = 1
+
+#: check prints its trace table in text and json only up to this many rows,
+#: which covers every pinned output (GF(127^2) 5,109 has 24,202 rows and
+#: F_2003 xi = 3 has 60,061); csv prints no table
+MAX_TABLE_ROWS = 100_000
 
 #: exhaustive verify suites keep deg D_n = p^n at or below this
 SWEEP_DEGREE_LIMIT = 256
@@ -153,17 +164,10 @@ def _render(args, payload, header, rows, text=None) -> None:
     the aligned table of ``header`` and ``rows`` (rows only under --quiet).
     ``payload`` and ``text`` are only called, and ``rows`` only iterated,
     for their own formats, so a command can leave out of them (or pass
-    ``rows`` as a generator) what the other formats do not print.
+    ``rows`` as a generator) what the other formats do not print.  A
+    payload may hold a list of rows as :class:`_Columns`, which json
+    renders as the list of dicts it stands for.
     This is the one place that reads --format.
-
-    json is exactly ``json.dumps(..., indent=2)`` and a newline, but an
-    indent sends ``json`` to its pure-Python encoder, so :func:`_json_text`
-    has the C encoder write it with no indent and an item separator of
-    ',\\n' and the items' indent, and then edits that text.  The edits are
-    sound because the encoder escapes every control character, so every raw
-    newline in its output comes from a separator, and a scalar's text never
-    ends in ``}`` or ``]``, so a separator after one of those follows a
-    container member.
     """
     if args.format == 'json':
         out = _json_text({'schema': SCHEMA_VERSION, 'command': args.command,
@@ -181,44 +185,114 @@ def _render(args, payload, header, rows, text=None) -> None:
     _emit(args, out)
 
 
-_CONTAINERS = (dict, list, tuple)
+class _Columns:
+    """A list of rows of one shape, held column by column.
+
+    It stands for the list ``[dict(zip(keys, row)) for row in
+    zip(*columns)]``, or for the rows themselves as lists when ``keys`` is
+    None.  ``keys`` and ``columns`` are not empty, the columns have one
+    length, and their values are json scalars (str, int, float, bool or
+    None).  json renders it without building a dict or list per row.
+    """
+
+    __slots__ = ('keys', 'columns')
+
+    def __init__(self, keys, columns):
+        self.keys = keys
+        self.columns = columns
+
+
+_CONTAINERS = (dict, list, tuple, _Columns)
+
+#: the C encoder with one value a line: a scalar's text holds no raw
+#: newline, as the encoder escapes every control character
+_LINES = json.JSONEncoder(separators=(',\n', ': ')).encode
 
 
 def _members(obj):
     return obj.values() if isinstance(obj, dict) else obj
 
 
-def _json_text(obj, level=0) -> str:
-    """``json.dumps(obj, indent=2)`` for ``obj`` at indent ``level``.
+def _row_values(rows):
+    """(keys, width, values) when ``rows`` share one shape: plain dicts
+    with the same keys in the same order (``keys`` is that tuple), or plain
+    lists and tuples of one length (``keys`` is None), every value a
+    scalar.  ``values`` holds every row's values, row after row.  None for
+    empty rows, rows of mixed shape and rows that hold a container; a
+    subclass is left out too, as it may iterate in another order than the
+    encoder reads it."""
+    kinds = set(map(type, rows))
+    if kinds == {dict}:
+        shapes = set(map(tuple, rows))
+        values = map(dict.values, rows)
+    elif kinds <= {list, tuple}:
+        shapes = set(map(len, rows))
+        values = rows
+    else:
+        return None
+    shape = shapes.pop()
+    if shapes or not shape:
+        return None
+    values = list(itertools.chain.from_iterable(values))
+    if any(issubclass(t, _CONTAINERS) for t in set(map(type, values))):
+        return None
+    keys, width = (shape, len(shape)) if kinds == {dict} else (None, shape)
+    return keys, width, values
 
-    A container of scalars is one C encoder call, with the line breaks
-    after its opening and before its closing bracket added.  A list of
-    non-empty scalar-only containers of one kind (search results,
-    trace-table rows, verify pairs) is one call at the indent of the
-    members' items; each ``}`` + separator + ``{`` (or ``]``, ``[``)
-    between two members is then rewritten with the members' own indent.
-    Any other container is one call with 0 in place of each container
-    member, split at its separators, and each such member's text, from a
-    call at the next level, replaces its 0.
+
+def _json_rows(keys, width, values, level):
+    """``json.dumps(rows, indent=2)`` at indent ``level`` for the rows of
+    :func:`_row_values`.
+
+    The values are one C encoder call with one value a line, split at its
+    line breaks, and the rows are one ``%`` of a template that repeats
+    the row, with the keys encoded once (``%`` escaped) at the rows'
+    indent.  The split is sound because the encoder escapes every control
+    character, so every raw newline in its text comes from a separator.
     """
+    if not values:
+        return '[]'
+    text = _LINES(values)
+    outer = '\n' + '  ' * (level + 1)
+    inner = ',' + outer + '  '
+    if keys is None:
+        o, c, heads = '[', ']', [''] * width
+    else:
+        o, c = '{', '}'
+        heads = [k[:-1].replace('%', '%%') for k in
+                 _LINES(dict.fromkeys(keys, 0))[1:-1].split(',\n')]
+    row = (',' + outer + o + inner[1:] + inner.join(h + '%s' for h in heads)
+           + outer + c)
+    rows = (row * (len(values) // width))[1:]
+    return '[' + rows % tuple(text[1:-1].split(',\n')) + outer[:-2] + ']'
+
+
+def _json_text(obj, level=0) -> str:
+    """``json.dumps(obj, indent=2)`` for ``obj`` at indent ``level``, where
+    a :class:`_Columns` stands for the list of rows it holds.  An indent
+    sends ``json`` to its pure-Python encoder, so the text is written by
+    the C encoder with no indent and then laid out here.
+
+    Every list of rows of one shape (search results, trace tables, verify
+    pairs) is rendered by :func:`_json_rows`, from its columns when it
+    is ``_Columns`` and otherwise from :func:`_row_values`.  Any other
+    container is one C encoder call with 0 in place of each container
+    member and an item separator of ',\\n' and the items' indent, split at
+    that separator (sound for the reason :func:`_json_rows` gives), and
+    each such member's text, from a call at the next level, replaces its 0.
+    """
+    if isinstance(obj, _Columns):
+        return _json_rows(obj.keys, len(obj.columns), list(
+            itertools.chain.from_iterable(zip(*obj.columns))), level)
     if not isinstance(obj, _CONTAINERS) or not obj:
         return json.dumps(obj)
+    rows = None if isinstance(obj, dict) else _row_values(obj)
+    if rows is not None:
+        return _json_rows(*rows, level)
     pad = '\n' + '  ' * level
     sep = ',' + pad + '  '
     members = list(_members(obj))
     nested = [i for i, v in enumerate(members) if isinstance(v, _CONTAINERS)]
-    kinds = {isinstance(v, dict) for v in members}
-    if (len(nested) == len(members) and len(kinds) == 1 and all(members)
-            and not isinstance(obj, dict) and not any(
-                issubclass(t, _CONTAINERS) for t in set(map(
-                    type, itertools.chain.from_iterable(
-                        map(_members, members)))))):
-        inner = sep + '  '
-        text = json.JSONEncoder(separators=(inner, ': ')).encode(obj)
-        o, c = '{}' if kinds.pop() else '[]'
-        rows = text[2:-2].replace(c + inner + o,
-                                  sep[1:] + c + sep + o + inner[1:])
-        return '[' + sep[1:] + o + inner[1:] + rows + sep[1:] + c + pad + ']'
     if nested:
         flat = members[:]
         for i in nested:
@@ -270,6 +344,20 @@ def _cmd_check(args) -> int:
     cells = (element_to_text(xi),) + tuple(
         _opt(getattr(verdict, k)) for k in header[1:])
 
+    def table():
+        # refused before its first row is built, as a period can reach
+        # millions of rows that a closed form decided in microseconds
+        if verdict.table_rows > MAX_TABLE_ROWS:
+            raise TableTooLarge(
+                f"the trace table has {verdict.table_rows} rows, over the"
+                f" budget of {MAX_TABLE_ROWS} that text and json print;"
+                f" --format csv prints the verdict without it")
+        return verdict.trace_table
+
+    def payload():
+        table()
+        return verdict.to_dict()
+
     def text():
         lines = []
         if not args.quiet:
@@ -284,11 +372,11 @@ def _cmd_check(args) -> int:
             lines.append(f"unstable witness_n={verdict.witness_n}")
         if not args.quiet:
             lines.append('')
-            lines.append(_rows_text(map(TraceRow.cells, verdict.trace_table),
+            lines.append(_rows_text(map(TraceRow.cells, table()),
                                     quiet=False).rstrip())
         return '\n'.join(lines) + '\n'
 
-    _render(args, verdict.to_dict, header, [cells], text)
+    _render(args, payload, header, [cells], text)
     return EXIT_OK if stable else EXIT_UNSTABLE
 
 
@@ -312,33 +400,36 @@ def _cmd_search(args) -> int:
     characteristic 2 negation is the identity.  The group the two maps
     generate has order e, or 2e for odd p, so a seed's orbit is short.
 
-    The first seed of each orbit in packed order is decided, and its
-    verdict columns wait in ``shared`` for the rest of its orbit; xi and
-    Tr(xi) are rendered for every seed, xi from one generator over the
-    field's texts, so only a decided seed becomes a FieldElement.
+    The output is held as six columns, not a row per seed.  The first seed
+    of each orbit in packed order is decided on its packed value by
+    ``_decide_v``, and its (outcome, witness_n, preperiod, period) is
+    stored at every member of its orbit in ``verdicts``, a list indexed by
+    packed value; ``zip(*verdicts)`` is then four columns.  xi comes from
+    one generator over the field's texts and Tr(xi) from the packed trace,
+    so search builds no verdict object and no dict per row.  json renders
+    the columns as the result dicts; csv and text read them row by row.
     """
     ctx = _make_ctx(args)
     header = ('xi', 'trace', 'outcome', 'witness_n', 'preperiod', 'period')
-    frobenius, neg, trace = ctx.frobenius_v, ctx.neg_v, ctx.trace_v
-    shared = {}
-    rows = []
-    for v, text in enumerate(element_texts(ctx)):
-        columns = shared.pop(v, None)
-        if columns is None:
-            verdict = decide_inverse_stability(FieldElement(ctx, v))
-            columns = {k: getattr(verdict, k) for k in header[2:]}
-            orbit = {v}
-            y = frobenius(v)
-            while y != v:
-                orbit.add(y)
+    frobenius, neg = ctx.frobenius_v, ctx.neg_v
+    q = ctx.order
+    verdicts = [None] * q
+    for v in range(q):
+        if verdicts[v] is None:
+            verdict = _decide_v(ctx, v)
+            y = v
+            while True:
+                verdicts[y] = verdicts[neg(y)] = verdict
                 y = frobenius(y)
-            orbit.update([neg(y) for y in orbit])
-            orbit.discard(v)
-            shared.update(dict.fromkeys(orbit, columns))
-        # a trace lies in F_p, whose element's text is its integer
-        rows.append({'xi': text, 'trace': str(trace(v)), **columns})
-    _render(args, lambda: {'field': ctx.describe(), 'results': rows},
-            header, (_cells(r, header) for r in rows))
+                if y == v:
+                    break
+    # a trace lies in F_p, whose element's text is its integer
+    columns = [list(element_texts(ctx)),
+               list(map(str, map(ctx.trace_v, range(q)))),
+               *zip(*verdicts)]
+    _render(args, lambda: {'field': ctx.describe(),
+                           'results': _Columns(header, columns)},
+            header, zip(*(map(_opt, column) for column in columns)))
     return EXIT_OK
 
 
@@ -485,7 +576,7 @@ def _cmd_trace_table(args) -> int:
     def payload():
         return {'field': ctx.describe(), 'xi': element_to_text(xi),
                 'n_max': args.nmax,
-                'rows': [dict(zip(TraceRow._fields, c)) for c in cells]}
+                'rows': _Columns(TraceRow._fields, list(zip(*cells)))}
 
     _render(args, payload, TraceRow._fields, cells,
             lambda: _rows_text(cells, args.quiet))

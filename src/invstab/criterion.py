@@ -21,17 +21,19 @@ the states themselves.  Writing t = d/c and r = a/c, the state is
 c (r, 1, t); t moves on its own, r follows t and is all the trace test
 reads, and c_(n+1) = c_n^2 (xi - t^p + t) never feeds back.
 
-:func:`decide_inverse_stability` has two paths.  A seed xi in F_p^* needs
-no walk (:func:`_prime_cycle`): the Frobenius fixes t = -1/xi, so r_n and
-c_n are powers of -1/xi and xi, no trace vanishes when Tr(xi) != 0, and
-the cycle data come from the order of xi in F_p^*.  Every other seed walks
-t on packed values to its first repeat, which is where the (t, r) cycle
-starts, then steps r and c around the t-cycle to the first zero trace or
-the lap where r returns (:func:`_t_walk`); a stable seed gets the cycle
-data of the states from element orders in F_q^*.  Both return what a walk
-over the states would find: the outcome, the witness, the preperiod and
-the period.  The verdict holds these and xi, and derives the rest:
-``state_steps`` in one property, and the table by :func:`trace_rows` when
+:func:`_decide_v` decides a packed xi, and :func:`decide_inverse_stability`
+wraps its answer and xi in a verdict.  The decision has two paths.  A seed
+xi in F_p^* needs no walk (:func:`_prime_cycle`): the Frobenius fixes
+t = -1/xi, so r_n and c_n are powers of -1/xi and xi, no trace vanishes
+when Tr(xi) != 0, and the cycle data come from the order of xi in F_p^*.
+Every other seed walks t on packed values to its first repeat, which is
+where the (t, r) cycle starts, then steps r and c around the t-cycle to the
+first zero trace or the lap where r returns (:func:`_t_walk`); a stable
+seed gets the cycle data of the states from element orders in F_q^*.
+Both return what a walk over the states would find: the outcome, the
+witness, the preperiod and the period.  The verdict holds these and xi,
+and derives the rest: ``state_steps`` and ``table_rows`` in properties,
+and the table by :func:`trace_rows` when
 :attr:`StabilityVerdict.trace_table` is first read.
 
 The module also carries the closed-form trace of a general Moebius transform
@@ -213,12 +215,18 @@ class StabilityVerdict:
             return self.preperiod + self.period
         return max(self.witness_n - 2, 0)
 
+    @property
+    def table_rows(self) -> int:
+        """The length of :attr:`trace_table`, known without building it:
+        witness_n for an unstable xi, preperiod + period + 1 for a stable
+        one."""
+        return self.witness_n or self.preperiod + self.period + 1
+
     @cached_property
     def trace_table(self) -> tuple:
         """The criterion table's rows, from :func:`trace_rows` on first
         access."""
-        n_max = self.witness_n or self.preperiod + self.period + 1
-        return tuple(trace_rows(self.xi, n_max))
+        return tuple(trace_rows(self.xi, self.table_rows))
 
     def to_dict(self) -> dict:
         """Plain-data form, checked and rebuilt by :meth:`from_dict`."""
@@ -303,6 +311,17 @@ def _check(where: str, got, want) -> None:
 def decide_inverse_stability(xi: FieldElement) -> StabilityVerdict:
     """Decide whether X^p - X + xi is inversely stable over xi's field.
 
+    The verdict of :func:`_decide_v` on xi's packed value, with xi.  No
+    row is built here: the verdict's ``trace_table`` is computed on first
+    access.
+    """
+    return StabilityVerdict(*_decide_v(xi.ctx, xi.val), xi)
+
+
+def _decide_v(ctx: FieldCtx, xi_v: int) -> tuple:
+    """The decision on a packed xi: (outcome, witness_n, preperiod,
+    period), the fields of :class:`StabilityVerdict` before xi.
+
     Terminates on every input: either some trace vanishes at a finite index
     (unstable, witness recorded), or the state cycle closes with every trace
     on it nonzero (stable).  The trace at each index is checked before the
@@ -311,15 +330,14 @@ def decide_inverse_stability(xi: FieldElement) -> StabilityVerdict:
     p) is decided in closed form (:func:`_prime_cycle`), so a prime field
     walks nothing.  Every other seed walks the orbit of t, and a stable
     one gets its cycle data from orders in F_q^* (:func:`_t_walk`).
-    Both give what a walk over the states would.  No row is built here:
-    the verdict's ``trace_table`` is computed on first access.
+    Both give what a walk over the states would.  This is the one
+    decision path: :func:`decide_inverse_stability` wraps it, and
+    ``search`` calls it once per orbit of seeds.
     """
-    ctx = xi.ctx
-    if ctx.trace_v(xi.val) == 0:
+    if ctx.trace_v(xi_v) == 0:
         # Tr(xi) = 0: D_1 = g is already reducible
-        return StabilityVerdict(UNSTABLE, 1, None, None, xi)
-    walk = _prime_cycle if xi.val < ctx.p else _t_walk
-    return StabilityVerdict(*walk(ctx, xi.val), xi)
+        return UNSTABLE, 1, None, None
+    return (_prime_cycle if xi_v < ctx.p else _t_walk)(ctx, xi_v)
 
 
 def _prime_cycle(ctx: FieldCtx, xi_v: int) -> tuple:

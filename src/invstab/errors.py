@@ -63,6 +63,10 @@ class IterationTooLarge(InvstabError, ValueError):
     """The requested iterate would exceed the configured degree cap."""
 
 
+class TableTooLarge(InvstabError, ValueError):
+    """A trace table to print has more rows than the output budget."""
+
+
 class CZero(InvstabError, ArithmeticError):
     """A criterion state with c = 0 cannot be advanced or evaluated."""
 

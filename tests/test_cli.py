@@ -6,14 +6,17 @@ import csv
 import hashlib
 import io
 import json
+import time
 
 import pytest
 
 from invstab import cli, criterion
 from invstab.criterion import StabilityVerdict, decide_inverse_stability
+from invstab.errors import InvstabError, TableTooLarge
 from invstab.fields import (
     ZECH_MAX_ORDER,
     abs_trace,
+    element_from_text,
     element_texts,
     element_to_text,
     extension_field,
@@ -114,6 +117,38 @@ def test_check_builds_rows_only_when_printed(capsys, monkeypatch):
         assert run(capsys, argv) == want, argv
 
 
+def test_check_table_over_budget(capsys, monkeypatch):
+    """check refuses, with exit 2 and before building a row, a trace table
+    over MAX_TABLE_ROWS in text and json; csv and --quiet text print the
+    verdict.  xi = 5 over F_7919 has 7,553,773 rows.  The budget covers
+    every pinned table, GF(127^2) 5,109 (24,202 rows) and F_2003 xi = 3
+    (60,061 rows) among them."""
+    for p, e, xi, rows in ((127, 2, '5,109', 24202), (2003, 1, '3', 60061)):
+        verdict = decide_inverse_stability(
+            element_from_text(finite_field(p, e), xi))
+        assert verdict.table_rows == rows <= cli.MAX_TABLE_ROWS
+    small = decide_inverse_stability(finite_field(3, 2).modulus_root)
+    assert small.table_rows == len(small.trace_table)
+
+    def no_rows(*args):
+        raise AssertionError("check built a row of an over-budget table")
+    monkeypatch.setattr(criterion, 'trace_rows', no_rows)
+    argv = ['check', '--p', '7919', '--xi', '5']
+    for fmt in ('text', 'json'):
+        start = time.perf_counter()
+        rc, out, err = run(capsys, argv + ['--format', fmt])
+        assert time.perf_counter() - start < 5, fmt
+        assert rc == cli.EXIT_USAGE and out == '', fmt
+        assert err.startswith('error: the trace table has 7553773 rows')
+        assert '--format csv' in err
+    assert issubclass(TableTooLarge, InvstabError)
+    rc, out, _ = run(capsys, argv + ['--format', 'csv'])
+    assert rc == cli.EXIT_OK
+    assert out.splitlines()[1] == '5,stable,,0,7553772,7553772'
+    rc, out, _ = run(capsys, argv + ['--quiet'])
+    assert (rc, out) == (cli.EXIT_OK, 'stable preperiod=0 period=7553772\n')
+
+
 # -- search ---------------------------------------------------------------------
 
 
@@ -140,14 +175,52 @@ def test_search_builds_no_rows(capsys, monkeypatch):
 
 
 def test_search_json_builds_no_cells(capsys, monkeypatch):
-    """json prints the result dicts, so search builds no csv/text cells."""
+    """json prints the result columns, so search builds no csv/text cells:
+    neither a row tuple of _opt values nor _cells."""
     def no_cells(*args):
         raise AssertionError("search --format json built table cells")
     monkeypatch.setattr(cli, '_cells', no_cells)
+    monkeypatch.setattr(cli, '_opt', no_cells)
     for argv in (F9_ARGS, ['--p', '7']):
         rc, out, _ = run(capsys, ['search'] + argv + ['--format', 'json'])
         assert rc == cli.EXIT_OK
         assert json.loads(out)['command'] == 'search'
+
+
+def test_search_builds_no_row_dicts_or_verdicts(capsys, monkeypatch):
+    """search holds its output as columns of the packed decisions: it
+    builds no StabilityVerdict, json gets the results as one _Columns of
+    scalar columns, and csv and text get each row as a tuple, never a
+    dict; the bytes are those of the same commands unpatched."""
+    argvs = [['search'] + argv + extra
+             for argv in (F9_ARGS, ['--p', '2', '--e', '4'], ['--p', '7'])
+             for extra in ([], ['--format', 'json'], ['--format', 'csv'])]
+    expected = [run(capsys, argv) for argv in argvs]
+
+    def no_verdict(*args):
+        raise AssertionError("search built a StabilityVerdict")
+    monkeypatch.setattr(StabilityVerdict, '__init__', no_verdict)
+    render, formats = cli._render, []
+
+    def checked(args, payload, header, rows, text=None):
+        formats.append(args.format)
+        if args.format == 'json':
+            results = payload()['results']
+            assert type(results) is cli._Columns
+            assert results.keys == header
+            for column in results.columns:
+                assert type(column) in (list, tuple)
+                assert len(column) == len(results.columns[0])
+                assert not any(isinstance(v, cli._CONTAINERS)
+                               for v in column)
+        else:
+            rows = list(rows)
+            assert rows and all(type(r) is tuple for r in rows)
+        return render(args, payload, header, rows, text)
+    monkeypatch.setattr(cli, '_render', checked)
+    for argv, want in zip(argvs, expected):
+        assert run(capsys, argv) == want, argv
+    assert formats == ['text', 'json', 'csv'] * 3
 
 
 def test_search_prime_field(capsys):
@@ -229,13 +302,14 @@ def test_element_texts_in_packed_order():
 
 
 def test_search_decides_once_per_orbit(capsys, monkeypatch):
-    """search decides one seed per orbit of xi -> xi^p and xi -> -xi."""
-    calls = []
+    """search decides one seed per orbit of xi -> xi^p and xi -> -xi, by
+    the packed decision core as cli binds it."""
+    calls, decide = [], criterion._decide_v
 
-    def counting(xi):
-        calls.append(xi)
-        return decide_inverse_stability(xi)
-    monkeypatch.setattr(cli, 'decide_inverse_stability', counting)
+    def counting(ctx, xi_v):
+        calls.append(xi_v)
+        return decide(ctx, xi_v)
+    monkeypatch.setattr(cli, '_decide_v', counting)
     for argv, decisions in ((['--p', '3', '--e', '6'], 68),
                             (['--p', '5', '--e', '4'], 87),
                             (['--p', '2', '--e', '10'], 108),
@@ -642,9 +716,63 @@ class _ListSub(list):
     [collections.OrderedDict(a=1), collections.OrderedDict(a=(2, 3))],
     [[1, (2, 3)], [4]], [{'a': 1}, {'b': ()}],
     [[[]], [1]], [[1, []], [2]], [[1], [2, []]],
+    # rows of one shape, which take the column path
+    [{'a': 1, 'b': '%s'}, {'a': 2, 'b': '%'}], [{'%s': '%d', '"': '\n'}],
+    [{1: 'a', None: -0.0, True: float('nan')}, {1: 'b', None: 2, True: 3}],
+    [[1, 'a\n'], [2, '],\n[']], [(1, '},\n  {'), [2, 'é']], [(None,)],
+    {'rows': [{'k': 'ö', 'v': float('inf')}], 'more': [[True, False]]},
+    # rows of mixed shape: unequal keys, key order, lengths or kinds
+    [{'a': 1, 'b': 2}, {'b': 1, 'a': 2}], [{'a': 1}, {'b': 1}],
+    [{'a': 1, 'b': 2}, {'a': 1}], [[1, 2], [3]], [(1, 2), (3,)],
+    [{'a': 1}, [1]], [{'a': 1}, {'a': 2}, 3], [[1, 2], _ListSub([3, 4])],
 ])
 def test_json_text_matches_indented_dumps(obj):
     assert cli._json_text(obj) == json.dumps(obj, indent=2)
+
+
+_AWKWARD = ('%', '%s', '"', '\n', '},\n  {', '],', 'grüße \u2603')
+
+
+@pytest.mark.parametrize('keys, rows', [
+    (('a', 'b'), []),
+    (('xi',), [('0,1',)]),
+    (('xi', 'trace', 'outcome'), [('0', '0', 'unstable')]),
+    (_AWKWARD, [_AWKWARD, _AWKWARD[::-1]]),
+    (('n', 'ok', 'x', 'y', 'z'),
+     [(None, True, -0.0, float('nan'), float('inf')),
+      (1, False, 1.5, -float('inf'), 10 ** 30)]),
+    (None, []),
+    (None, [(1, '%s')]),
+    (None, [_AWKWARD, _AWKWARD, _AWKWARD]),
+])
+def test_json_text_renders_column_tables(keys, rows):
+    """A _Columns is rendered as the list of dicts (or, without keys, of
+    lists) it stands for, on its own and inside a payload."""
+    width = len(keys) if keys is not None else len(rows[0]) if rows else 1
+    table = cli._Columns(keys, [[r[i] for r in rows] for i in range(width)])
+    listed = [list(r) if keys is None else dict(zip(keys, r)) for r in rows]
+    assert cli._json_text(table) == json.dumps(listed, indent=2)
+    payload = {'schema': 1, 'results': table, 'after': [1, {'a': None}]}
+    assert cli._json_text(payload) == json.dumps(
+        {**payload, 'results': listed}, indent=2)
+
+
+def test_row_lists_of_one_shape_are_flattened():
+    """Only plain dicts with one key order, or plain lists and tuples of one
+    length, holding scalars, take the row renderer; their values are read
+    row by row."""
+    assert cli._row_values([{'a': 1, 'b': 'x'}, {'a': 2, 'b': 'y'}]) == (
+        ('a', 'b'), 2, [1, 'x', 2, 'y'])
+    assert cli._row_values([(1, 'x'), [2, 'y']]) == (None, 2, [1, 'x', 2, 'y'])
+    for rows in ([{'a': 1, 'b': 2}, {'b': 1, 'a': 2}], [{'a': 1}, {'b': 1}],
+                 [{'a': 1}, {'a': 1, 'b': 2}], [[1, 2], [3]], [{}], [[]],
+                 [{'a': 1}, [1]], [collections.OrderedDict(a=1)],
+                 [_ListSub([1])], [1, 2]):
+        assert cli._row_values(rows) is None, rows
+    # a container among the values sends the rows to the nested path
+    for rows in ([[1, [2]], [3, 4]], [{'a': (1,)}], [{'a': 1}, {'a': {}}]):
+        assert cli._row_values(rows) is None, rows
+        assert cli._json_text(rows) == json.dumps(rows, indent=2)
 
 
 # -- errors --------------------------------------------------------------------------
