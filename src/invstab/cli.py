@@ -63,9 +63,10 @@ EXIT_UNSTABLE = 3
 
 SCHEMA_VERSION = 1
 
-#: check prints its trace table in text and json only up to this many rows,
-#: which covers every pinned output (GF(127^2) 5,109 has 24,202 rows and
-#: F_2003 xi = 3 has 60,061); csv prints no table
+#: the most trace table rows a command prints: check in text and json
+#: (its csv prints no table) and trace-table, whose --nmax bounds its rows,
+#: in every format.  It covers every pinned output (GF(127^2) 5,109 has
+#: 24,202 rows and F_2003 xi = 3 has 60,061)
 MAX_TABLE_ROWS = 100_000
 
 #: exhaustive verify suites keep deg D_n = p^n at or below this
@@ -165,8 +166,8 @@ def _render(args, payload, header, rows, text=None) -> None:
     ``payload`` and ``text`` are only called, and ``rows`` only iterated,
     for their own formats, so a command can leave out of them (or pass
     ``rows`` as a generator) what the other formats do not print.  A
-    payload may hold a list of rows as :class:`_Columns`, which json
-    renders as the list of dicts it stands for.
+    payload holds every list of rows as a :class:`_Columns`, which json
+    renders as the list of dicts or lists it stands for.
     This is the one place that reads --format.
     """
     if args.format == 'json':
@@ -190,9 +191,10 @@ class _Columns:
 
     It stands for the list ``[dict(zip(keys, row)) for row in
     zip(*columns)]``, or for the rows themselves as lists when ``keys`` is
-    None.  ``keys`` and ``columns`` are not empty, the columns have one
-    length, and their values are json scalars (str, int, float, bool or
-    None).  json renders it without building a dict or list per row.
+    None.  The columns have one length and hold json scalars (str, int,
+    float, bool or None).  A list of no rows may have no columns at all,
+    as ``zip(*rows)`` of no rows is empty, and renders as ``[]``.  json
+    renders it without building a dict or list per row.
     """
 
     __slots__ = ('keys', 'columns')
@@ -202,47 +204,20 @@ class _Columns:
         self.columns = columns
 
 
-_CONTAINERS = (dict, list, tuple, _Columns)
-
 #: the C encoder with one value a line: a scalar's text holds no raw
 #: newline, as the encoder escapes every control character
 _LINES = json.JSONEncoder(separators=(',\n', ': ')).encode
 
 
-def _members(obj):
-    return obj.values() if isinstance(obj, dict) else obj
-
-
-def _row_values(rows):
-    """(keys, width, values) when ``rows`` share one shape: plain dicts
-    with the same keys in the same order (``keys`` is that tuple), or plain
-    lists and tuples of one length (``keys`` is None), every value a
-    scalar.  ``values`` holds every row's values, row after row.  None for
-    empty rows, rows of mixed shape and rows that hold a container; a
-    subclass is left out too, as it may iterate in another order than the
-    encoder reads it."""
-    kinds = set(map(type, rows))
-    if kinds == {dict}:
-        shapes = set(map(tuple, rows))
-        values = map(dict.values, rows)
-    elif kinds <= {list, tuple}:
-        shapes = set(map(len, rows))
-        values = rows
-    else:
-        return None
-    shape = shapes.pop()
-    if shapes or not shape:
-        return None
-    values = list(itertools.chain.from_iterable(values))
-    if any(issubclass(t, _CONTAINERS) for t in set(map(type, values))):
-        return None
-    keys, width = (shape, len(shape)) if kinds == {dict} else (None, shape)
-    return keys, width, values
+def _json_keys(keys) -> list:
+    """Each of ``keys`` encoded as a json object key, up to and with its
+    ': ', from one encoder call split at its line breaks."""
+    return [k[:-1] for k in _LINES(dict.fromkeys(keys, 0))[1:-1].split(',\n')]
 
 
 def _json_rows(keys, width, values, level):
-    """``json.dumps(rows, indent=2)`` at indent ``level`` for the rows of
-    :func:`_row_values`.
+    """``json.dumps(rows, indent=2)`` at indent ``level`` for the rows of a
+    :class:`_Columns` of ``width`` columns, ``values`` row after row.
 
     The values are one C encoder call with one value a line, split at its
     line breaks, and the rows are one ``%`` of a template that repeats
@@ -259,8 +234,7 @@ def _json_rows(keys, width, values, level):
         o, c, heads = '[', ']', [''] * width
     else:
         o, c = '{', '}'
-        heads = [k[:-1].replace('%', '%%') for k in
-                 _LINES(dict.fromkeys(keys, 0))[1:-1].split(',\n')]
+        heads = [k.replace('%', '%%') for k in _json_keys(keys)]
     row = (',' + outer + o + inner[1:] + inner.join(h + '%s' for h in heads)
            + outer + c)
     rows = (row * (len(values) // width))[1:]
@@ -271,40 +245,27 @@ def _json_text(obj, level=0) -> str:
     """``json.dumps(obj, indent=2)`` for ``obj`` at indent ``level``, where
     a :class:`_Columns` stands for the list of rows it holds.  An indent
     sends ``json`` to its pure-Python encoder, so the text is written by
-    the C encoder with no indent and then laid out here.
+    the C encoder with no indent and laid out here, in one walk.
 
-    Every list of rows of one shape (search results, trace tables, verify
-    pairs) is rendered by :func:`_json_rows`, from its columns when it
-    is ``_Columns`` and otherwise from :func:`_row_values`.  Any other
-    container is one C encoder call with 0 in place of each container
-    member and an item separator of ',\\n' and the items' indent, split at
-    that separator (sound for the reason :func:`_json_rows` gives), and
-    each such member's text, from a call at the next level, replaces its 0.
+    A ``_Columns`` is rendered by :func:`_json_rows`; a scalar or an empty
+    container is one ``json.dumps``.  A dict's keys are one
+    :func:`_json_keys` call, and its values, like a list's or tuple's
+    items, are rendered at the next level.
     """
     if isinstance(obj, _Columns):
         return _json_rows(obj.keys, len(obj.columns), list(
             itertools.chain.from_iterable(zip(*obj.columns))), level)
-    if not isinstance(obj, _CONTAINERS) or not obj:
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
         return json.dumps(obj)
-    rows = None if isinstance(obj, dict) else _row_values(obj)
-    if rows is not None:
-        return _json_rows(*rows, level)
-    pad = '\n' + '  ' * level
-    sep = ',' + pad + '  '
-    members = list(_members(obj))
-    nested = [i for i, v in enumerate(members) if isinstance(v, _CONTAINERS)]
-    if nested:
-        flat = members[:]
-        for i in nested:
-            flat[i] = 0
-        obj = dict(zip(obj, flat)) if isinstance(obj, dict) else flat
-    text = json.JSONEncoder(separators=(sep, ': ')).encode(obj)
-    if nested:
-        items = text[1:-1].split(sep)
-        for i in nested:
-            items[i] = items[i][:-1] + _json_text(members[i], level + 1)
-        text = text[0] + sep.join(items) + text[-1]
-    return text[0] + sep[1:] + text[1:-1] + pad + text[-1]
+    pad = '\n' + '  ' * (level + 1)
+    if isinstance(obj, dict):
+        o, c = '{', '}'
+        items = [k + _json_text(v, level + 1)
+                 for k, v in zip(_json_keys(obj), obj.values())]
+    else:
+        o, c = '[', ']'
+        items = [_json_text(v, level + 1) for v in obj]
+    return o + pad + (',' + pad).join(items) + pad[:-2] + c
 
 
 def _table_text(header, rows, quiet: bool) -> str:
@@ -318,6 +279,16 @@ def _table_text(header, rows, quiet: bool) -> str:
     lines = ('  '.join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
              for row in cells)
     return '\n'.join(lines) + '\n'
+
+
+def _table_budget(rows: int, what: str, advice: str) -> None:
+    """TableTooLarge when a trace table of ``rows`` rows is over
+    MAX_TABLE_ROWS.  Called before the first row is built, as a table can
+    reach millions of rows that take far longer than the decision; the
+    message is ``what``, the row count, the budget and ``advice``."""
+    if rows > MAX_TABLE_ROWS:
+        raise TableTooLarge(f"{what} {rows} rows, over the budget of"
+                            f" {MAX_TABLE_ROWS} {advice}")
 
 
 def _opt(value):
@@ -340,23 +311,19 @@ def _cmd_check(args) -> int:
     header = ('xi', 'outcome', 'witness_n', 'preperiod', 'period',
               'state_steps')
     # the trace table is only printed by json and non-quiet text, so the
-    # csv row reads the verdict, not to_dict()
+    # csv row reads the verdict, not its record
     cells = (element_to_text(xi),) + tuple(
         _opt(getattr(verdict, k)) for k in header[1:])
 
     def table():
-        # refused before its first row is built, as a period can reach
-        # millions of rows that a closed form decided in microseconds
-        if verdict.table_rows > MAX_TABLE_ROWS:
-            raise TableTooLarge(
-                f"the trace table has {verdict.table_rows} rows, over the"
-                f" budget of {MAX_TABLE_ROWS} that text and json print;"
-                f" --format csv prints the verdict without it")
-        return verdict.trace_table
+        _table_budget(verdict.table_rows, 'the trace table has',
+                      'that text and json print; --format csv prints the'
+                      ' verdict without it')
+        return map(TraceRow.cells, verdict.trace_table)
 
     def payload():
-        table()
-        return verdict.to_dict()
+        return verdict._record(
+            _Columns(TraceRow._fields, list(zip(*table()))))
 
     def text():
         lines = []
@@ -372,8 +339,7 @@ def _cmd_check(args) -> int:
             lines.append(f"unstable witness_n={verdict.witness_n}")
         if not args.quiet:
             lines.append('')
-            lines.append(_rows_text(map(TraceRow.cells, table()),
-                                    quiet=False).rstrip())
+            lines.append(_rows_text(table(), quiet=False).rstrip())
         return '\n'.join(lines) + '\n'
 
     _render(args, payload, header, [cells], text)
@@ -560,7 +526,8 @@ def _cmd_verify(args) -> int:
     def payload():
         return {'suite': args.suite, 'field': ctx.describe(),
                 'agree': all_agree,
-                'reports': [r.to_dict() for r in reports]}
+                'reports': [r._record(_Columns(None, list(zip(*r.pairs))))
+                            for r in reports]}
 
     _render(args, payload, header, table, text)
     return EXIT_OK if all_agree else EXIT_DISAGREE
@@ -571,6 +538,8 @@ def _cmd_trace_table(args) -> int:
     xi = element_from_text(ctx, args.xi)
     if args.nmax < 1:
         raise ValueError("--nmax must be >= 1")
+    _table_budget(args.nmax, '--nmax asks for up to',
+                  'that every format prints')
     cells = [r.cells() for r in trace_rows(xi, args.nmax)]
 
     def payload():

@@ -230,6 +230,13 @@ class StabilityVerdict:
 
     def to_dict(self) -> dict:
         """Plain-data form, checked and rebuilt by :meth:`from_dict`."""
+        return self._record([dict(zip(TraceRow._fields, r.cells()))
+                             for r in self.trace_table])
+
+    def _record(self, trace_table) -> dict:
+        """:meth:`to_dict` with ``trace_table`` as the value of its
+        'trace_table' key, which the command line fills without a dict per
+        row."""
         return {
             'outcome': self.outcome,
             'witness_n': self.witness_n,
@@ -238,8 +245,7 @@ class StabilityVerdict:
             'state_steps': self.state_steps,
             'field': self.ctx.describe(),
             'xi': element_to_text(self.xi),
-            'trace_table': [dict(zip(TraceRow._fields, r.cells()))
-                            for r in self.trace_table],
+            'trace_table': trace_table,
         }
 
     @classmethod

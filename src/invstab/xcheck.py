@@ -88,6 +88,11 @@ class EquivalenceReport:
         return cls(label, field, params, n_max, pairs, first is None, first)
 
     def to_dict(self) -> dict:
+        return self._record([list(p) for p in self.pairs])
+
+    def _record(self, pairs) -> dict:
+        """:meth:`to_dict` with ``pairs`` as the value of its 'pairs' key,
+        which the command line fills without a list per pair."""
         return {
             'label': self.label,
             'field': self.field,
@@ -95,7 +100,7 @@ class EquivalenceReport:
             'n_max': self.n_max,
             'agree': self.agree,
             'first_disagreement': self.first_disagreement,
-            'pairs': [list(p) for p in self.pairs],
+            'pairs': pairs,
         }
 
 

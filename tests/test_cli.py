@@ -11,7 +11,11 @@ import time
 import pytest
 
 from invstab import cli, criterion
-from invstab.criterion import StabilityVerdict, decide_inverse_stability
+from invstab.criterion import (
+    StabilityVerdict,
+    TraceRow,
+    decide_inverse_stability,
+)
 from invstab.errors import InvstabError, TableTooLarge
 from invstab.fields import (
     ZECH_MAX_ORDER,
@@ -29,6 +33,9 @@ from invstab.xcheck import EquivalenceReport
 
 F9_ARGS = ['--p', '3', '--e', '2', '--modulus', '2,2,1']
 F25_ARGS = ['--p', '5', '--e', '2', '--modulus', '2,4,1']
+
+#: what json renders as an array or object; a _Columns holds none of them
+_CONTAINERS = (dict, list, tuple, cli._Columns)
 
 
 def run(capsys, argv):
@@ -149,6 +156,28 @@ def test_check_table_over_budget(capsys, monkeypatch):
     assert (rc, out) == (cli.EXIT_OK, 'stable preperiod=0 period=7553772\n')
 
 
+def test_trace_table_over_budget(capsys, monkeypatch):
+    """trace-table refuses an --nmax over MAX_TABLE_ROWS with exit 2 in
+    every format, csv included, before building a row; an --nmax at the
+    budget is taken."""
+    rc, out, _ = run(capsys, ['trace-table', '--p', '3', '--e', '2', '--xi',
+                              '0', '--nmax', str(cli.MAX_TABLE_ROWS)])
+    assert rc == cli.EXIT_OK and len(out.splitlines()) == 2
+
+    def no_rows(*args):
+        raise AssertionError("trace-table built a row over the budget")
+    monkeypatch.setattr(cli, 'trace_rows', no_rows)
+    argv = ['trace-table', '--p', '7919', '--xi', '5', '--nmax',
+            str(cli.MAX_TABLE_ROWS + 1)]
+    for fmt in ('text', 'json', 'csv'):
+        start = time.perf_counter()
+        rc, out, err = run(capsys, argv + ['--format', fmt])
+        assert time.perf_counter() - start < 5, fmt
+        assert rc == cli.EXIT_USAGE and out == '', fmt
+        assert err == ('error: --nmax asks for up to 100001 rows, over the'
+                       ' budget of 100000 that every format prints\n')
+
+
 # -- search ---------------------------------------------------------------------
 
 
@@ -211,8 +240,7 @@ def test_search_builds_no_row_dicts_or_verdicts(capsys, monkeypatch):
             for column in results.columns:
                 assert type(column) in (list, tuple)
                 assert len(column) == len(results.columns[0])
-                assert not any(isinstance(v, cli._CONTAINERS)
-                               for v in column)
+                assert not any(isinstance(v, _CONTAINERS) for v in column)
         else:
             rows = list(rows)
             assert rows and all(type(r) is tuple for r in rows)
@@ -425,6 +453,59 @@ def test_verify_text_and_csv_build_no_report_dicts(capsys, monkeypatch):
     monkeypatch.setattr(EquivalenceReport, 'to_dict', no_dict)
     for argv, want in zip(argvs, expected):
         assert run(capsys, argv) == want, argv
+
+
+def test_check_and_verify_json_rows_arrive_as_columns(capsys, monkeypatch):
+    """check and verify hand json every row list as a _Columns of scalar
+    columns: check's trace table with the row keys and no dict per row,
+    verify's pairs without keys.  A report of no pairs renders
+    "pairs": [].  The bytes are those of the same commands unpatched."""
+    fake = EquivalenceReport.build('stub', {'p': 2, 'e': 1, 'modulus': None},
+                                   None, None, [])
+    argvs = [['check'] + F9_ARGS + ['--xi', '0,1'],
+             ['check'] + F25_ARGS + ['--xi', '0,1'],
+             ['check', '--p', '2', '--e', '2', '--xi', '1,0'],
+             ['verify', '--p', '2', '--e', '2', '--nmax', '4'],
+             ['verify', '--p', '3', '--suite', 'criterion'],
+             ['verify', '--p', '2', '--suite', 'traces']]
+    argvs = [argv + ['--format', 'json'] for argv in argvs]
+    expected = [run(capsys, argv) for argv in argvs[:-1]]
+    with monkeypatch.context() as m:
+        m.setattr(cli, '_trace_tuple_suite', lambda ctx: fake)
+        expected.append(run(capsys, argvs[-1]))
+    _, out, _ = expected[-1]
+    assert '"pairs": []' in out
+    assert json.loads(out)['reports'] == [fake.to_dict()]
+
+    def no_dict(self):
+        raise AssertionError("json built a record with a dict per row")
+    monkeypatch.setattr(StabilityVerdict, 'to_dict', no_dict)
+    monkeypatch.setattr(EquivalenceReport, 'to_dict', no_dict)
+    json_text, tables = cli._json_text, []
+
+    def checked(obj, level=0):
+        if level == 0:
+            if obj['command'] == 'check':
+                found = [obj['trace_table']]
+                assert found[0].keys == TraceRow._fields
+            else:
+                found = [r['pairs'] for r in obj['reports']]
+                assert all(t.keys is None for t in found)
+            for table in found:
+                assert type(table) is cli._Columns
+                for column in table.columns:
+                    assert len(column) == len(table.columns[0])
+                    assert not any(isinstance(v, _CONTAINERS)
+                                   for v in column)
+            tables.extend(found)
+        return json_text(obj, level)
+    monkeypatch.setattr(cli, '_json_text', checked)
+    for argv, want in zip(argvs[:-1], expected):
+        assert run(capsys, argv) == want, argv
+    monkeypatch.setattr(cli, '_trace_tuple_suite', lambda ctx: fake)
+    assert run(capsys, argvs[-1]) == expected[-1]
+    assert tables[-1].columns == []
+    assert len(tables) == 3 + 5 + 2 + 1
 
 
 def test_verify_disagreement_exit(capsys, monkeypatch):
@@ -710,13 +791,13 @@ class _ListSub(list):
     ((1, 2), (3, 'a')), {'t': (1, (2, 3))}, [(1,), [2]],
     {1: [1], None: {'a': (1,)}, 2.5: 0, False: []},
     'a string', 7, None,
-    # rows of one kind whose items hold a container take the nested path
+    # rows of one kind whose items hold a container
     [{'a': _ListSub([1])}, {'a': 2}], [[1], _ListSub([2])],
     [{'a': collections.OrderedDict(b=1)}, {'a': 2}],
     [collections.OrderedDict(a=1), collections.OrderedDict(a=(2, 3))],
     [[1, (2, 3)], [4]], [{'a': 1}, {'b': ()}],
     [[[]], [1]], [[1, []], [2]], [[1], [2, []]],
-    # rows of one shape, which take the column path
+    # rows of one shape
     [{'a': 1, 'b': '%s'}, {'a': 2, 'b': '%'}], [{'%s': '%d', '"': '\n'}],
     [{1: 'a', None: -0.0, True: float('nan')}, {1: 'b', None: 2, True: 3}],
     [[1, 'a\n'], [2, '],\n[']], [(1, '},\n  {'), [2, 'é']], [(None,)],
@@ -725,6 +806,8 @@ class _ListSub(list):
     [{'a': 1, 'b': 2}, {'b': 1, 'a': 2}], [{'a': 1}, {'b': 1}],
     [{'a': 1, 'b': 2}, {'a': 1}], [[1, 2], [3]], [(1, 2), (3,)],
     [{'a': 1}, [1]], [{'a': 1}, {'a': 2}, 3], [[1, 2], _ListSub([3, 4])],
+    # rows of one kind that hold a container among their scalars
+    [[1, [2]], [3, 4]], [{'a': (1,)}], [{'a': 1}, {'a': {}}],
 ])
 def test_json_text_matches_indented_dumps(obj):
     assert cli._json_text(obj) == json.dumps(obj, indent=2)
@@ -755,24 +838,6 @@ def test_json_text_renders_column_tables(keys, rows):
     payload = {'schema': 1, 'results': table, 'after': [1, {'a': None}]}
     assert cli._json_text(payload) == json.dumps(
         {**payload, 'results': listed}, indent=2)
-
-
-def test_row_lists_of_one_shape_are_flattened():
-    """Only plain dicts with one key order, or plain lists and tuples of one
-    length, holding scalars, take the row renderer; their values are read
-    row by row."""
-    assert cli._row_values([{'a': 1, 'b': 'x'}, {'a': 2, 'b': 'y'}]) == (
-        ('a', 'b'), 2, [1, 'x', 2, 'y'])
-    assert cli._row_values([(1, 'x'), [2, 'y']]) == (None, 2, [1, 'x', 2, 'y'])
-    for rows in ([{'a': 1, 'b': 2}, {'b': 1, 'a': 2}], [{'a': 1}, {'b': 1}],
-                 [{'a': 1}, {'a': 1, 'b': 2}], [[1, 2], [3]], [{}], [[]],
-                 [{'a': 1}, [1]], [collections.OrderedDict(a=1)],
-                 [_ListSub([1])], [1, 2]):
-        assert cli._row_values(rows) is None, rows
-    # a container among the values sends the rows to the nested path
-    for rows in ([[1, [2]], [3, 4]], [{'a': (1,)}], [{'a': 1}, {'a': {}}]):
-        assert cli._row_values(rows) is None, rows
-        assert cli._json_text(rows) == json.dumps(rows, indent=2)
 
 
 # -- errors --------------------------------------------------------------------------
