@@ -52,6 +52,7 @@ from .criterion import (
     TraceRow,
     WanResult,
     agou_quartic_irreducible,
+    decide_field,
     decide_inverse_stability,
     init_states,
     mobius_trace_formula,
@@ -70,6 +71,7 @@ from .xcheck import (
     minpoly_trace_check,
     rel_trace_oracle,
     state_walk_c_nonzero,
+    verify_suites,
 )
 
 __version__ = '0.1.0'
@@ -86,12 +88,12 @@ __all__ = [
     'forward_orbit_infinity', 'initial_fraction', 'iterate_step',
     'preimage_count',
     'STABLE', 'UNSTABLE', 'CriterionState', 'StabilityVerdict', 'TraceRow',
-    'WanResult', 'agou_quartic_irreducible', 'decide_inverse_stability',
-    'init_states', 'mobius_trace_formula', 'step_state', 'trace_rows',
-    'wan_irreducible_p',
+    'WanResult', 'agou_quartic_irreducible', 'decide_field',
+    'decide_inverse_stability', 'init_states', 'mobius_trace_formula',
+    'step_state', 'trace_rows', 'wan_irreducible_p',
     'EquivalenceReport', 'MinpolyTraceCheck', 'RelTraceCheck',
     'criterion_vs_direct', 'direct_denominator_check',
-    'irreducibility_trace_sweep', 'minimal_polynomial',
-    'minpoly_trace_check', 'rel_trace_oracle', 'state_walk_c_nonzero',
+    'irreducibility_trace_sweep', 'minimal_polynomial', 'minpoly_trace_check',
+    'rel_trace_oracle', 'state_walk_c_nonzero', 'verify_suites',
     '__version__',
 ]

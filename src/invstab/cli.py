@@ -27,20 +27,17 @@ import csv
 import io
 import itertools
 import json
-import random
 import sys
 
 from .criterion import (
     STABLE,
     TraceRow,
-    _decide_v,
+    decide_field,
     decide_inverse_stability,
     trace_rows,
 )
-from .errors import InvstabError, NotGenerating, TableTooLarge
+from .errors import InvstabError, TableTooLarge
 from .fields import (
-    FieldElement,
-    abs_trace,
     element_from_text,
     element_texts,
     element_to_text,
@@ -48,13 +45,7 @@ from .fields import (
 )
 from .iteration import DEFAULT_DEGREE_CAP, denominator
 from .polys import is_irreducible, poly_to_text
-from .xcheck import (
-    EquivalenceReport,
-    criterion_vs_direct,
-    irreducibility_trace_sweep,
-    minpoly_trace_check,
-    rel_trace_oracle,
-)
+from .xcheck import SUITES, verify_suites
 
 EXIT_OK = 0
 EXIT_DISAGREE = 1
@@ -69,17 +60,6 @@ SCHEMA_VERSION = 1
 #: 24,202 rows and F_2003 xi = 3 has 60,061)
 MAX_TABLE_ROWS = 100_000
 
-#: exhaustive verify suites keep deg D_n = p^n at or below this
-SWEEP_DEGREE_LIMIT = 256
-
-_SUITES = ('criterion', 'irreducibility', 'traces', 'minpoly', 'all')
-
-#: the traces suite's count of seeded Moebius tuples, and its seed
-_TRACE_TUPLES, _TRACE_SEED = 500, 20240815
-#: the minpoly suite samples this many elements of a field of more than
-#: 512, from this seed
-_MINPOLY_SAMPLES, _MINPOLY_SEED = 100, 917
-
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -93,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         default='text', help='output format')
     common.add_argument('--out', help='write output to this path')
     common.add_argument('--quiet', action='store_true',
-                        help='data rows only, no headers or summaries')
+                        help='text output only: no headers or summaries')
 
     parser = argparse.ArgumentParser(
         prog='invstab',
@@ -120,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = add('verify', 'run oracle cross-check suites')
     sp.add_argument('--cap', **cap)
-    sp.add_argument('--suite', choices=_SUITES, default='all')
+    sp.add_argument('--suite', choices=SUITES, default='all')
     sp.add_argument('--nmax', type=int,
                     help='iterate range for the criterion suite '
                          '(default: largest n with p^n <= 256)')
@@ -295,11 +275,6 @@ def _opt(value):
     return '' if value is None else value
 
 
-def _cells(record: dict, keys) -> tuple:
-    """The values of ``keys`` in ``record`` as table cells."""
-    return tuple(_opt(record[k]) for k in keys)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -352,47 +327,15 @@ def _rows_text(cells, quiet: bool) -> str:
 
 
 def _cmd_search(args) -> int:
-    """One row per xi, deciding one seed per orbit of xi -> xi^p and
-    xi -> -xi.
-
-    Both maps carry the criterion's states of xi onto those of its image
-    by an injective map, so the image has the same outcome, witness,
-    preperiod and period.  The Frobenius sigma is a field automorphism
-    that fixes the recurrence's coefficients, which lie in F_p, so the
-    states of sigma(xi) are the sigma(a_n, c_n, d_n), and
-    Tr(sigma x) = Tr(x).  For odd p, (-t)^p = -t^p, so from n = 2 on the
-    states of -xi are (a_n, -c_n, d_n): t and r change sign with c, and
-    Tr(-r) = -Tr(r) vanishes with Tr(r); at n = 1, Tr(-xi) = -Tr(xi).  In
-    characteristic 2 negation is the identity.  The group the two maps
-    generate has order e, or 2e for odd p, so a seed's orbit is short.
-
-    The output is held as six columns, not a row per seed.  The first seed
-    of each orbit in packed order is decided on its packed value by
-    ``_decide_v``, and its (outcome, witness_n, preperiod, period) is
-    stored at every member of its orbit in ``verdicts``, a list indexed by
-    packed value; ``zip(*verdicts)`` is then four columns.  xi comes from
-    one generator over the field's texts and Tr(xi) from the packed trace,
-    so search builds no verdict object and no dict per row.  json renders
-    the columns as the result dicts; csv and text read them row by row.
-    """
+    """One row per xi, held as six columns: the field's texts, the packed
+    traces and the four of ``zip(*decide_field(ctx))``, so search builds
+    no verdict object and no dict per row."""
     ctx = _make_ctx(args)
     header = ('xi', 'trace', 'outcome', 'witness_n', 'preperiod', 'period')
-    frobenius, neg = ctx.frobenius_v, ctx.neg_v
-    q = ctx.order
-    verdicts = [None] * q
-    for v in range(q):
-        if verdicts[v] is None:
-            verdict = _decide_v(ctx, v)
-            y = v
-            while True:
-                verdicts[y] = verdicts[neg(y)] = verdict
-                y = frobenius(y)
-                if y == v:
-                    break
     # a trace lies in F_p, whose element's text is its integer
     columns = [list(element_texts(ctx)),
-               list(map(str, map(ctx.trace_v, range(q)))),
-               *zip(*verdicts)]
+               list(map(str, map(ctx.trace_v, range(ctx.order)))),
+               *zip(*decide_field(ctx))]
     _render(args, lambda: {'field': ctx.describe(),
                            'results': _Columns(header, columns)},
             header, zip(*(map(_opt, column) for column in columns)))
@@ -430,79 +373,16 @@ def _cmd_generate(args) -> int:
         lines.append(poly)
         return '\n'.join(lines) + '\n'
 
-    _render(args, lambda: payload, header, [_cells(payload, header)], text)
+    _render(args, lambda: payload, header,
+            [tuple(_opt(payload[k]) for k in header)], text)
     return EXIT_OK
-
-
-def _default_nmax(p: int) -> int:
-    n = 1
-    while p ** (n + 1) <= SWEEP_DEGREE_LIMIT:
-        n += 1
-    return n
-
-
-def _trace_tuple_suite(ctx) -> EquivalenceReport:
-    """Seeded random Moebius tuples, c = 0 included, formula vs direct."""
-    rng = random.Random(_TRACE_SEED)
-    nonzero_trace = [x for x in ctx.elements() if abs_trace(x).val != 0]
-    pairs = []
-    for i in range(_TRACE_TUPLES):
-        xi = nonzero_trace[rng.randrange(len(nonzero_trace))]
-        a = FieldElement(ctx, rng.randrange(ctx.order))
-        b = FieldElement(ctx, rng.randrange(ctx.order))
-        if i % 10 == 0:
-            c = ctx.zero
-            d = FieldElement(ctx, rng.randrange(1, ctx.order))
-        else:
-            while True:
-                c = FieldElement(ctx, rng.randrange(ctx.order))
-                d = FieldElement(ctx, rng.randrange(ctx.order))
-                if c.val or d.val:
-                    break
-        chk = rel_trace_oracle(a, b, c, d, xi)
-        pairs.append((i, element_to_text(chk.formula),
-                      element_to_text(chk.direct)))
-    return EquivalenceReport.build(
-        'mobius_trace_vs_frobenius_sum', ctx.describe(), None, None, pairs)
-
-
-def _minpoly_suite(ctx) -> EquivalenceReport:
-    """Minpoly-coefficient trace vs Frobenius sum over generating elements."""
-    prime = ctx.prime_ctx
-    pairs = []
-    if ctx.order <= 512:
-        candidates = range(ctx.order)
-    else:
-        rng = random.Random(_MINPOLY_SEED)
-        candidates = (rng.randrange(ctx.order)
-                      for _ in range(_MINPOLY_SAMPLES))
-    for v in candidates:
-        alpha = FieldElement(ctx, v)
-        try:
-            chk = minpoly_trace_check(alpha, prime)
-        except NotGenerating:
-            continue
-        pairs.append((element_to_text(alpha),
-                      element_to_text(chk.from_minpoly),
-                      element_to_text(chk.from_frobenius_sum)))
-    return EquivalenceReport.build(
-        'minpoly_coeff_vs_frobenius_sum', ctx.describe(), None, None, pairs)
 
 
 def _cmd_verify(args) -> int:
     ctx = _make_ctx(args)
-    n_max = args.nmax if args.nmax is not None else _default_nmax(args.p)
-    if n_max < 1:
+    if args.nmax is not None and args.nmax < 1:
         raise ValueError("--nmax must be >= 1")
-    reports = []
-    if args.suite in ('criterion', 'all'):
-        reports.extend(criterion_vs_direct(ctx, n_max, cap=args.cap))
-    if args.suite in ('irreducibility', 'all'):
-        reports.append(irreducibility_trace_sweep(ctx))
-    if args.suite in ('traces', 'all'):
-        reports.append(_trace_tuple_suite(ctx))
-    if args.suite in ('minpoly', 'all'):
-        reports.append(_minpoly_suite(ctx))
+    reports = verify_suites(ctx, args.suite, args.nmax, args.cap)
     all_agree = all(r.agree for r in reports)
     header = ('label', 'params', 'n_max', 'pairs', 'agree',
               'first_disagreement')

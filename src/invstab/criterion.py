@@ -22,10 +22,12 @@ c (r, 1, t); t moves on its own, r follows t and is all the trace test
 reads, and c_(n+1) = c_n^2 (xi - t^p + t) never feeds back.
 
 :func:`_decide_v` decides a packed xi, and :func:`decide_inverse_stability`
-wraps its answer and xi in a verdict.  The decision has two paths.  A seed
-xi in F_p^* needs no walk (:func:`_prime_cycle`): the Frobenius fixes
-t = -1/xi, so r_n and c_n are powers of -1/xi and xi, no trace vanishes
-when Tr(xi) != 0, and the cycle data come from the order of xi in F_p^*.
+wraps its answer and xi in a verdict; :func:`decide_field` decides every
+seed of a field, one per orbit of the Frobenius and negation.  The
+decision has two paths.  A seed xi in F_p^* needs no walk
+(:func:`_prime_cycle`): the Frobenius fixes t = -1/xi, so r_n and c_n are
+powers of -1/xi and xi, no trace vanishes when Tr(xi) != 0, and the cycle
+data come from the order of xi in F_p^*.
 Every other seed walks t on packed values to its first repeat, which is
 where the (t, r) cycle starts, then steps r and c around the t-cycle to the
 first zero trace or the lap where r returns (:func:`_t_walk`); a stable
@@ -338,12 +340,42 @@ def _decide_v(ctx: FieldCtx, xi_v: int) -> tuple:
     one gets its cycle data from orders in F_q^* (:func:`_t_walk`).
     Both give what a walk over the states would.  This is the one
     decision path: :func:`decide_inverse_stability` wraps it, and
-    ``search`` calls it once per orbit of seeds.
+    :func:`decide_field` calls it once per orbit of seeds.
     """
     if ctx.trace_v(xi_v) == 0:
         # Tr(xi) = 0: D_1 = g is already reducible
         return UNSTABLE, 1, None, None
     return (_prime_cycle if xi_v < ctx.p else _t_walk)(ctx, xi_v)
+
+
+def decide_field(ctx: FieldCtx) -> list:
+    """:func:`_decide_v`'s (outcome, witness_n, preperiod, period) for
+    every seed, in a list indexed by packed value.  The first seed of each
+    orbit of xi -> xi^p and xi -> -xi is decided, and the rest share it.
+
+    Both maps carry the states of xi injectively onto those of its image,
+    so the image has the same outcome, witness, preperiod and period.  The
+    Frobenius sigma fixes F_p, which holds the recurrence's coefficients
+    (1, 0 and -1), so the states of sigma(xi) are the
+    sigma(a_n, c_n, d_n), and Tr(sigma x) = Tr(x).  This needs every
+    coefficient in F_p: sigma moves one outside it, such as a kappa in
+    d_(n+1) = -kappa c_n^2, and sigma(xi) would follow another recurrence.
+    For odd p, (-t)^p = -t^p, so from n = 2 on the states of -xi are
+    (a_n, -c_n, d_n): t and r change sign with c, and Tr(-r) = -Tr(r)
+    vanishes with Tr(r); at n = 1, Tr(-xi) = -Tr(xi).  In characteristic
+    2 negation is the identity.  The maps generate a group of order e, or
+    2e for odd p, so an orbit is short.
+    """
+    frobenius, neg = ctx.frobenius_v, ctx.neg_v
+    verdicts = [None] * ctx.order
+    for v in range(ctx.order):
+        if verdicts[v] is None:
+            verdict, y = _decide_v(ctx, v), v
+            # set seeds are closed under negation: a set y closes the orbit
+            while verdicts[y] is None:
+                verdicts[y] = verdicts[neg(y)] = verdict
+                y = frobenius(y)
+    return verdicts
 
 
 def _prime_cycle(ctx: FieldCtx, xi_v: int) -> tuple:

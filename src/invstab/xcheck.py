@@ -35,10 +35,12 @@ Nothing in this module shares a code path with the formula it is checking:
 
 Each comparison lands in an :class:`EquivalenceReport`; a report that does
 not agree is a build-failing defect, never an expected outcome.
+:func:`verify_suites` runs them as the four suites of ``invstab verify``.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from itertools import zip_longest
 from typing import NamedTuple, Optional
@@ -58,6 +60,15 @@ from .fields import (
 )
 from .iteration import DEFAULT_DEGREE_CAP, _denominators
 from .polys import Poly, artin_schreier, is_irreducible
+
+#: :func:`verify_suites`'s suites, in its order, and the name of all four
+SUITES = ('criterion', 'irreducibility', 'traces', 'minpoly', 'all')
+#: the criterion suite's default n_max keeps deg D_n = p^n at or below this
+SWEEP_DEGREE_LIMIT = 256
+#: the traces suite's count of seeded Moebius tuples, and its seed; the
+#: minpoly suite's sample size above 512 elements, and its seed
+_TRACE_TUPLES, _TRACE_SEED = 500, 20240815
+_MINPOLY_SAMPLES, _MINPOLY_SEED = 100, 917
 
 
 @dataclass(frozen=True)
@@ -238,6 +249,80 @@ def minpoly_trace_check(alpha: FieldElement, sub: FieldCtx) -> MinpolyTraceCheck
     from_mp = -mp[dim - 1]
     direct = rel_trace(alpha, sub)
     return MinpolyTraceCheck(from_mp, direct, from_mp == direct)
+
+
+def verify_suites(ctx: FieldCtx, suite: str = 'all',
+                  n_max: Optional[int] = None,
+                  cap: int = DEFAULT_DEGREE_CAP) -> list:
+    """The reports of one of :data:`SUITES` over the field, or of all four:
+    :func:`criterion_vs_direct` up to ``n_max`` (default: the largest
+    n >= 1 with p^n <= SWEEP_DEGREE_LIMIT), the trace sweep, the Moebius
+    trace oracle on seeded tuples, and :func:`minpoly_trace_check` on each
+    generating element, or on a seeded sample above 512 elements."""
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}")
+    if n_max is None:
+        n_max = 1
+        while ctx.p ** (n_max + 1) <= SWEEP_DEGREE_LIMIT:
+            n_max += 1
+    reports = []
+    if suite in ('criterion', 'all'):
+        reports.extend(criterion_vs_direct(ctx, n_max, cap=cap))
+    if suite in ('irreducibility', 'all'):
+        reports.append(irreducibility_trace_sweep(ctx))
+    if suite in ('traces', 'all'):
+        reports.append(_trace_tuple_suite(ctx))
+    if suite in ('minpoly', 'all'):
+        reports.append(_minpoly_suite(ctx))
+    return reports
+
+
+def _trace_tuple_suite(ctx) -> EquivalenceReport:
+    """Seeded random Moebius tuples, c = 0 included, formula vs direct."""
+    rng = random.Random(_TRACE_SEED)
+    nonzero_trace = [x for x in ctx.elements() if abs_trace(x).val != 0]
+    pairs = []
+    for i in range(_TRACE_TUPLES):
+        xi = nonzero_trace[rng.randrange(len(nonzero_trace))]
+        a = FieldElement(ctx, rng.randrange(ctx.order))
+        b = FieldElement(ctx, rng.randrange(ctx.order))
+        if i % 10 == 0:
+            c = ctx.zero
+            d = FieldElement(ctx, rng.randrange(1, ctx.order))
+        else:
+            while True:
+                c = FieldElement(ctx, rng.randrange(ctx.order))
+                d = FieldElement(ctx, rng.randrange(ctx.order))
+                if c.val or d.val:
+                    break
+        chk = rel_trace_oracle(a, b, c, d, xi)
+        pairs.append((i, element_to_text(chk.formula),
+                      element_to_text(chk.direct)))
+    return EquivalenceReport.build(
+        'mobius_trace_vs_frobenius_sum', ctx.describe(), None, None, pairs)
+
+
+def _minpoly_suite(ctx) -> EquivalenceReport:
+    """Minpoly-coefficient trace vs Frobenius sum over generating elements."""
+    prime = ctx.prime_ctx
+    pairs = []
+    if ctx.order <= 512:
+        candidates = range(ctx.order)
+    else:
+        rng = random.Random(_MINPOLY_SEED)
+        candidates = (rng.randrange(ctx.order)
+                      for _ in range(_MINPOLY_SAMPLES))
+    for v in candidates:
+        alpha = FieldElement(ctx, v)
+        try:
+            chk = minpoly_trace_check(alpha, prime)
+        except NotGenerating:
+            continue
+        pairs.append((element_to_text(alpha),
+                      element_to_text(chk.from_minpoly),
+                      element_to_text(chk.from_frobenius_sum)))
+    return EquivalenceReport.build(
+        'minpoly_coeff_vs_frobenius_sum', ctx.describe(), None, None, pairs)
 
 
 def state_walk_c_nonzero(xi: FieldElement, n_max: int) -> bool:

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from invstab import cli, criterion
+from invstab import cli, criterion, xcheck
 from invstab.criterion import (
     StabilityVerdict,
     TraceRow,
@@ -205,10 +205,9 @@ def test_search_builds_no_rows(capsys, monkeypatch):
 
 def test_search_json_builds_no_cells(capsys, monkeypatch):
     """json prints the result columns, so search builds no csv/text cells:
-    neither a row tuple of _opt values nor _cells."""
+    no row tuple of _opt values."""
     def no_cells(*args):
         raise AssertionError("search --format json built table cells")
-    monkeypatch.setattr(cli, '_cells', no_cells)
     monkeypatch.setattr(cli, '_opt', no_cells)
     for argv in (F9_ARGS, ['--p', '7']):
         rc, out, _ = run(capsys, ['search'] + argv + ['--format', 'json'])
@@ -331,13 +330,13 @@ def test_element_texts_in_packed_order():
 
 def test_search_decides_once_per_orbit(capsys, monkeypatch):
     """search decides one seed per orbit of xi -> xi^p and xi -> -xi, by
-    the packed decision core as cli binds it."""
+    the packed decision core as criterion.decide_field calls it."""
     calls, decide = [], criterion._decide_v
 
     def counting(ctx, xi_v):
         calls.append(xi_v)
         return decide(ctx, xi_v)
-    monkeypatch.setattr(cli, '_decide_v', counting)
+    monkeypatch.setattr(criterion, '_decide_v', counting)
     for argv, decisions in ((['--p', '3', '--e', '6'], 68),
                             (['--p', '5', '--e', '4'], 87),
                             (['--p', '2', '--e', '10'], 108),
@@ -471,7 +470,7 @@ def test_check_and_verify_json_rows_arrive_as_columns(capsys, monkeypatch):
     argvs = [argv + ['--format', 'json'] for argv in argvs]
     expected = [run(capsys, argv) for argv in argvs[:-1]]
     with monkeypatch.context() as m:
-        m.setattr(cli, '_trace_tuple_suite', lambda ctx: fake)
+        m.setattr(xcheck, '_trace_tuple_suite', lambda ctx: fake)
         expected.append(run(capsys, argvs[-1]))
     _, out, _ = expected[-1]
     assert '"pairs": []' in out
@@ -502,7 +501,7 @@ def test_check_and_verify_json_rows_arrive_as_columns(capsys, monkeypatch):
     monkeypatch.setattr(cli, '_json_text', checked)
     for argv, want in zip(argvs[:-1], expected):
         assert run(capsys, argv) == want, argv
-    monkeypatch.setattr(cli, '_trace_tuple_suite', lambda ctx: fake)
+    monkeypatch.setattr(xcheck, '_trace_tuple_suite', lambda ctx: fake)
     assert run(capsys, argvs[-1]) == expected[-1]
     assert tables[-1].columns == []
     assert len(tables) == 3 + 5 + 2 + 1
@@ -511,7 +510,7 @@ def test_check_and_verify_json_rows_arrive_as_columns(capsys, monkeypatch):
 def test_verify_disagreement_exit(capsys, monkeypatch):
     fake = EquivalenceReport.build('stub', {'p': 2, 'e': 1, 'modulus': None},
                                    None, None, [(0, True, False)])
-    monkeypatch.setattr(cli, '_trace_tuple_suite', lambda ctx: fake)
+    monkeypatch.setattr(xcheck, '_trace_tuple_suite', lambda ctx: fake)
     rc, out, _ = run(capsys, ['verify', '--suite', 'traces', '--p', '2'])
     assert rc == cli.EXIT_DISAGREE
     assert 'FAIL stub' in out and 'DISAGREE' in out

@@ -15,6 +15,7 @@ from invstab.criterion import (
     StabilityVerdict,
     WanResult,
     agou_quartic_irreducible,
+    decide_field,
     decide_inverse_stability,
     init_states,
     mobius_trace_formula,
@@ -549,6 +550,85 @@ def test_verdict_shared_by_frobenius_and_negation():
             images = [xi ** p] + ([-xi] if p % 2 else [])
             for image in images:
                 assert verdicts[image.val] == verdicts[xi.val], (xi, image)
+
+
+ODD_PRIMES_TO_43 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+
+
+@functools.cache
+def _decided_square(p):
+    """F_(p^2) and decide_field's tuple for every seed of it."""
+    ctx = finite_field(p, 2)
+    return ctx, decide_field(ctx)
+
+
+def test_decide_field_matches_each_seed():
+    """decide_field, which decides one seed per orbit of xi -> xi^p and
+    xi -> -xi, equals _decide_v on every seed of the depth-2 tower
+    F_9(gamma), gamma^3 - gamma + w = 0, of GF(2^6) and of GF(5^3)."""
+    for ctx in (extension_field(F9, artin_schreier(W)), finite_field(2, 6),
+                finite_field(5, 3)):
+        assert decide_field(ctx) == [criterion._decide_v(ctx, v)
+                                     for v in range(ctx.order)], ctx
+
+
+def test_stable_seed_census_of_squares():
+    """The count of stable seeds among the (p - 1)^2 outside F_p with
+    Tr(xi) != 0 of every F_(p^2), p = 3 .. 43, computed by the walk.  No
+    formula for it is known here; a closed-form predicate must match it."""
+    counts = []
+    for p in ODD_PRIMES_TO_43:
+        ctx, verdicts = _decided_square(p)
+        seeds = [v for v in range(p, ctx.order) if ctx.trace_v(v)]
+        assert len(seeds) == (p - 1) ** 2
+        counts.append(sum(verdicts[v][0] == STABLE for v in seeds))
+    assert counts == [4, 0, 12, 40, 32, 76, 116, 212, 260, 316, 216, 528,
+                      556]
+
+
+def test_prime_seeds_stable_unless_p_divides_e():
+    """k = 1 of the census: every xi in F_p^* is stable when p does not
+    divide e, and unstable at witness 1 (Tr(xi) = e xi = 0) when it
+    does."""
+    squares = [_decided_square(p) for p in ODD_PRIMES_TO_43]
+    others = [(ctx, decide_field(ctx)) for ctx in (
+        finite_field(2), finite_field(2, 2), finite_field(2, 3),
+        finite_field(2, 4), finite_field(3), finite_field(3, 3),
+        finite_field(3, 4), finite_field(3, 6), finite_field(5, 5),
+        finite_field(11))]
+    for ctx, verdicts in squares + others:
+        for v in range(1, ctx.p):
+            if ctx.total_degree % ctx.p:
+                assert verdicts[v][0] == STABLE, (ctx, v)
+            else:
+                assert verdicts[v] == (UNSTABLE, 1, None, None), (ctx, v)
+
+
+def first_t_repeat(ctx, xi_v):
+    """N + L for a seed with Tr(xi) != 0: the least n with t_n equal to
+    some t_m, m < n, on t_2 = -1/xi and t_(n+1) = -1/(xi - t_n^p + t_n)."""
+    t, n, seen = ctx.neg_v(ctx.inv_v(xi_v)), 2, set()
+    while t not in seen:
+        seen.add(t)
+        u = ctx.add_v(ctx.sub_v(xi_v, ctx.frobenius_v(t)), t)
+        t, n = ctx.neg_v(ctx.inv_v(u)), n + 1
+    return n
+
+
+def test_late_witnesses_of_squares():
+    """Of the 5,342 unstable seeds outside F_p with Tr(xi) != 0 of every
+    F_(p^2), p <= 43, 4,222 first meet a zero trace at or after N + L,
+    the first repeated t: on the t-cycle, in the laps that step r and c
+    around it, so a closed form for those laps has witnesses to find."""
+    unstable = late = 0
+    for p in (2,) + ODD_PRIMES_TO_43:
+        ctx, verdicts = _decided_square(p)
+        for v in range(p, ctx.order):
+            outcome, witness = verdicts[v][:2]
+            if outcome == UNSTABLE and ctx.trace_v(v):
+                unstable += 1
+                late += witness >= first_t_repeat(ctx, v)
+    assert (late, unstable) == (4222, 5342)
 
 
 def test_log_walk_agrees_with_packed_walk():

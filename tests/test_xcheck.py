@@ -25,6 +25,7 @@ from invstab.xcheck import (
     minpoly_trace_check,
     rel_trace_oracle,
     state_walk_c_nonzero,
+    verify_suites,
 )
 
 
@@ -157,6 +158,23 @@ def test_irreducibility_trace_sweep():
         report = irreducibility_trace_sweep(ctx)
         assert report.agree, report.first_disagreement
         assert len(report.pairs) == ctx.order
+
+
+def test_verify_suites_dispatch():
+    """verify_suites runs each suite alone or all four in SUITES order,
+    sets the criterion suite's default n_max from SWEEP_DEGREE_LIMIT
+    (2^8 = 256 and 3^5 = 243 are the largest degrees), and rejects an
+    unknown suite, which would otherwise agree with no report at all."""
+    alone = {suite: verify_suites(F2, suite) for suite in
+             ('criterion', 'irreducibility', 'traces', 'minpoly')}
+    assert [len(r) for r in alone.values()] == [1, 1, 1, 1]
+    assert alone['irreducibility'] == [irreducibility_trace_sweep(F2)]
+    assert verify_suites(F2) == [r for rs in alone.values() for r in rs]
+    assert verify_suites(F2, 'criterion', 3) == criterion_vs_direct(F2, 3)
+    assert [r.n_max for r in verify_suites(F3, 'criterion')] == [5, 5]
+    assert alone['criterion'][0].n_max == 8
+    with pytest.raises(ValueError):
+        verify_suites(F2, 'traces ')
 
 
 # -- minimal polynomials ------------------------------------------------------------
