@@ -54,10 +54,11 @@ EXIT_UNSTABLE = 3
 
 SCHEMA_VERSION = 1
 
-#: the most trace table rows a command prints: check in text and json
-#: (its csv prints no table) and trace-table, whose --nmax bounds its rows,
-#: in every format.  It covers every pinned output (GF(127^2) 5,109 has
-#: 24,202 rows and F_2003 xi = 3 has 60,061)
+#: the most rows a command prints: check's trace table in text and json
+#: (its csv prints no table), trace-table's --nmax and search's one row per
+#: seed in every format.  It covers every pinned output (GF(127^2) 5,109
+#: has 24,202 rows, F_2003 xi = 3 has 60,061 and search over GF(3^9)
+#: 19,683)
 MAX_TABLE_ROWS = 100_000
 
 
@@ -262,10 +263,11 @@ def _table_text(header, rows, quiet: bool) -> str:
 
 
 def _table_budget(rows: int, what: str, advice: str) -> None:
-    """TableTooLarge when a trace table of ``rows`` rows is over
-    MAX_TABLE_ROWS.  Called before the first row is built, as a table can
-    reach millions of rows that take far longer than the decision; the
-    message is ``what``, the row count, the budget and ``advice``."""
+    """TableTooLarge when an output of ``rows`` rows is over
+    MAX_TABLE_ROWS.  Called before the first row is built, as a trace
+    table or a field can reach millions of rows that take far longer than
+    the decision; the message is ``what``, the row count, the budget and
+    ``advice``."""
     if rows > MAX_TABLE_ROWS:
         raise TableTooLarge(f"{what} {rows} rows, over the budget of"
                             f" {MAX_TABLE_ROWS} {advice}")
@@ -329,7 +331,13 @@ def _rows_text(cells, quiet: bool) -> str:
 def _cmd_search(args) -> int:
     """One row per xi, held as six columns: the field's texts, the packed
     traces and the four of ``zip(*decide_field(ctx))``, so search builds
-    no verdict object and no dict per row."""
+    no verdict object and no dict per row.  A field of more seeds than
+    MAX_TABLE_ROWS is refused before its modulus search: p >= 2, so p^e is
+    over the budget once e is past the budget's bit length."""
+    finite_field(args.p)                # p is a prime from here on
+    _table_budget(args.p ** min(args.e, MAX_TABLE_ROWS.bit_length()),
+                  f'search over GF({args.p}^{args.e}) prints at least',
+                  'that every format prints, one per seed')
     ctx = _make_ctx(args)
     header = ('xi', 'trace', 'outcome', 'witness_n', 'preperiod', 'period')
     # a trace lies in F_p, whose element's text is its integer

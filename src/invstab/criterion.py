@@ -23,15 +23,14 @@ reads, and c_(n+1) = c_n^2 (xi - t^p + t) never feeds back.
 
 :func:`_decide_v` decides a packed xi, and :func:`decide_inverse_stability`
 wraps its answer and xi in a verdict; :func:`decide_field` decides every
-seed of a field, one per orbit of the Frobenius and negation.  The
-decision has two paths.  A seed xi in F_p^* needs no walk
-(:func:`_prime_cycle`): the Frobenius fixes t = -1/xi, so r_n and c_n are
-powers of -1/xi and xi, no trace vanishes when Tr(xi) != 0, and the cycle
-data come from the order of xi in F_p^*.
-Every other seed walks t on packed values to its first repeat, which is
-where the (t, r) cycle starts, then steps r and c around the t-cycle to the
-first zero trace or the lap where r returns (:func:`_t_walk`); a stable
-seed gets the cycle data of the states from element orders in F_q^*.
+seed of a field, one per orbit of the Frobenius and negation.  A seed
+xi in F_p^* needs no walk (:func:`_prime_cycle`): the Frobenius fixes
+t = -1/xi, so r_n and c_n are powers of -1/xi and xi, and no trace
+vanishes when Tr(xi) != 0.  Every other seed walks t on packed values to
+its first repeat, where the (t, r) cycle starts, then steps r alone around
+the t-cycle to the first zero trace or the lap where r returns
+(:func:`_t_walk`).  A stable seed of either path gets the states' cycle
+data from one order in F_q^* (:func:`_state_cycle`).
 Both return what a walk over the states would find: the outcome, the
 witness, the preperiod and the period.  The verdict holds these and xi,
 and derives the rest: ``state_steps`` and ``table_rows`` in properties,
@@ -336,11 +335,10 @@ def _decide_v(ctx: FieldCtx, xi_v: int) -> tuple:
     state is ever advanced past it, so the reported witness is minimal and
     no state with c = 0 is stepped.  A seed in F_p^* (packed value below
     p) is decided in closed form (:func:`_prime_cycle`), so a prime field
-    walks nothing.  Every other seed walks the orbit of t, and a stable
-    one gets its cycle data from orders in F_q^* (:func:`_t_walk`).
-    Both give what a walk over the states would.  This is the one
-    decision path: :func:`decide_inverse_stability` wraps it, and
-    :func:`decide_field` calls it once per orbit of seeds.
+    walks nothing; every other seed walks the orbit of t
+    (:func:`_t_walk`).  Both give what a walk over the states would.
+    This is the one decision path: :func:`decide_inverse_stability` wraps
+    it, and :func:`decide_field` calls it once per orbit of seeds.
     """
     if ctx.trace_v(xi_v) == 0:
         # Tr(xi) = 0: D_1 = g is already reducible
@@ -382,29 +380,15 @@ def _prime_cycle(ctx: FieldCtx, xi_v: int) -> tuple:
     """The state walk's (outcome, witness_n, preperiod, period) in closed
     form, for xi in F_p^* (a packed value below p) with Tr(xi) != 0.
 
-    The Frobenius fixes F_p, so t_n = tau = -1/xi for every n >= 2, and
-    the recurrence gives r_n = a_n/c_n = tau^(2n - 3) and
-    c_n = xi^(2^(n-1) - 1).  Tr(r_n) = e r_n for e = [F_q : F_p], and
-    Tr(xi) = e xi != 0, so no trace vanishes: xi is stable.  The r_n
-    repeat from n = 2 on with period ord(tau^2) = ord(xi^2), which is
-    ord(xi) / gcd(ord(xi), 2).  With ord(xi) = 2^s M, M odd, the powers
-    2^(n-1) mod 2^s M reach their cycle at n - 1 = s, the first that is 0
-    mod 2^s, and then repeat with period ord_M(2).  So the states s_2,
-    s_3, ... have preperiod max(s - 1, 0) and period
-    lcm(ord(tau^2), ord_M(2)).  Orders in the cyclic group F_p^* divide
-    p - 1, whose prime factors the prime context keeps from the first call
-    on (Lidl and Niederreiter, Finite Fields, ch. 3); ord_M(2) divides
-    phi(M), which is factored by trial division.
+    The Frobenius fixes F_p, so t_n = -1/xi for every n >= 2 (N = 2,
+    L = 1), r_n = (-1/xi)^(2n - 3) and Tr(r_n) = e r_n, e = [F_q : F_p],
+    which is nonzero as Tr(xi) = e xi is: xi is stable.  r returns after
+    K = ord(xi^2) steps, the order of c_3/c_2 = xi^2 as well, taken in
+    F_p^* from the prime factors of p - 1, which the prime context keeps.
     """
-    p = ctx.p
-    primes = _unit_primes(ctx.prime_ctx)
-    o = _order(xi_v, p, p - 1, primes)
-    s = (o & -o).bit_length() - 1
-    odd = o >> s
-    phi = _totient(odd, primes)
-    lam = math.lcm(o // math.gcd(o, 2),
-                   _order(2, odd, phi, _prime_factors(phi)))
-    return STABLE, None, max(s - 1, 0), lam
+    p, primes = ctx.p, _unit_primes(ctx.prime_ctx)
+    o = _order(xi_v * xi_v % p, p, p - 1, primes)
+    return _state_cycle(0, 1, o, o, primes)
 
 
 def _unit_primes(ctx: FieldCtx) -> list:
@@ -444,27 +428,13 @@ def _t_walk(ctx: FieldCtx, xi_v: int) -> tuple:
     r_2 = -1/xi and c_(n+1) = c_n^2 u_n from c_2 = xi never feed back.
     t^p - t lies in the trace-zero hyperplane, so t_3, t_4, ... take at
     most q/p values.  The walk steps t, r and c, testing Tr(r_n) and
-    keeping (t_n t_(n+1), u_n, c_n, r_n) at each n, to the first zero trace
+    keeping (t_n t_(n+1), c_n, r_n) at each n, to the first zero trace
     (unstable, the least witness) or the first repeated t, t_(N+L) = t_N.
     No t before N returns, so neither does a pair (t, r): the pairs' cycle
-    starts at N, and its length P is the least kL > 0 with r_(N+kL) = r_N.
-    From N + L the walk steps r and c around the L kept steps of the
+    starts at N, and its length P is the least KL > 0 with r_(N+KL) = r_N.
+    From N + L the walk steps r alone around the L kept steps of the
     t-cycle to the first zero trace or to that lap: stable, as no new r
-    can follow.
-
-    The cycle data are those of the states, and c decides them.  From N on
-    a lap of P steps is x -> 2^P x + B mod q - 1 on logs x_n = log c_n,
-    B fixed by n mod L.  Let q - 1 = 2^s M, M odd.  Mod M a lap is a
-    bijection; mod 2^s, s steps send every x to one fixed point, its only
-    periodic point.  So s_n is on the cycle exactly when
-    Y_n = c_(n+P)/c_n has odd order.  u has period L, which divides P, so
-    Y_(n+1) = Y_n^2: with ord(Y_N) = 2^v g, g odd, the cycle starts at
-    N0 = N + v, where Y has order g.  k laps return c_N0 when g divides
-    1 + a + ... + a^(k-1) = (a^k - 1)/(a - 1), a = 2^P, that is when
-    a^k = 1 mod g (a - 1) for any a > 1 congruent to 2^P mod g.  The least
-    such k, tau, divides g phi(g).  The preperiod is N0 - 2 and the period
-    P tau (Knuth, TAOCP vol. 2, section 3.1; Lidl and Niederreiter, Finite
-    Fields, ch. 3).
+    can follow.  c_N and c_(N+L) give the states' cycle (:func:`_state_cycle`).
     """
     mul, inv, neg, trace = ctx.mul_v, ctx.inv_v, ctx.neg_v, ctx.trace_v
     t = r = neg(inv(xi_v))
@@ -476,26 +446,56 @@ def _t_walk(ctx: FieldCtx, xi_v: int) -> tuple:
         u = ctx.add_v(ctx.sub_v(xi_v, ctx.frobenius_v(t)), t)
         nxt = neg(inv(u))
         tt = mul(t, nxt)
-        steps.append((tt, u, c, r))
+        steps.append((tt, c, r))
         t, r, c = nxt, mul(r, tt), mul(mul(c, c), u)
     pre = first[t]                      # N - 2
     lap = steps[pre:]
-    c_n, r_n = lap[0][2:]               # c_N and r_N
+    c_n, r_n = lap[0][1:]               # c_N and r_N; c is c_(N+L)
     n = len(steps) + 2                  # N + L
     while r != r_n:
-        for tt, u, _, _ in lap:
+        for tt, _, _ in lap:
             if not trace(r):
                 return UNSTABLE, n, None, None
-            r, c = mul(r, tt), mul(mul(c, c), u)
+            r = mul(r, tt)
             n += 1
     primes = _unit_primes(ctx)
     o = _order(FieldElement(ctx, mul(c, inv(c_n))), None, ctx.order - 1,
                primes)
-    v = (o & -o).bit_length() - 1
-    g, period = o >> v, n - 2 - pre     # P = n - N
-    a = pow(2, period, g) + g
+    return _state_cycle(pre, len(lap), (n - 2 - pre) // len(lap), o, primes)
+
+
+def _state_cycle(pre: int, lap: int, laps: int, o: int, primes) -> tuple:
+    """(STABLE, None, preperiod, period) of the states s_2, s_3, ... when
+    the pairs (t, r) cycle from N = pre + 2, t with period L = ``lap`` and
+    (t, r) with period P = K L, K = ``laps``; o is the order of
+    c_(N+L)/c_N in F_q^*, and ``primes`` holds the prime factors of q - 1.
+
+    From N on u_n has period L, so c_(N+kL) = c_N^(A^k) U^(S_k(A)) with
+    A = 2^L, U fixed and S_k(a) = 1 + a + ... + a^(k-1) = (a^k - 1)/(a - 1),
+    read mod m off a^k mod m (a - 1).  The lap ratio Y_N = c_(N+P)/c_N is
+    (c_(N+L)/c_N)^(S_K(A)), of order o / gcd(o, S_K(A)).  On logs
+    x_n = log c_n, a lap of P steps is x -> 2^P x + B mod q - 1, B fixed
+    by n mod L.  Let q - 1 = 2^s M, M odd.  Mod M a lap is a bijection;
+    mod 2^s, s steps send every x to one fixed point, its only periodic
+    point.  So s_n is on the cycle exactly when Y_n has odd order.
+    Y_(n+1) = Y_n^2: with ord(Y_N) = 2^v g, g odd, the cycle starts at
+    N0 = N + v, where Y has order g.  k laps return c_N0 when g divides
+    S_k(b), b = 2^P or any b > 1 congruent to it mod g.  Then b^k = 1
+    mod g, so r = ord_g(b) divides k, and S_(rj)(b) = S_r(b) S_j(b^r) =
+    j S_r(b) mod g: the least such k, tau, is r g / gcd(g, S_r(b)).  The
+    preperiod is N0 - 2 and the period P tau (Knuth, TAOCP vol. 2,
+    section 3.1; Lidl and Niederreiter, Finite Fields, ch. 3).
+    """
+    a = 1 << lap                        # A
+    y = o // math.gcd(o, (pow(a, laps, o * (a - 1)) - 1) // (a - 1))
+    v = (y & -y).bit_length() - 1
+    g, period = y >> v, lap * laps
+    if g == 1:                          # tau = 1
+        return STABLE, None, pre + v, period
+    b = pow(2, period, g) + g
     phi = _totient(g, primes)
-    tau = _order(a, g * (a - 1), g * phi, primes + _prime_factors(phi))
+    r = _order(b, g, phi, _prime_factors(phi))
+    tau = r * g // math.gcd(g, (pow(b, r, g * (b - 1)) - 1) // (b - 1))
     return STABLE, None, pre + v, period * tau
 
 

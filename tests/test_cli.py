@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from invstab import cli, criterion, xcheck
+from invstab import cli, criterion, polys, xcheck
 from invstab.criterion import (
     StabilityVerdict,
     TraceRow,
@@ -191,6 +191,32 @@ def test_search_table(capsys):
     assert byxi['0,1'][2:] == ['stable', '1', '3']
     unstable = [r for r in byxi.values() if r[2] == 'unstable']
     assert len(unstable) == 3                    # exactly the trace-zero xi
+
+
+def test_search_field_over_budget(capsys, monkeypatch):
+    """search prints one row per seed, so a field of more than
+    MAX_TABLE_ROWS seeds exits 2 in every format, before its modulus
+    search or any decision; GF(3^9), the largest pinned search, is under
+    the budget, and GF(3^11) and F_1048573 are over it.  For GF(3^40) the
+    message gives the lower bound 3^17: the power stops at the budget's
+    bit length, 17."""
+    assert 3 ** 9 <= cli.MAX_TABLE_ROWS < 3 ** 11
+
+    def refused(*args):
+        raise AssertionError("search went past the budget check")
+    monkeypatch.setattr(cli, 'decide_field', refused)
+    monkeypatch.setattr(polys, 'find_irreducible', refused)
+    for p, e, rows in ((3, 40, 3 ** 17), (3, 11, 3 ** 11),
+                       (1048573, 1, 1048573)):
+        for fmt in ('text', 'csv', 'json'):
+            start = time.perf_counter()
+            rc, out, err = run(capsys, ['search', '--p', str(p), '--e',
+                                        str(e), '--format', fmt])
+            assert time.perf_counter() - start < 5, (p, e, fmt)
+            assert rc == cli.EXIT_USAGE and out == '', (p, e, fmt)
+            assert err == (f'error: search over GF({p}^{e}) prints at least'
+                           f' {rows} rows, over the budget of 100000 that'
+                           ' every format prints, one per seed\n')
 
 
 def test_search_builds_no_rows(capsys, monkeypatch):

@@ -635,11 +635,13 @@ def test_log_walk_agrees_with_packed_walk():
     """Outcome, witness, cycle data and state_steps of the decision equal
     the packed reference walk's on every seed with Tr(xi) != 0 of every
     field of order <= 125, of F_9, F_25, GF(13^2), GF(7^3) and GF(31^2),
-    and of the depth-2 tower F_9(gamma) with gamma^3 - gamma + w = 0; and
-    on four seeds above the Zech bound: 68,3 and 60,39 of GF(101^2), 5,109
-    and 66,124 of GF(127^2)."""
+    of F_193 and F_241 (search-prime's largest fields, whose seeds the
+    closed form decides), and of the depth-2 tower F_9(gamma) with
+    gamma^3 - gamma + w = 0; and on four seeds above the Zech bound: 68,3
+    and 60,39 of GF(101^2), 5,109 and 66,124 of GF(127^2)."""
     ctxs = _fields_up_to(125) + [F9, F25, finite_field(13, 2),
                                  finite_field(7, 3), finite_field(31, 2),
+                                 finite_field(193), finite_field(241),
                                  extension_field(F9, artin_schreier(W))]
     seeds = [xi for ctx in ctxs for xi in ctx.elements()
              if ctx.trace_v(xi.val)]
@@ -717,6 +719,41 @@ def test_prime_cycle_agrees_with_log_walk():
                     criterion._t_walk(ctx, v)), (ctx, v)
                 seeds += 1
     assert seeds == 6027 + 2 + 4 + 10 + 1 + 2
+
+
+def test_reference_sweeps_reach_the_edges_of_the_lap_arithmetic(
+        monkeypatch):
+    """_state_cycle reads S mod o off A^K mod o (A - 1), A = 2^L, and
+    halves ord(Y_N) down to its odd part.  The seeds that brute_cycle
+    (test_decide_agrees_with_plain_walk) and pair_walk
+    (test_t_walk_agrees_with_pair_walk) check reach every edge of that
+    arithmetic: o = 1 in F_p^* and on a t-walk; A = 1 mod o with o > 1
+    and K not a multiple of o, so S = K mod o; and on GF(9), where
+    q - 1 = 8, o = 2, a power of two whose Y_N has even order, so the
+    states' cycle starts after the pairs' does."""
+    calls = []
+    close = criterion._state_cycle
+
+    def record(pre, lap, laps, o, primes):
+        got = close(pre, lap, laps, o, primes)
+        calls.append((xi, lap, laps, o, got[2] - pre))
+        return got
+    monkeypatch.setattr(criterion, '_state_cycle', record)
+    brute = [xi for ctx in _fields_up_to(125) + [F9, F25]
+             for xi in ctx.elements()]
+    paired = [xi for p in range(2, 44) if all(p % k for k in range(2, p))
+              for xi in finite_field(p, 2).elements()
+              if xi.val >= p and xi.ctx.trace_v(xi.val)]
+    for xi in brute + paired:
+        decide_inverse_stability(xi)
+    prime = [c for c in calls if c[0].val < c[0].ctx.p]
+    walked = [c for c in calls if c[0].val >= c[0].ctx.p]
+    assert any(o == 1 for _, _, _, o, _ in prime)
+    assert any(o == 1 for _, _, _, o, _ in walked)
+    assert any(o > 1 and pow(2, lap, o) == 1 and laps % o
+               for _, lap, laps, o, _ in walked)
+    nine = {(o, shift) for xi, _, _, o, shift in calls if xi.ctx.order == 9}
+    assert nine == {(1, 0), (2, 1)}
 
 
 def test_prime_cycle_long_period():
