@@ -8,6 +8,7 @@ against brute-force oracles.
 
 from . import errors
 from .fields import (
+    MAX_DEGREE,
     MAX_DEPTH,
     MAX_PRIME,
     FieldCtx,
@@ -78,8 +79,8 @@ __version__ = '0.1.0'
 
 __all__ = [
     'errors',
-    'MAX_DEPTH', 'MAX_PRIME', 'FieldCtx', 'FieldElement', 'abs_trace',
-    'element_from_text', 'element_texts', 'element_to_text',
+    'MAX_DEGREE', 'MAX_DEPTH', 'MAX_PRIME', 'FieldCtx', 'FieldElement',
+    'abs_trace', 'element_from_text', 'element_texts', 'element_to_text',
     'extension_field', 'finite_field', 'lift', 'prime_field', 'rel_trace',
     'relative_degree',
     'Poly', 'artin_schreier', 'find_irreducible', 'frobenius_power', 'gcd',

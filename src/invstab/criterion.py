@@ -516,24 +516,24 @@ def mobius_trace_formula(a: FieldElement, b: FieldElement, c: FieldElement,
         (b c - a d) / (c^2 (xi - t^p + t))     with t = d / c,
 
     and the denominator is nonzero because xi - t^p + t = 0 would force
-    Tr(xi) = 0.
+    Tr(xi) = 0.  It computes on K's closures on packed values.
     """
     ctx = xi.ctx
     for name, z in (('a', a), ('b', b), ('c', c), ('d', d)):
         if z.ctx is not ctx:
             raise CtxMismatch(f"{name} from a different field")
-    if c.val == 0 and d.val == 0:
+    a, b, c, d = a.val, b.val, c.val, d.val
+    if c == 0 and d == 0:
         raise BothZero("(c, d) = (0, 0) does not define a transform")
     if abs_trace(xi).val == 0:
         raise IrreducibilityHypothesisViolated(
             "Tr(xi) = 0, so X^p - X + xi is reducible")
-    if c.val == 0:
-        if ctx.p == 2:
-            return a / d
-        return ctx.zero
-    t = d / c
-    denom = c * c * (xi - t.frobenius() + t)
-    return (b * c - a * d) / denom
+    mul, sub, inv = ctx.mul_v, ctx.sub_v, ctx.inv_v
+    if c == 0:
+        return FieldElement(ctx, mul(a, inv(d)) if ctx.p == 2 else 0)
+    t = mul(d, inv(c))
+    denom = mul(mul(c, c), ctx.add_v(sub(xi.val, ctx.frobenius_v(t)), t))
+    return FieldElement(ctx, mul(sub(mul(b, c), mul(a, d)), inv(denom)))
 
 
 class WanResult(NamedTuple):

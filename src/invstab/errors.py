@@ -19,6 +19,10 @@ class PrimeTooLarge(InvstabError, ValueError):
     """The requested characteristic exceeds the supported bound."""
 
 
+class DegreeTooLarge(InvstabError, ValueError):
+    """The requested extension degree exceeds the supported bound."""
+
+
 class ReducibleModulus(InvstabError, ValueError):
     """An extension modulus factors over its base field."""
 

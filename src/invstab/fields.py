@@ -20,7 +20,10 @@ vector (from the modulus, by Newton's identities) and a Frobenius matrix
 over those coordinates, built on first use (:meth:`FieldCtx.trace_v`,
 :meth:`FieldCtx.frobenius_v`).  The literal sum of Frobenius conjugates
 survives only in :func:`rel_trace`, the reference that the trace vector and
-the ``xcheck`` oracles are checked against.
+the ``xcheck`` oracles are checked against.  It is one call of the
+context's conjugate sum, which powers in the slot form of the product
+kernel, or with a Zech table by one log-table lookup per conjugate, and
+reads neither the trace vector nor the Frobenius matrix.
 
 Each concept of the arithmetic kernel has one home.  This module owns the
 bit-slot packing: :func:`_spread` and :func:`_gather`, the slot-parallel
@@ -52,9 +55,9 @@ g^s .. g^(2s-1) in n^2 multiply-adds and one slot reduction per plane
 so a table is built only where that stays below 2^15: every such field of
 degree n >= 2 over F_p, towers such as F_9(gamma) (n = 6) among them,
 and the degree-1 extensions with p <= 181.  Such a context also computes
-x^p as g^(p log x), and every context up to that order keeps its trace as
-a q-entry table filled from the trace vector, so every map the criterion's
-walk steps with is a lookup.
+every power x^k as g^(k log x), one lookup, and every context up to that
+order keeps its trace as a q-entry table filled from the trace vector, so
+every map the criterion's walk steps with is a lookup.
 
 Contexts are cached, each extension by its base context and modulus, so
 two requests for the same field (same prime, same modulus chain) return
@@ -74,6 +77,7 @@ from typing import Iterable, Iterator
 
 from .errors import (
     CtxMismatch,
+    DegreeTooLarge,
     DepthExceeded,
     DivisionByZero,
     NotInTower,
@@ -85,6 +89,16 @@ from .errors import (
 
 #: Largest supported characteristic (exclusive).
 MAX_PRIME = 1 << 20
+
+#: Largest extension degree e that :func:`finite_field` accepts.  The
+#: default modulus is the least irreducible of degree e, found by one Rabin
+#: test per candidate in order.  At e = 40, over 200 primes below
+#: MAX_PRIME, the search tested 44 candidates on average and 238 at most,
+#: 4-6 ms each, and took 1.3 s at most; a geometric tail of mean 44 puts
+#: the most over all 82,025 primes near 44 ln 82,025, about 500 tests or
+#: 2.5 s.  At e = 48 it already took 2.1 s on one of 40 primes (CPython
+#: 3.11 on a shared 2-vCPU Linux container).
+MAX_DEGREE = 40
 
 #: Number of extension levels allowed above the prime field.
 MAX_DEPTH = 2
@@ -134,8 +148,12 @@ def _prime_factors(n: int) -> list:
 # (FieldCtx.pow_v, Poly ** k, powmod and the Rabin test pass it their own
 # product), and _coerce_vals is the one map from elements and integers to
 # packed values (from_coeffs, moduli and Poly coefficients).  Every factory
-# returns its power closure last: _power over its own product, except the
-# extension kernel's slot-form power.
+# returns nine closures, its power and its conjugate sum last:
+# conj_sum(x, k, count) = x + x^k + ... + x^(k^(count - 1)), the literal
+# Frobenius sum behind rel_trace.  _prime_ops runs both on _power over its
+# own product, the extension kernel in slot form, and a Zech field by one
+# log-table lookup per power, exps[k log x mod (q - 1)].  None of them reads
+# a trace vector or a Frobenius matrix.
 
 def _prime_ops(p):
     def add(x, y):
@@ -155,8 +173,15 @@ def _prime_ops(p):
             raise DivisionByZero("0 is not invertible")
         return pow(x, p - 2, p)
 
+    def conj_sum(x, k, count):
+        acc = t = x
+        for _ in range(1, count):
+            t = _power(mul, t, k)
+            acc = (acc + t) % p
+        return acc
+
     return (add, sub, neg, mul, inv, *_codec(p, 1),
-            functools.partial(_power, mul))
+            functools.partial(_power, mul), conj_sum)
 
 
 def _power(mul, x, k):
@@ -341,6 +366,9 @@ def _zech_ops(p, n, start, ext_ops):
     x + y = x (1 + y/x) = g^(log x + Z(log y - log x)); x - y adds
     log(-y) = log y + log(-1).  Every list index lies in [-m, m), and a
     negative one counts from the end, which is the same residue mod m.
+    A power is one lookup, x^k = exps[k log x mod m], and the conjugate
+    sum x + x^k + ... + x^(k^(count - 1)) steps the log alone,
+    l -> k l mod m, adding each exps[l] by the Zech ``add``.
     Returns the field closures (with the same codec) and a function giving
     (logs, exps, zech).
     """
@@ -406,8 +434,25 @@ def _zech_ops(p, n, start, ext_ops):
             build()
         return exps[-logs[x]]
 
-    return (add, sub, neg, mul, inv, decode, encode,
-            functools.partial(_power, mul)), tables
+    def power(x, k):
+        if not x:
+            return 0
+        if exps is None:
+            build()
+        return exps[k * logs[x] % m]
+
+    def conj_sum(x, k, count):
+        if not x:
+            return 0
+        if exps is None:
+            build()
+        acc, lx = x, logs[x]
+        for _ in range(1, count):
+            lx = lx * k % m
+            acc = add(acc, exps[lx])
+        return acc
+
+    return (add, sub, neg, mul, inv, decode, encode, power, conj_sum), tables
 
 
 def _spread(v, p, shifts):
@@ -490,7 +535,8 @@ def _folder(keep, sel, rows):
 
 
 def _block_kernel(base, f, encode):
-    """(mul, power) of base[X]/(f), power(x, k) for k >= 1.
+    """(mul, power, conj_sum) of base[X]/(f), power(x, k) for k >= 1 and
+    conj_sum(x, k, count) = x + x^k + ... + x^(k^(count - 1)).
 
     With K = base of degree e over F_p, m = deg f and a value's flat base-p
     digit i*e + j the coefficient of X^i y^j (y the root of K's modulus g;
@@ -522,7 +568,12 @@ def _block_kernel(base, f, encode):
     spread form of the product.  So ``mul`` spreads both operands, folds
     their product and gathers it (:func:`_gather` reduces each slot),
     while ``power`` spreads once, squares and multiplies in slot form and
-    gathers once.
+    gathers once.  ``conj_sum`` spreads x once, steps each term from the
+    last by the same slot-form loop, adds the reduced slot forms (every
+    slot below p) and gathers once: a slot of the sum is at most
+    count (p - 1) <= m e (p - 1)^2 = v0 < 2^width for count <= m e (p - 1),
+    which every relative degree, at most m e, meets, so the sum carries
+    from no slot into the next; a larger count raises ValueError.
 
     The y rows are the digits of y^J mod g (:func:`_y_powers`), and the X
     rows come from f and K's own closures, never from a product in
@@ -572,7 +623,18 @@ def _block_kernel(base, f, encode):
         a = _power(step, _spread(x, p, in_shifts), k)
         return _gather(a, out_shifts, mask, p)
 
-    return mul, power
+    terms = m * e * (p - 1)
+
+    def conj_sum(x, k, count):
+        if count > terms:
+            raise ValueError(f"{count} terms overflow {width}-bit slots")
+        acc = a = _spread(x, p, in_shifts)
+        for _ in range(1, count):
+            a = _power(step, a, k)
+            acc += a
+        return _gather(acc, out_shifts, mask, p)
+
+    return mul, power, conj_sum
 
 
 #: vectors of at most this many slots pack and unpack a slot at a time, in
@@ -737,13 +799,14 @@ def _ext_ops(base: "FieldCtx", d, modulus_digits):
     add, sub and neg run the base's closures digit by digit
     (:func:`_linear_ops`).  Products and powers are the closures of
     :func:`_block_kernel`, built here, once per context: a power stays in
-    slot form from its first step to its last.  An inverse is the
-    extended Euclid over ``base`` on :mod:`.polys`, at every depth.  It
-    tracks only the cofactor of x and ends at a nonzero constant, because
-    m is irreducible; a zero remainder raises ArithmeticError."""
+    slot form from its first step to its last, and so does the conjugate
+    sum.  An inverse is the extended Euclid over ``base`` on
+    :mod:`.polys`, at every depth.  It tracks only the cofactor of x and
+    ends at a nonzero constant, because m is irreducible; a zero remainder
+    raises ArithmeticError."""
     from .polys import _coeffwise, _divmod_vals, _schoolbook_vals
     decode, encode = _codec(base.order, d)
-    mul, power = _block_kernel(base, modulus_digits, encode)
+    mul, power, conj_sum = _block_kernel(base, modulus_digits, encode)
 
     def inv(x):
         if x == 0:
@@ -759,7 +822,7 @@ def _ext_ops(base: "FieldCtx", d, modulus_digits):
                                     _schoolbook_vals(base, quo, t1))
         return encode(_schoolbook_vals(base, t1, (base.inv_v(r1[0]),)))
 
-    return (*_linear_ops(base, d), mul, inv, decode, encode, power)
+    return (*_linear_ops(base, d), mul, inv, decode, encode, power, conj_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -780,7 +843,7 @@ class FieldCtx:
         'kind', 'p', 'base', 'modulus_vals', 'degree', 'total_degree',
         'depth', 'order', 'prime_ctx',
         'add_v', 'sub_v', 'neg_v', 'mul_v', 'inv_v', 'decode_v', 'encode_v',
-        '_pow', '_trace', '_frob', '_zech_table', '_unit_primes',
+        '_pow', '_conj_sum', '_trace', '_frob', '_zech_table', '_unit_primes',
     )
 
     def __init__(self, p, base=None, modulus_vals=None):
@@ -816,7 +879,7 @@ class FieldCtx:
                 ops, self._zech_table = _zech_ops(
                     p, n, base.order if d > 1 else 1, ops)
         (self.add_v, self.sub_v, self.neg_v, self.mul_v, self.inv_v,
-         self.decode_v, self.encode_v, self._pow) = ops
+         self.decode_v, self.encode_v, self._pow, self._conj_sum) = ops
 
     # -- packed-value helpers ------------------------------------------------
 
@@ -824,9 +887,12 @@ class FieldCtx:
         """x**k on packed values; k may be negative when x is invertible.
 
         An extension without a Zech table powers in the slot form of its
-        product kernel (:func:`_block_kernel`); a prime field and a Zech
-        field run :func:`_power` over ``mul_v``, so x^p is never computed
-        the way :meth:`frobenius_v` computes it there.
+        product kernel (:func:`_block_kernel`), where :meth:`frobenius_v`
+        applies the Frobenius matrix; a prime field runs :func:`_power`
+        over ``mul_v``.  A Zech field reads exps[k log x mod (q - 1)], one
+        lookup, so there x^p is the very lookup that :meth:`frobenius_v`
+        makes, and the tests check both against :func:`_power` over the
+        product instead.
         """
         if k < 0:
             x = self.inv_v(x)
@@ -1173,11 +1239,14 @@ def finite_field(p: int, e: int = 1, modulus=None) -> FieldCtx:
     With e = 1 the prime field is returned and no modulus may be given.
     With e >= 2 and no modulus, the lexicographically smallest monic
     irreducible of degree e is used (constant term most significant), so the
-    result is deterministic.
+    result is deterministic.  An e above MAX_DEGREE raises DegreeTooLarge
+    before any modulus search or irreducibility test.
     """
     base = prime_field(p)
     if e < 1:
         raise ValueError(f"extension degree must be >= 1, got {e}")
+    if e > MAX_DEGREE:
+        raise DegreeTooLarge(f"extension degree {e} > {MAX_DEGREE}")
     if e == 1:
         if modulus is not None:
             raise ValueError("a modulus makes no sense for e = 1")
@@ -1230,22 +1299,21 @@ def abs_trace(x: FieldElement) -> FieldElement:
 def rel_trace(x: FieldElement, sub: FieldCtx) -> FieldElement:
     """Trace of x down to the subfield ``sub`` on the same base chain.
 
-    Sums the [field : sub] conjugates x^(|sub|^i) with plain powering.  This
-    literal Frobenius sum is the reference: the trace vector behind
+    Sums the [field : sub] conjugates x^(|sub|^i) by one call of the
+    context's conjugate sum: in the slot form of the product kernel, each
+    conjugate powered from the last and the sum gathered once; on a Zech
+    field one log-table lookup per conjugate, exps[|sub|^i log x], added by
+    Zech lookups; on a prime field by :func:`_power`.  This literal
+    Frobenius sum is the reference: the trace vector behind
     :func:`abs_trace` (from Newton's identities) is checked against it, and
     the ``xcheck`` oracles (``rel_trace_oracle``, ``minpoly_trace_check``)
-    compare against it, so it must not use the precomputed trace or
-    Frobenius maps.  The result's coefficient vector is
-    checked to lie in ``sub`` (its packed value is below |sub|).
+    compare against it, so it reads neither the trace vector nor the
+    Frobenius matrix.  The result's coefficient vector is checked to lie
+    in ``sub`` (its packed value is below |sub|).
     """
     ctx = x.ctx
-    m = relative_degree(ctx, sub)
-    s = sub.order
-    acc = t = x.val
-    for _ in range(m - 1):
-        t = ctx.pow_v(t, s)
-        acc = ctx.add_v(acc, t)
-    if acc >= s:
+    acc = ctx._conj_sum(x.val, sub.order, relative_degree(ctx, sub))
+    if acc >= sub.order:
         raise AssertionError("relative trace escaped the subfield")
     return FieldElement(sub, acc)
 

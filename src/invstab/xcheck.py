@@ -7,20 +7,24 @@ Nothing in this module shares a code path with the formula it is checking:
   criterion;
 * relative traces are recomputed as explicit Frobenius conjugate sums inside
   a freshly constructed K(gamma) and compared against the closed Moebius
-  formula (:func:`rel_trace <.fields.rel_trace>` sums powers computed by
-  plain powering, never the precomputed trace vector or Frobenius matrix
-  that the fast paths use).  In :func:`rel_trace_oracle` the direct side
-  computes in K(gamma) and the formula side in K alone, on K's closures
-  and its Frobenius and trace maps.  Up to ``fields.ZECH_MAX_ORDER``,
-  K(gamma) multiplies, divides and powers by its own Zech-log table:
-  F_16(gamma) and F_9(gamma) here, F_25(gamma) not.  That table is built
-  from the tower product (one packed multiply of the flat digits, folded
-  by rows y^J mod K's modulus and X^I mod the tower's, a block at a time),
-  and exhaustive tests check it against that product on every tower up to
+  formula (:func:`rel_trace <.fields.rel_trace>` is one call of the
+  field's conjugate sum, whose powers are slot-form powers of the tower
+  product, or on a Zech field one log-table lookup each; it never reads
+  the precomputed trace vector or Frobenius matrix that the fast paths
+  use).  In :func:`rel_trace_oracle` the direct side computes on the
+  packed values of K(gamma), with its product, sum and inverse, and the
+  formula side on K's packed values alone, with K's closures and its
+  Frobenius and trace maps.  Up to ``fields.ZECH_MAX_ORDER``, K(gamma)
+  multiplies, divides and powers by its own Zech-log table: F_16(gamma)
+  and F_9(gamma) here, F_25(gamma) not.  That table is built from the
+  tower product (one packed multiply of the flat digits, folded by rows
+  y^J mod K's modulus and X^I mod the tower's, a block at a time), and
+  exhaustive tests check it against that product on every tower up to
   F_64(gamma).  Above the bound the direct side uses the tower product
-  itself and the tower's extended Euclid over ``polys``.  Either way the
-  two sides share only K's closures, from which the tower's X rows and
-  Euclid are built; its y rows come from the digits of K's modulus.  On
+  itself, its slot-form conjugate sum and the tower's extended Euclid over
+  ``polys``.  Either way the two sides share only K's closures, from
+  which the tower's X rows and Euclid are built; its y rows come from the
+  digits of K's modulus.  On
   fields up to the bound K's closures are lookups in K's own Zech-log
   table, built by the same packed product that larger fields compute
   with.  Exhaustive tests check every table against that product, and
@@ -54,7 +58,6 @@ from .fields import (
     abs_trace,
     element_to_text,
     extension_field,
-    lift,
     rel_trace,
     relative_degree,
 )
@@ -165,18 +168,21 @@ def rel_trace_oracle(a: FieldElement, b: FieldElement, c: FieldElement,
     """Check mobius_trace_formula against a trace computed inside K(gamma).
 
     Builds K(gamma) = K[X]/(X^p - X + xi) from scratch, evaluates
-    (a gamma + b)/(c gamma + d) there, and takes the relative trace down to
-    K as a literal sum of conjugates.  The formula, computed first, checks
-    the inputs: CtxMismatch, BothZero or IrreducibilityHypothesisViolated.
+    (a gamma + b)/(c gamma + d) there with the tower's own closures on
+    packed values (gamma packs as |K|, and K's values embed unchanged),
+    and takes the relative trace down to K as a literal sum of conjugates.
+    The formula, computed first, checks the inputs: CtxMismatch, BothZero
+    or IrreducibilityHypothesisViolated.
     """
     formula = mobius_trace_formula(a, b, c, d, xi)
-    ext = extension_field(xi.ctx, artin_schreier(xi))
-    gamma = ext.modulus_root
-    al, bl, cl, dl = (lift(z, ext) for z in (a, b, c, d))
+    K = xi.ctx
+    ext = extension_field(K, artin_schreier(xi))
+    mul, add, gamma = ext.mul_v, ext.add_v, K.order
     # c gamma + d never vanishes: c != 0 would put gamma in K, and c = 0
     # leaves the nonzero constant d
-    u = (al * gamma + bl) / (cl * gamma + dl)
-    direct = rel_trace(u, xi.ctx)
+    u = mul(add(mul(a.val, gamma), b.val),
+            ext.inv_v(add(mul(c.val, gamma), d.val)))
+    direct = rel_trace(FieldElement(ext, u), K)
     return RelTraceCheck(formula, direct, formula == direct)
 
 

@@ -219,6 +219,28 @@ def test_search_field_over_budget(capsys, monkeypatch):
                            ' every format prints, one per seed\n')
 
 
+def test_degree_over_max_degree_fails_fast(capsys, monkeypatch):
+    """check over GF(3^5000), which hung in the modulus search, exits 2
+    within 5 s in every format, before any modulus search; search refuses
+    it by its row budget first."""
+    def refused(*args):
+        raise AssertionError("modulus search for an over-budget degree")
+    monkeypatch.setattr(polys, 'find_irreducible', refused)
+    for fmt in ('text', 'csv', 'json'):
+        start = time.perf_counter()
+        rc, out, err = run(capsys, ['check', '--p', '3', '--e', '5000',
+                                    '--xi', '1', '--format', fmt])
+        assert time.perf_counter() - start < 5, fmt
+        assert rc == cli.EXIT_USAGE and out == '', fmt
+        assert err == 'error: extension degree 5000 > 40\n'
+    for command in (['verify'], ['trace-table', '--xi', '1', '--nmax', '2'],
+                    ['generate', '--xi', '1', '--n', '1']):
+        rc, out, err = run(capsys, command[:1] + ['--p', '2', '--e', '41']
+                           + command[1:])
+        assert rc == cli.EXIT_USAGE and out == '', command
+        assert err == 'error: extension degree 41 > 40\n'
+
+
 def test_search_builds_no_rows(capsys, monkeypatch):
     """search prints Tr(xi) and the cycle data, so it needs no table row."""
     def no_rows(*args):

@@ -195,7 +195,9 @@ def test_frobenius_is_field_automorphism():
 def test_frobenius_matches_pth_power():
     """The precomputed Frobenius map (a matrix, or g^(p log x) with a Zech
     table) and trace map (a vector, or a table up to ZECH_MAX_ORDER) agree
-    with plain powering and with the Frobenius-sum rel_trace on every
+    with square-and-multiply over the context's product (not ``x ** p``,
+    which on a Zech field reads the same g^(p log x) lookup) and with the
+    Frobenius-sum rel_trace on every
     element of every field of order <= 729 (default modulus), of F_9 with
     modulus 2,2,1, of F_25 with modulus 2,4,1, of a depth-2 tower above F_9
     and of GF(3^8), GF(2^12) and GF(89^2), the largest fields with a Zech
@@ -210,7 +212,7 @@ def test_frobenius_matches_pth_power():
     for ctx in fields:
         prime = ctx.prime_ctx
         for x in ctx.elements():
-            assert x.frobenius() == x ** ctx.p
+            assert x.frobenius().val == _power(ctx.mul_v, x.val, ctx.p)
             assert abs_trace(x) == rel_trace(x, prime)
 
 
@@ -669,6 +671,27 @@ def test_prime_too_large_before_any_primality_test(monkeypatch):
             prime_field(big)
 
 
+def test_degree_too_large_before_any_modulus_search(monkeypatch):
+    """Every e above MAX_DEGREE raises DegreeTooLarge, a ValueError, with
+    or without a modulus, before a modulus search or an irreducibility
+    test, so GF(3^5000) fails at once instead of hanging in
+    find_irreducible; e = MAX_DEGREE itself gets its default modulus."""
+    from invstab import polys
+    assert fields.MAX_DEGREE == 40
+    assert finite_field(2, fields.MAX_DEGREE).degree == 40
+
+    def no_search(*args):
+        raise AssertionError("modulus search or Rabin test")
+    monkeypatch.setattr(polys, 'find_irreducible', no_search)
+    monkeypatch.setattr(polys, 'is_irreducible', no_search)
+    for p, e in ((3, 5000), (2, 41), (1048573, 41)):
+        with pytest.raises(errors.DegreeTooLarge, match=f"degree {e} > 40"):
+            finite_field(p, e)
+    with pytest.raises(errors.DegreeTooLarge):
+        finite_field(2, 41, modulus=(1, 1) + (0,) * 39 + (1,))
+    assert issubclass(errors.DegreeTooLarge, ValueError)
+
+
 def test_reducible_modulus_rejected():
     with pytest.raises(errors.ReducibleModulus):
         finite_field(3, 2, modulus=(1, 2, 1))     # (X + 1)^2
@@ -923,6 +946,72 @@ def test_tower_power_matches_reference_powering():
                     L, x, k)
 
 
+def ref_conj_sum(power, add, x, k, count):
+    """x + x^k + ... + x^(k^(count - 1)), each term the last one powered
+    by ``power``."""
+    acc = term = x
+    for _ in range(1, count):
+        term = power(term, k)
+        acc = add(acc, term)
+    return acc
+
+
+def test_conjugate_sum_matches_reference_powering():
+    """The factory's conjugate sum (spread once, each term stepped in slot
+    form, the slot forms added and gathered once), through factory_ops,
+    against _power over ref_product and coefficient-wise addition on every
+    shape of power_shapes: for k = |K| with count m (the trace down to K)
+    and for k = p with count the total degree (down to F_p), on three
+    seeded operands and the slot-bound operands of slot_bound_pairs, whose
+    sum of m e terms of digit p - 1 fills each slot the most.  A count
+    past m e (p - 1) would overflow a slot and raises ValueError.  The
+    table's conjugate sum (log steps, Zech additions) against _power over
+    the context's product and the factory's addition on every element of
+    every Zech field of order <= 729, towers included, to K and to F_p; on
+    a prime field, where x^p = x, three terms for k = p are 3 x, and for
+    k = 2 they are x + x^2 + x^4."""
+    rng = random.Random(6066)
+    for L in power_shapes():
+        base, d, p = L.base, L.degree, L.p
+        n = L.total_degree
+        modulus = [base.element(v) for v in L.modulus_vals]
+
+        def power(u, k):
+            return ref_power(modulus, u, k)
+
+        def add(u, v):
+            return [s + t for s, t in zip(u, v)]
+        conj_sum = factory_ops(L)[8]
+        xs = [rng.randrange(L.order) for _ in range(3)]
+        xs += sorted({x for pair in slot_bound_pairs(L.order) for x in pair})
+        for x in xs:
+            u = unpacked(base, d, x)
+            for k, count in ((base.order, d), (p, n)):
+                want = packed(ref_conj_sum(power, add, u, k, count))
+                assert conj_sum(x, k, count) == want, (L, x, k, count)
+        with pytest.raises(ValueError):
+            conj_sum(L.order - 1, p, n * (p - 1) + 1)
+    ctxs = depth1_fields(729) + [L for L in tabled_towers() if L.order <= 729]
+    assert len(ctxs) == 30
+    for ctx in ctxs:
+        assert ctx._zech_table is not None
+        fadd = factory_ops(ctx)[0]
+        power = functools.partial(_power, ctx.mul_v)
+        sums = [(ctx.p, ctx.total_degree)]
+        if ctx.depth == 2:
+            sums.append((ctx.base.order, ctx.degree))
+        for x in range(ctx.order):
+            for k, count in sums:
+                want = ref_conj_sum(power, fadd, x, k, count)
+                assert ctx._conj_sum(x, k, count) == want, (ctx, x, k)
+    for p in (2, 3, 5, 7):
+        F = prime_field(p)
+        assert [F._conj_sum(x, p, 3) for x in range(p)] == [
+            3 * x % p for x in range(p)]
+        assert [F._conj_sum(x, 2, 3) for x in range(p)] == [
+            (x + x ** 2 + x ** 4) % p for x in range(p)]
+
+
 def test_tower_power_exhaustive_on_small_towers():
     """Every power x^k, k = 1 .. q, of every element of F_4(gamma) (order
     16) and F_8(gamma) (order 64), by the factory's slot-form power and by
@@ -1001,7 +1090,7 @@ def test_power_on_the_widest_slots():
     rng = random.Random(6065)
     modulus = [rand_elt(rng, K) for _ in range(5)] + [K.one]
     ops = _ext_ops(K, 5, tuple(c.val for c in modulus))
-    mul, power = ops[3], ops[-1]
+    mul, power = ops[3], ops[7]
     xs = [rng.randrange(K.order ** 5) for _ in range(4)] + [K.order ** 5 - 1]
     exps = [K.order ** i for i in range(1, 5)] + [rng.randrange(2, 1 << 64)]
     for x in xs:
