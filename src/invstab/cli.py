@@ -262,14 +262,15 @@ def _table_text(header, rows, quiet: bool) -> str:
     return '\n'.join(lines) + '\n'
 
 
-def _table_budget(rows: int, what: str, advice: str) -> None:
+def _table_budget(rows: int, what: str, advice: str,
+                  unit: str = 'rows') -> None:
     """TableTooLarge when an output of ``rows`` rows is over
     MAX_TABLE_ROWS.  Called before the first row is built, as a trace
     table or a field can reach millions of rows that take far longer than
-    the decision; the message is ``what``, the row count, the budget and
-    ``advice``."""
+    the decision; the message is ``what``, the row count and ``unit``, the
+    budget and ``advice``."""
     if rows > MAX_TABLE_ROWS:
-        raise TableTooLarge(f"{what} {rows} rows, over the budget of"
+        raise TableTooLarge(f"{what} {rows} {unit}, over the budget of"
                             f" {MAX_TABLE_ROWS} {advice}")
 
 
@@ -387,7 +388,13 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    """Every suite but minpoly walks all of F_q, so a field of more
+    elements than MAX_TABLE_ROWS is refused before the first report."""
     ctx = _make_ctx(args)
+    if args.suite != 'minpoly':
+        _table_budget(ctx.order, f'verify --suite {args.suite} walks all',
+                      'elements; --suite minpoly samples a field that'
+                      ' large', unit=f'elements of GF({args.p}^{args.e})')
     if args.nmax is not None and args.nmax < 1:
         raise ValueError("--nmax must be >= 1")
     reports = verify_suites(ctx, args.suite, args.nmax, args.cap)

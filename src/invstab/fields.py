@@ -727,6 +727,15 @@ class _Kron:
         self.reduce = _slot_reducer(p, b, width, e * stride)
         return self
 
+    @classmethod
+    def modular(cls, ctx, m):
+        """The layout of products modulo a polynomial of degree m, for
+        operands of m coefficients, kept on the context: a modulus search
+        tests many polynomials of one degree."""
+        if m not in ctx._layouts:
+            ctx._layouts[m] = cls.fit(ctx, m, 2 * m - 1)
+        return ctx._layouts[m]
+
     def low(self, k):
         """The mask of slots 0 .. k - 1 of every block."""
         return ((1 << (self.width * k)) - 1) * self.blocks
@@ -844,6 +853,7 @@ class FieldCtx:
         'depth', 'order', 'prime_ctx',
         'add_v', 'sub_v', 'neg_v', 'mul_v', 'inv_v', 'decode_v', 'encode_v',
         '_pow', '_conj_sum', '_trace', '_frob', '_zech_table', '_unit_primes',
+        '_layouts',
     )
 
     def __init__(self, p, base=None, modulus_vals=None):
@@ -851,6 +861,7 @@ class FieldCtx:
         self.base = base
         self.modulus_vals = modulus_vals
         self._trace = self._frob = self._zech_table = self._unit_primes = None
+        self._layouts = {}
         if base is None:
             self.kind = 'prime'
             self.degree = 1

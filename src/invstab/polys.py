@@ -34,15 +34,26 @@ product it is given.
 
 Irreducibility testing is deterministic: f of degree m over F_q is
 irreducible iff X^(q^m) = X mod f and gcd(X^(q^(m/r)) - X, f) = 1 for every
-prime r dividing m (Rabin's test).  Each Frobenius step h -> h^q mod f is
-computed by powering, square-and-multiply through the Barrett product (von
-zur Gathen and Shoup, 1992).
+prime r dividing m (Rabin's test).  One Frobenius chain reaches each
+X^(q^n) mod f in turn (von zur Gathen and Shoup, 1992).  It steps
+n -> n + 1 by powering, h -> h^q by square-and-multiply through the
+Barrett product, c_q = log2 q + popcount(q) - 1 products.  It jumps to
+n + b by modular composition, X^(q^(n + b)) = X^(q^b)(X^(q^n)) mod f,
+with Brent and Kung's baby steps and giant steps (1978) on the Barrett
+product's packed layout: about 2k + 1 products for k = ceil(sqrt m), and
+it jumps only when b c_q > 2k + 1.  A composition's block sums take no
+product, and before their one fold a slot holds at most
+k e (p - 1)^2 <= m e (p - 1)^2, within the slot bound of that layout.
+The composer is built on the first jump, so a chain that never jumps, as
+at the degrees below about 10 over small fields, pays no setup.  Towers,
+which have no packed layout, only power.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import starmap, zip_longest
+from operator import mul
 
 from .errors import (
     BothZero,
@@ -59,6 +70,7 @@ from .fields import (
     _power,
     _prime_factors,
     _trim,
+    _unpack_slots,
     element_to_text,
 )
 
@@ -168,9 +180,9 @@ def _gcd_vals(ctx, a, b):
 
 
 def _mulmod(ctx, f):
-    """(mulmod, pack, unpack) for products modulo the monic f of degree m:
-    mulmod(a, b) = a * b mod f on packed a, b of degree below m, and the
-    maps between value tuples and that packed form.
+    """(mulmod, pack, unpack, lay) for products modulo the monic f of
+    degree m: mulmod(a, b) = a * b mod f on packed a, b of degree below m,
+    the maps between value tuples and that packed form, and its layout.
 
     Barrett reduction on Kronecker-packed integers (see :class:`_Kron`).
     With mu = X^(2m - 2) // f, the quotient of c = a * b by f is
@@ -180,14 +192,14 @@ def _mulmod(ctx, f):
     slot-parallel reduction mod p, and never leaves the packed form, so a
     power packs once and unpacks once.  mu comes from a Newton inversion on
     the same products (:func:`_barrett_mu`).  Towers, and f of degree 1,
-    multiply and divide with the closure loops on value tuples instead, and
-    pack and unpack are then the identity.
+    multiply and divide with the closure loops on value tuples instead,
+    pack and unpack are then the identity and lay is None.
     """
     m = len(f) - 1
-    lay = _Kron.fit(ctx, m, 2 * m - 1) if m > 1 else None
+    lay = _Kron.modular(ctx, m) if m > 1 else None
     if lay is None:
         return (lambda a, b: _rem_vals(ctx, _mul_vals(ctx, a, b), f),
-                tuple, tuple)
+                tuple, tuple, None)
     fold, reduce = lay.fold, lay.reduce
     neg = [ctx.neg_v(c) for c in f]
     mu = _barrett_mu(lay, neg)
@@ -202,7 +214,7 @@ def _mulmod(ctx, f):
         return reduce((c + fold(q * neg_f)) & low)
 
     return (mulmod, lay.pack,
-            lambda x: _trim(lay.unpack(x, m)))
+            lambda x: _trim(lay.unpack(x, m)), lay)
 
 
 def _barrett_mu(lay, neg):
@@ -234,8 +246,93 @@ def _powmod_vals(ctx, base, k, mod):
     f = _monic_vals(ctx, mod)
     if k == 0:
         return _rem_vals(ctx, (1,), f)
-    mulmod, pack, unpack = _mulmod(ctx, f)
+    mulmod, pack, unpack, _ = _mulmod(ctx, f)
     return unpack(_power(mulmod, pack(_rem_vals(ctx, base, f)), k))
+
+
+def _composer(lay, mulmod, m):
+    """compose(g, h) = g(h) mod f for packed g and h, f of degree m and
+    ``mulmod`` its Barrett product on the layout ``lay``.
+
+    Brent and Kung's baby steps and giant steps (1978): with
+    k = ceil(sqrt m), the baby steps h^0 .. h^(k - 1) and the giant step
+    G = h^k take k - 1 products, g splits into blocks of k coefficients,
+    g = sum_i g_i(h) G^i, and Horner in G takes one product per block after
+    the first.  A block sum g_i(h) is a sum of scalar times baby step with
+    no product: over F_p the scalar is a small int, and over F_{p^e},
+    whose layout is y-major, digit j of a coefficient multiplies the baby
+    step shifted up j blocks (times y^j); block j of packed g holds digit j
+    of every coefficient.  Each block sum then takes one ``fold`` and one
+    ``reduce``, together with the Horner product.  Before the fold a slot
+    holds at most k e (p - 1)^2 <= m e (p - 1)^2, the bound of a product
+    of two vectors of m coefficients, and the Horner product adds below p:
+    :meth:`.fields._Kron.fit` sized the slots for twice that product, so
+    nothing carries.
+    """
+    k = math.isqrt(m - 1) + 1
+    fold, reduce, width = lay.fold, lay.reduce, lay.width
+    shifts = range(0, lay.e * lay.bits, lay.bits)
+
+    def compose(g, h):
+        babies = [1, h]
+        while len(babies) < k:
+            babies.append(mulmod(babies[-1], h))
+        giant = mulmod(babies[-1], h) if k < m else None
+        rows = [_unpack_slots(g >> at, width, m) for at in shifts]
+        acc = 0
+        for i in reversed(range(0, m, k)):
+            s = sum(sum(map(mul, row[i:i + k], babies)) << at
+                    for at, row in zip(shifts, rows))
+            acc = reduce(fold(s + mulmod(acc, giant) if acc else s))
+        return acc
+
+    return compose
+
+
+def _frobenius_chain(q, m, products):
+    """frob(t) = X^(q^t) mod f, packed, for t that never decreases from one
+    call to the next; f has degree m over F_q and ``products`` is what
+    :func:`_mulmod` returns for it.
+
+    n -> n + 1 is h -> h^q by powering, c_q = log2 q + popcount(q) - 1
+    products.  n -> n + b composes the cached X^(q^b) with h,
+    X^(q^(n + b)) = X^(q^b)(h) mod f, about 2k + 1 products with
+    k = ceil(sqrt m) (:func:`_composer`).  The chain jumps by the largest
+    cached b that does not pass t, and caches X^(q^n) only for
+    n c_q > 2k + 1, so it composes only where powering would cost more
+    products.  The composer is built on the first composition, so a chain
+    that only powers pays no setup.  Towers have no layout and always
+    power.
+    """
+    mulmod, pack, _, lay = products
+    cheap = m
+    if lay is not None:
+        cheap = (2 * math.isqrt(m - 1) + 3) // (q.bit_length()
+                                                 + q.bit_count() - 2)
+    cache = {}
+    n, h, compose = 0, pack((0, 1)), None
+
+    def frob(t):
+        nonlocal n, h, compose
+        while n < t:
+            b = cache and max([j for j in cache if j <= t - n], default=0)
+            if b:
+                if compose is None:
+                    compose = _composer(lay, mulmod, m)
+                h = compose(cache[b], h)
+                n += b
+            else:
+                # every cached b passes t, as will every later one: power
+                # to t, or, with nothing cached, to the first value to cache
+                stop = t if cache else min(t, cheap + 1)
+                for _ in range(n, stop):
+                    h = _power(mulmod, h, q)
+                n = stop
+            if n > cheap:
+                cache[n] = h
+        return h
+
+    return frob
 
 
 # ---------------------------------------------------------------------------
@@ -468,17 +565,14 @@ def is_irreducible(f: Poly) -> bool:
         return True
     ctx = f.ctx
     fv = _monic_vals(ctx, f.vals)
-    mulmod, pack, unpack = _mulmod(ctx, fv)
-    checkpoints = {m // r for r in _prime_factors(m)}
-    xv = (0, 1)
-    x = h = pack(xv)
-    for i in range(1, m + 1):
-        h = _power(mulmod, h, ctx.order)
-        if i in checkpoints:
-            g = _coeffwise(ctx.sub_v, unpack(h), xv)
-            if _gcd_vals(ctx, g, fv) != (1,):
-                return False
-    return h == x
+    products = _mulmod(ctx, fv)
+    frob = _frobenius_chain(ctx.order, m, products)
+    x = frob(0)
+    for r in reversed(_prime_factors(m)):
+        g = _coeffwise(ctx.sub_v, products[2](frob(m // r)), (0, 1))
+        if _gcd_vals(ctx, g, fv) != (1,):
+            return False
+    return frob(m) == x
 
 
 def find_irreducible(ctx: FieldCtx, degree: int) -> Poly:

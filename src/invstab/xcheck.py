@@ -50,7 +50,7 @@ from itertools import zip_longest
 from typing import NamedTuple, Optional
 
 from .criterion import init_states, mobius_trace_formula, step_state, trace_rows
-from .errors import NotGenerating
+from .errors import DegreeTooLarge, NotGenerating
 from .fields import (
     FieldCtx,
     FieldElement,
@@ -68,6 +68,10 @@ from .polys import Poly, artin_schreier, is_irreducible
 SUITES = ('criterion', 'irreducibility', 'traces', 'minpoly', 'all')
 #: the criterion suite's default n_max keeps deg D_n = p^n at or below this
 SWEEP_DEGREE_LIMIT = 256
+#: the traces suite refuses p above this: each tuple's xi builds a tower of
+#: degree p over F_q.  The suite took 10 s at p = 23 over F_(23^3) and
+#: about 20 s at p = 101 over F_101 (CPython 3.11, shared 2-vCPU Linux)
+MAX_TOWER_DEGREE = 23
 #: the traces suite's count of seeded Moebius tuples, and its seed; the
 #: minpoly suite's sample size above 512 elements, and its seed
 _TRACE_TUPLES, _TRACE_SEED = 500, 20240815
@@ -264,9 +268,15 @@ def verify_suites(ctx: FieldCtx, suite: str = 'all',
     :func:`criterion_vs_direct` up to ``n_max`` (default: the largest
     n >= 1 with p^n <= SWEEP_DEGREE_LIMIT), the trace sweep, the Moebius
     trace oracle on seeded tuples, and :func:`minpoly_trace_check` on each
-    generating element, or on a seeded sample above 512 elements."""
+    generating element, or on a seeded sample above 512 elements.  The
+    traces suite, alone or in all four, raises DegreeTooLarge before the
+    first report when p > MAX_TOWER_DEGREE."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
+    if suite in ('traces', 'all') and ctx.p > MAX_TOWER_DEGREE:
+        raise DegreeTooLarge(
+            f"the traces suite builds towers of degree p = {ctx.p}"
+            f" > {MAX_TOWER_DEGREE}")
     if n_max is None:
         n_max = 1
         while ctx.p ** (n_max + 1) <= SWEEP_DEGREE_LIMIT:

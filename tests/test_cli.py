@@ -555,6 +555,49 @@ def test_check_and_verify_json_rows_arrive_as_columns(capsys, monkeypatch):
     assert len(tables) == 3 + 5 + 2 + 1
 
 
+def test_verify_over_budget_fails_fast(capsys, monkeypatch):
+    """verify exits 2 before its first report in every format: the traces
+    suite, alone or in all four, above MAX_TOWER_DEGREE = 23 (p = 101 took
+    19.5 s and p = 1009 did not end), and every suite but minpoly over a
+    field of more elements than MAX_TABLE_ROWS.
+    The criterion suite at p = 29 and minpoly over GF(3^11) are taken."""
+    assert xcheck.MAX_TOWER_DEGREE == 23
+    rc, out, _ = run(capsys, ['verify', '--suite', 'criterion', '--p', '29',
+                              '--quiet'])
+    assert rc == cli.EXIT_OK and out.startswith('ok   criterion_vs_direct')
+    rc, out, _ = run(capsys, ['verify', '--suite', 'minpoly', '--p', '3',
+                              '--e', '11', '--quiet'])
+    assert rc == cli.EXIT_OK and out.startswith('ok   minpoly_coeff')
+
+    def refused(*args):
+        raise AssertionError("verify ran a suite past its budget")
+    for name in ('criterion_vs_direct', 'irreducibility_trace_sweep',
+                 '_trace_tuple_suite', '_minpoly_suite'):
+        monkeypatch.setattr(xcheck, name, refused)
+    towers = [(suite, p) for suite in ('traces', 'all')
+              for p in ('29', '101', '1009')]
+    for suite, p in towers:
+        for fmt in ('text', 'csv', 'json'):
+            start = time.perf_counter()
+            rc, out, err = run(capsys, ['verify', '--suite', suite, '--p', p,
+                                        '--format', fmt])
+            assert time.perf_counter() - start < 5, (suite, p, fmt)
+            assert rc == cli.EXIT_USAGE and out == '', (suite, p, fmt)
+            assert err == ('error: the traces suite builds towers of degree'
+                           f' p = {p} > 23\n')
+    for suite in ('criterion', 'irreducibility', 'traces', 'all'):
+        for p, e in ((3, 11), (2, 20), (1048573, 1)):
+            start = time.perf_counter()
+            rc, out, err = run(capsys, ['verify', '--suite', suite,
+                                        '--p', str(p), '--e', str(e)])
+            assert time.perf_counter() - start < 5, (suite, p, e)
+            assert rc == cli.EXIT_USAGE and out == '', (suite, p, e)
+            assert err == (f'error: verify --suite {suite} walks all'
+                           f' {p ** e} elements of GF({p}^{e}), over the'
+                           ' budget of 100000 elements; --suite minpoly'
+                           ' samples a field that large\n')
+
+
 def test_verify_disagreement_exit(capsys, monkeypatch):
     fake = EquivalenceReport.build('stub', {'p': 2, 'e': 1, 'modulus': None},
                                    None, None, [(0, True, False)])

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from invstab import errors
+from invstab import errors, polys
 from invstab.criterion import decide_inverse_stability
 from invstab.fields import (
     _LOOP_SLOTS,
@@ -30,7 +30,13 @@ from invstab.polys import (
     powmod,
     reciprocal,
 )
-from invstab.polys import _barrett_mu, _divmod_vals, _mul_vals
+from invstab.polys import (
+    _barrett_mu,
+    _divmod_vals,
+    _frobenius_chain,
+    _mul_vals,
+    _mulmod,
+)
 
 
 F2 = finite_field(2)
@@ -576,6 +582,76 @@ def test_packed_rabin_matches_closure_rabin():
                      + [ctx.one])
             assert not is_irreducible(a * b), (ctx, a, b)
             assert not closure_rabin(a * b), (ctx, a, b)
+
+
+def test_frobenius_chain_matches_powering(monkeypatch):
+    """For every n <= m, the chain's X^(q^n) mod f, from a fresh chain and
+    from one chain stepping n = 1 .. m, equals n q-th powers by the naive
+    double loop and the long division, for f irreducible, reducible, and
+    with f(0) = 0.  The degrees are large enough that the chain composes
+    on every field, F_(1048573^2) included."""
+    big = 1048573
+    K = finite_field(big, 2, modulus=non_residue_quadratic(big))
+    built = []
+    compose = polys._composer
+    monkeypatch.setattr(polys, '_composer',
+                        lambda *args: built.append(args) or compose(*args))
+    rng = random.Random(31)
+    for ctx, m in ((F2, 40), (F3, 30), (F9, 20), (finite_field(7, 2), 12),
+                   (K, 6)):
+        X = Poly.x(ctx)
+        cases = (find_irreducible(ctx, m),
+                 (X ** (m // 2) + rand_poly(rng, ctx, m // 2 - 1))
+                 * (X ** (m - m // 2) + rand_poly(rng, ctx, m - m // 2 - 1)),
+                 X * (X ** (m - 1) + rand_poly(rng, ctx, m - 2)))
+        del built[:]
+        for f in cases:
+            assert f.degree == m and f.leading == ctx.one
+            products = _mulmod(ctx, f.vals)
+            stepper = _frobenius_chain(ctx.order, m, products)
+            h = X
+            for n in range(1, m + 1):
+                acc = h
+                for bit in bin(ctx.order)[3:]:
+                    acc = Poly._make(ctx, naive_product(ctx, acc.vals,
+                                                        acc.vals)) % f
+                    if bit == '1':
+                        acc = Poly._make(ctx, naive_product(ctx, acc.vals,
+                                                            h.vals)) % f
+                h = acc
+                fresh = _frobenius_chain(ctx.order, m, products)(n)
+                assert products[2](fresh) == h.vals, (ctx, f, n)
+                assert products[2](stepper(n)) == h.vals, (ctx, f, n)
+        assert built, ctx
+
+
+def test_rabin_on_d5_takes_half_the_products(monkeypatch):
+    """Rabin on D_5 over F_3 (degree 243, checkpoint 81) by powering alone
+    took 243 * 2 = 486 Barrett products; the chain takes at most half."""
+    calls = []
+    products = polys._mulmod
+
+    def counted(ctx, f):
+        mulmod, pack, unpack, lay = products(ctx, f)
+
+        def count(a, b):
+            calls.append(1)
+            return mulmod(a, b)
+        return count, pack, unpack, lay
+    monkeypatch.setattr(polys, '_mulmod', counted)
+    den = denominator(F3.element(1), 5).monic()
+    assert den.degree == 243 and is_irreducible(den)
+    assert len(calls) <= 486 // 2
+
+
+def test_small_modulus_searches_build_no_composer(monkeypatch):
+    """The modulus searches of GF(2^10) and GF(3^6) never compose, so they
+    build no composer."""
+    def refused(*args):
+        raise AssertionError("a small degree built a composer")
+    monkeypatch.setattr(polys, '_composer', refused)
+    assert find_irreducible(F2, 10).degree == 10
+    assert find_irreducible(F3, 6).degree == 6
 
 
 def test_find_irreducible_goldens():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from invstab import errors
+from invstab import errors, xcheck
 from invstab.criterion import decide_inverse_stability, mobius_trace_formula
 from invstab.fields import (
     abs_trace,
@@ -175,6 +175,25 @@ def test_verify_suites_dispatch():
     assert alone['criterion'][0].n_max == 8
     with pytest.raises(ValueError):
         verify_suites(F2, 'traces ')
+
+
+def test_verify_suites_bound_the_tower_degree(monkeypatch):
+    """The traces suite, alone or in all four, raises DegreeTooLarge for
+    p > MAX_TOWER_DEGREE before its first report, as a library call too;
+    the other suites do not build towers and run."""
+    F29 = finite_field(29)
+
+    def refused(*args):
+        raise AssertionError("a suite ran before the tower bound")
+    for suite in ('traces', 'all'):
+        with monkeypatch.context() as m:
+            m.setattr(xcheck, 'criterion_vs_direct', refused)
+            m.setattr(xcheck, '_trace_tuple_suite', refused)
+            with pytest.raises(errors.DegreeTooLarge, match='p = 29 > 23'):
+                verify_suites(F29, suite)
+    report, = verify_suites(F29, 'irreducibility')
+    assert report.agree and len(report.pairs) == 29
+    assert verify_suites(finite_field(23), 'traces')[0].agree
 
 
 # -- minimal polynomials ------------------------------------------------------------
