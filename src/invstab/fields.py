@@ -21,9 +21,10 @@ over those coordinates, built on first use (:meth:`FieldCtx.trace_v`,
 :meth:`FieldCtx.frobenius_v`).  The literal sum of Frobenius conjugates
 survives only in :func:`rel_trace`, the reference that the trace vector and
 the ``xcheck`` oracles are checked against.  It is one call of the
-context's conjugate sum, which powers in the slot form of the product
-kernel, or with a Zech table by one log-table lookup per conjugate, and
-reads neither the trace vector nor the Frobenius matrix.
+context's conjugate sum: each conjugate one pass of the product kernel's
+own map x -> x^k, whose rows are products of the kernel's powers X^k and
+y^k, or with a Zech table one log-table lookup.  It never reads the
+context's Frobenius matrix or trace vector.
 
 Each concept of the arithmetic kernel has one home.  This module owns the
 bit-slot packing: :func:`_spread` and :func:`_gather`, the slot-parallel
@@ -150,10 +151,12 @@ def _prime_factors(n: int) -> list:
 # packed values (from_coeffs, moduli and Poly coefficients).  Every factory
 # returns nine closures, its power and its conjugate sum last:
 # conj_sum(x, k, count) = x + x^k + ... + x^(k^(count - 1)), the literal
-# Frobenius sum behind rel_trace.  _prime_ops runs both on _power over its
-# own product, the extension kernel in slot form, and a Zech field by one
-# log-table lookup per power, exps[k log x mod (q - 1)].  None of them reads
-# a trace vector or a Frobenius matrix.
+# Frobenius sum behind rel_trace, for k a power of p (every caller passes
+# |sub|; the extension kernel raises ValueError for any other k, because
+# only then is x -> x^k F_p-linear).  _prime_ops powers by _power over its
+# own product, the extension kernel by one pass of its own x -> x^k rows,
+# and a Zech field by one lookup, exps[k log x mod (q - 1)].  None of them
+# reads the context's trace vector or Frobenius matrix.
 
 def _prime_ops(p):
     def add(x, y):
@@ -524,7 +527,8 @@ def _runs(run, period, count):
 
 def _folder(keep, sel, rows):
     """x -> (x & keep) + sum of (x >> shift & sel) * row over ``rows``, the
-    (shift, row) pairs of one fold step of :func:`_block_kernel`."""
+    (shift, row) pairs of one fold step or x -> x^k pass of
+    :func:`_block_kernel`."""
     def fold(x):
         acc = x & keep
         for shift, row in rows:
@@ -536,7 +540,8 @@ def _folder(keep, sel, rows):
 
 def _block_kernel(base, f, encode):
     """(mul, power, conj_sum) of base[X]/(f), power(x, k) for k >= 1 and
-    conj_sum(x, k, count) = x + x^k + ... + x^(k^(count - 1)).
+    conj_sum(x, k, count) = x + x^k + ... + x^(k^(count - 1)), k a power
+    of p.
 
     With K = base of degree e over F_p, m = deg f and a value's flat base-p
     digit i*e + j the coefficient of X^i y^j (y the root of K's modulus g;
@@ -568,17 +573,21 @@ def _block_kernel(base, f, encode):
     spread form of the product.  So ``mul`` spreads both operands, folds
     their product and gathers it (:func:`_gather` reduces each slot),
     while ``power`` spreads once, squares and multiplies in slot form and
-    gathers once.  ``conj_sum`` spreads x once, steps each term from the
-    last by the same slot-form loop, adds the reduced slot forms (every
-    slot below p) and gathers once: a slot of the sum is at most
-    count (p - 1) <= m e (p - 1)^2 = v0 < 2^width for count <= m e (p - 1),
-    which every relative degree, at most m e, meets, so the sum carries
-    from no slot into the next; a larger count raises ValueError.
+    gathers once.  ``conj_sum`` spreads x once and takes each term from
+    the last by the F_p-linear map a -> a^k (Lidl & Niederreiter, Thm
+    2.23): reduce(sum of digit s of a times row s), row i e + j =
+    (X^k)^i (y^k)^j in slot form, from X^k and y^k by ``power``'s loop and
+    m e - 1 products, built on the first call for k and kept.  A slot of
+    that sum is at most m e (p - 1)^2 = v0 < 2^width.  The reduced terms
+    are added and gathered once: a slot of the sum is at most
+    count (p - 1) <= v0 for count <= m e (p - 1), which every relative
+    degree, at most m e, meets; a larger count raises ValueError.
 
-    The y rows are the digits of y^J mod g (:func:`_y_powers`), and the X
-    rows come from f and K's own closures, never from a product in
-    base[X]/(f).  :func:`_ext_ops` builds the kernel once, when the
-    context of base[X]/(f) is constructed.
+    The folds' y rows are the digits of y^J mod g (:func:`_y_powers`), and
+    their X rows come from f and K's own closures, never from a product in
+    base[X]/(f).  The x -> x^k rows stay private to the kernel.
+    :func:`_ext_ops` builds the kernel once, when the context of
+    base[X]/(f) is constructed.
     """
     p, e, m = base.p, base.total_degree, len(f) - 1
     stride = 2 * e - 1
@@ -624,13 +633,31 @@ def _block_kernel(base, f, encode):
         return _gather(a, out_shifts, mask, p)
 
     terms = m * e * (p - 1)
+    frob_maps = {}
+
+    def frob(k):
+        r = k
+        while r > 1 and r % p == 0:
+            r //= p
+        if r != 1:
+            raise ValueError(f"x -> x^{k} is not F_{p}-linear")
+        # X is slot 0 of block 1 and y slot 1 of block 0
+        xk = _power(step, 1 << span, k) if m > 1 else 0
+        yk = _power(step, 1 << width, k) if e > 1 else 0
+        rows = [1]
+        for s in range(1, m * e):
+            rows.append(step(rows[s - 1], yk) if s % e
+                        else step(rows[s - e], xk))
+        frob_maps[k] = fold = _folder(0, mask, tuple(zip(in_shifts, rows)))
+        return fold
 
     def conj_sum(x, k, count):
         if count > terms:
             raise ValueError(f"{count} terms overflow {width}-bit slots")
+        fold = frob_maps.get(k) or frob(k)
         acc = a = _spread(x, p, in_shifts)
         for _ in range(1, count):
-            a = _power(step, a, k)
+            a = reduce(fold(a))
             acc += a
         return _gather(acc, out_shifts, mask, p)
 
@@ -807,12 +834,11 @@ def _ext_ops(base: "FieldCtx", d, modulus_digits):
 
     add, sub and neg run the base's closures digit by digit
     (:func:`_linear_ops`).  Products and powers are the closures of
-    :func:`_block_kernel`, built here, once per context: a power stays in
-    slot form from its first step to its last, and so does the conjugate
-    sum.  An inverse is the extended Euclid over ``base`` on
-    :mod:`.polys`, at every depth.  It tracks only the cofactor of x and
-    ends at a nonzero constant, because m is irreducible; a zero remainder
-    raises ArithmeticError."""
+    :func:`_block_kernel`, built here, once per context: a power and a
+    conjugate sum stay in slot form from first step to last.  An inverse
+    is the extended Euclid over ``base`` on :mod:`.polys`, at every depth.
+    It tracks only the cofactor of x and ends at a nonzero constant,
+    because m is irreducible; a zero remainder raises ArithmeticError."""
     from .polys import _coeffwise, _divmod_vals, _schoolbook_vals
     decode, encode = _codec(base.order, d)
     mul, power, conj_sum = _block_kernel(base, modulus_digits, encode)
@@ -1311,15 +1337,16 @@ def rel_trace(x: FieldElement, sub: FieldCtx) -> FieldElement:
     """Trace of x down to the subfield ``sub`` on the same base chain.
 
     Sums the [field : sub] conjugates x^(|sub|^i) by one call of the
-    context's conjugate sum: in the slot form of the product kernel, each
-    conjugate powered from the last and the sum gathered once; on a Zech
-    field one log-table lookup per conjugate, exps[|sub|^i log x], added by
-    Zech lookups; on a prime field by :func:`_power`.  This literal
-    Frobenius sum is the reference: the trace vector behind
+    context's conjugate sum: in the product kernel each conjugate is one
+    pass of the kernel's own map x -> x^|sub|, whose rows are products of
+    its powers X^|sub| and y^|sub|, and the sum is gathered once; on a
+    Zech field one log-table lookup per conjugate, exps[|sub|^i log x],
+    added by Zech lookups; on a prime field by :func:`_power`.  This
+    literal Frobenius sum is the reference: the trace vector behind
     :func:`abs_trace` (from Newton's identities) is checked against it, and
     the ``xcheck`` oracles (``rel_trace_oracle``, ``minpoly_trace_check``)
-    compare against it, so it reads neither the trace vector nor the
-    Frobenius matrix.  The result's coefficient vector is checked to lie
+    compare against it, so it never reads the context's Frobenius matrix
+    or trace vector.  The result's coefficient vector is checked to lie
     in ``sub`` (its packed value is below |sub|).
     """
     ctx = x.ctx

@@ -8,10 +8,11 @@ Nothing in this module shares a code path with the formula it is checking:
 * relative traces are recomputed as explicit Frobenius conjugate sums inside
   a freshly constructed K(gamma) and compared against the closed Moebius
   formula (:func:`rel_trace <.fields.rel_trace>` is one call of the
-  field's conjugate sum, whose powers are slot-form powers of the tower
-  product, or on a Zech field one log-table lookup each; it never reads
-  the precomputed trace vector or Frobenius matrix that the fast paths
-  use).  In :func:`rel_trace_oracle` the direct side computes on the
+  field's conjugate sum: each conjugate is one pass of the tower
+  kernel's own x -> x^k map, whose rows are products of the kernel's
+  powers X^k and y^k, or on a Zech field one log-table lookup; it never
+  reads the context's Frobenius matrix or trace vector, which the fast
+  paths use).  In :func:`rel_trace_oracle` the direct side computes on the
   packed values of K(gamma), with its product, sum and inverse, and the
   formula side on K's packed values alone, with K's closures and its
   Frobenius and trace maps.  Up to ``fields.ZECH_MAX_ORDER``, K(gamma)
@@ -21,7 +22,7 @@ Nothing in this module shares a code path with the formula it is checking:
   y^J mod K's modulus and X^I mod the tower's, a block at a time), and
   exhaustive tests check it against that product on every tower up to
   F_64(gamma).  Above the bound the direct side uses the tower product
-  itself, its slot-form conjugate sum and the tower's extended Euclid over
+  itself, its kernel's conjugate sum and the tower's extended Euclid over
   ``polys``.  Either way the two sides share only K's closures, from
   which the tower's X rows and Euclid are built; its y rows come from the
   digits of K's modulus.  On
@@ -69,8 +70,8 @@ SUITES = ('criterion', 'irreducibility', 'traces', 'minpoly', 'all')
 #: the criterion suite's default n_max keeps deg D_n = p^n at or below this
 SWEEP_DEGREE_LIMIT = 256
 #: the traces suite refuses p above this: each tuple's xi builds a tower of
-#: degree p over F_q.  The suite took 10 s at p = 23 over F_(23^3) and
-#: about 20 s at p = 101 over F_101 (CPython 3.11, shared 2-vCPU Linux)
+#: degree p over F_q.  The suite took 3.0-4.5 s at p = 23 over F_(23^3)
+#: and 2.4-3.9 s at p = 101 over F_101 (CPython 3.11, shared 2-vCPU Linux)
 MAX_TOWER_DEGREE = 23
 #: the traces suite's count of seeded Moebius tuples, and its seed; the
 #: minpoly suite's sample size above 512 elements, and its seed

@@ -1012,6 +1012,54 @@ def test_conjugate_sum_matches_reference_powering():
             (x + x ** 2 + x ** 4) % p for x in range(p)]
 
 
+def test_kernel_conjugate_sum_matches_zech_table():
+    """The factory kernel's conjugate sum, each term one pass of its own
+    x -> x^k rows, against the Zech table's (log steps and Zech additions,
+    from antilog products, not from those rows) on every element of every
+    tower of tabled_towers() and of every depth-1 field of order <= 729,
+    down to K (k = |K|, m terms) and to F_p (k = p, m e terms)."""
+    ctxs = tabled_towers() + depth1_fields(729)
+    assert len(ctxs) == 32
+    for L in ctxs:
+        assert L._zech_table is not None
+        conj_sum = factory_ops(L)[8]
+        sums = ((L.base.order, L.degree), (L.p, L.total_degree))
+        for x in range(L.order):
+            for k, count in sums:
+                assert conj_sum(x, k, count) == L._conj_sum(x, k, count), (
+                    L, x, k)
+
+
+def test_kernel_conjugate_rows_built_once(monkeypatch):
+    """A fresh kernel of F_25(gamma) builds its x -> x^25 rows on its first
+    conjugate sum from at most two _power chains (X^25 and y^25), and the
+    next 99 sums power nothing; k = 5 adds at most two chains.  Every sum
+    equals the reference powering.  A k that is not a power of p, for which
+    x -> x^k is not F_p-linear, raises ValueError."""
+    L = tower_over(finite_field(5, 2))
+    rng = random.Random(2525)
+    xs = [rng.randrange(L.order) for _ in range(100)]
+    want = {(k, count): [ref_conj_sum(L.pow_v, L.add_v, x, k, count)
+                         for x in xs] for k, count in ((25, 5), (5, 10))}
+    conj_sum = factory_ops(L)[8]
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return _power(*args)
+    monkeypatch.setattr(fields, '_power', counted)
+    for (k, count), sums in want.items():
+        before = len(calls)
+        assert conj_sum(xs[0], k, count) == sums[0]
+        built = len(calls)
+        assert built - before <= 2 and set(calls[before:]) <= {k}
+        assert [conj_sum(x, k, count) for x in xs[1:]] == sums[1:]
+        assert len(calls) == built
+    for k in (6, 0):
+        with pytest.raises(ValueError, match="not F_5-linear"):
+            conj_sum(xs[0], k, 5)
+
+
 def test_tower_power_exhaustive_on_small_towers():
     """Every power x^k, k = 1 .. q, of every element of F_4(gamma) (order
     16) and F_8(gamma) (order 64), by the factory's slot-form power and by
