@@ -48,16 +48,13 @@ from .iteration import (
 from .criterion import (
     STABLE,
     UNSTABLE,
-    CriterionState,
     StabilityVerdict,
     TraceRow,
     WanResult,
     agou_quartic_irreducible,
     decide_field,
     decide_inverse_stability,
-    init_states,
     mobius_trace_formula,
-    step_state,
     trace_rows,
     wan_irreducible_p,
 )
@@ -71,7 +68,6 @@ from .xcheck import (
     minimal_polynomial,
     minpoly_trace_check,
     rel_trace_oracle,
-    state_walk_c_nonzero,
     verify_suites,
 )
 
@@ -88,13 +84,12 @@ __all__ = [
     'DEFAULT_DEGREE_CAP', 'INFINITY', 'IterateFraction', 'denominator',
     'forward_orbit_infinity', 'initial_fraction', 'iterate_step',
     'preimage_count',
-    'STABLE', 'UNSTABLE', 'CriterionState', 'StabilityVerdict', 'TraceRow',
-    'WanResult', 'agou_quartic_irreducible', 'decide_field',
-    'decide_inverse_stability', 'init_states', 'mobius_trace_formula',
-    'step_state', 'trace_rows', 'wan_irreducible_p',
+    'STABLE', 'UNSTABLE', 'StabilityVerdict', 'TraceRow', 'WanResult',
+    'agou_quartic_irreducible', 'decide_field', 'decide_inverse_stability',
+    'mobius_trace_formula', 'trace_rows', 'wan_irreducible_p',
     'EquivalenceReport', 'MinpolyTraceCheck', 'RelTraceCheck',
     'criterion_vs_direct', 'direct_denominator_check',
     'irreducibility_trace_sweep', 'minimal_polynomial', 'minpoly_trace_check',
-    'rel_trace_oracle', 'state_walk_c_nonzero', 'verify_suites',
+    'rel_trace_oracle', 'verify_suites',
     '__version__',
 ]

@@ -35,7 +35,9 @@ Both return what a walk over the states would find: the outcome, the
 witness, the preperiod and the period.  The verdict holds these and xi,
 and derives the rest: ``state_steps`` and ``table_rows`` in properties,
 and the table by :func:`trace_rows` when
-:attr:`StabilityVerdict.trace_table` is first read.
+:attr:`StabilityVerdict.trace_table` is first read.  :func:`trace_rows`
+is the one walk over the states themselves, each a step of the
+recurrence on packed values (:func:`_step_v`).
 
 The module also carries the closed-form trace of a general Moebius transform
 of a root of g (:func:`mobius_trace_formula`) and two classical
@@ -55,7 +57,6 @@ from .errors import (
     AZero,
     BothZero,
     CtxMismatch,
-    CZero,
     IrreducibilityHypothesisViolated,
     NotCharTwo,
 )
@@ -71,19 +72,6 @@ from .fields import (
 
 STABLE = 'stable'
 UNSTABLE = 'unstable'
-
-@dataclass(frozen=True)
-class CriterionState:
-    """The Moebius coefficient triple (a_n, c_n, d_n) at index n."""
-
-    n: int
-    a: FieldElement
-    c: FieldElement
-    d: FieldElement
-
-    def key(self):
-        """Hashable identity of the triple, ignoring the index."""
-        return (self.a.val, self.c.val, self.d.val)
 
 
 class TraceRow(NamedTuple):
@@ -104,31 +92,6 @@ class TraceRow(NamedTuple):
         return (self.n, element_to_text(self.a), element_to_text(self.c),
                 element_to_text(self.d), element_to_text(self.ratio),
                 element_to_text(self.trace))
-
-
-def init_states(xi: FieldElement):
-    """The two seed states (n = 1 and n = 2) for the given xi."""
-    ctx = xi.ctx
-    one = ctx.one
-    s1 = CriterionState(1, xi, one, ctx.zero)
-    s2 = CriterionState(2, -one, xi, -one)
-    return s1, s2
-
-
-def step_state(state: CriterionState, xi: FieldElement) -> CriterionState:
-    """Advance the recurrence one index; defined for n >= 2 with c != 0."""
-    if state.n < 2:
-        raise ValueError("the recurrence starts at n = 2; use init_states")
-    c = state.c
-    if c.val == 0:
-        raise CZero(f"c_{state.n} = 0, cannot advance")
-    ctx = xi.ctx
-    if ctx is not c.ctx:
-        raise CtxMismatch("xi from a different field")
-    a, c, d = _step_v(ctx, xi.val, state.a.val, c.val, state.d.val,
-                      ctx.inv_v(c.val))
-    return CriterionState(state.n + 1, FieldElement(ctx, a),
-                          FieldElement(ctx, c), FieldElement(ctx, d))
 
 
 def _step_v(ctx: FieldCtx, xi_v: int, a: int, c: int, d: int,
@@ -152,7 +115,8 @@ def _row_v(ctx: FieldCtx, n: int, a: int, c: int, d: int,
 
 
 def trace_rows(xi: FieldElement, n_max: int) -> list:
-    """Rows of the criterion table for n = 1 .. n_max (plain walk).
+    """Rows of the criterion table for n = 1 .. n_max: the plain walk over
+    the states (a_n, c_n, d_n), one :func:`_step_v` per row past row 2.
 
     The walk stops before the first state with c_n = 0, where a_n / c_n is
     undefined.  Such a state exists only when Tr(xi) = 0 (then D_1 = g is
@@ -256,7 +220,10 @@ class StabilityVerdict:
 
         The record's field and xi are parsed and xi is decided; every key
         of the decided verdict's :meth:`to_dict` must then equal the
-        record's, which may carry other keys as well.  Raises ValueError
+        record's, which may carry other keys as well.  The scalar keys are
+        compared first, then the trace table's length with
+        :attr:`table_rows`, so a record that either refutes is refused
+        before a row is built.  Raises ValueError
         for a missing key (named in the message), a field degree ``e``
         that is not an int >= 1, an xi or modulus that is not text (the
         key is named), or any value that differs from the decision's (the
@@ -273,7 +240,13 @@ class StabilityVerdict:
         ctx = finite_field(p, e, modulus)
         verdict = decide_inverse_stability(
             element_from_text(ctx, _text('xi', xi)))
-        _check('verdict', data, verdict.to_dict())
+        want = verdict._record(None)
+        _values(data, 'verdict', want)     # a missing key comes first
+        del want['trace_table']
+        _check('verdict', data, want)
+        where, rows = "verdict 'trace_table'", data['trace_table']
+        _check_length(where, rows, verdict.table_rows)
+        _check(where, rows, verdict.to_dict()['trace_table'])
         return verdict
 
 
@@ -304,15 +277,20 @@ def _check(where: str, got, want) -> None:
         for (key, w), g in zip(want.items(), _values(got, where, want)):
             _check(f"{where} {key!r}", g, w)
     elif isinstance(want, list):
-        if not isinstance(got, list):
-            raise ValueError(f"{where} must be a list, got {got!r}")
+        _check_length(where, got, len(want))
         for n, (g, w) in enumerate(zip(got, want), 1):
             _check(f"{where} row {n}", g, w)
-        if len(got) != len(want):
-            raise ValueError(f"{where} has {len(got)} rows; the decision "
-                             f"gives {len(want)}")
     elif type(got) is not type(want) or got != want:
         raise ValueError(f"{where} is {got!r}, the decision gives {want!r}")
+
+
+def _check_length(where: str, got, n: int) -> None:
+    """ValueError, naming ``where``, unless ``got`` is a list of n rows."""
+    if not isinstance(got, list):
+        raise ValueError(f"{where} must be a list, got {got!r}")
+    if len(got) != n:
+        raise ValueError(f"{where} has {len(got)} rows; the decision "
+                         f"gives {n}")
 
 
 def decide_inverse_stability(xi: FieldElement) -> StabilityVerdict:

@@ -71,10 +71,6 @@ class TableTooLarge(InvstabError, ValueError):
     """A trace table to print has more rows than the output budget."""
 
 
-class CZero(InvstabError, ArithmeticError):
-    """A criterion state with c = 0 cannot be advanced or evaluated."""
-
-
 class IrreducibilityHypothesisViolated(InvstabError, ValueError):
     """The supplied xi has trace zero, so X^p - X + xi is reducible."""
 

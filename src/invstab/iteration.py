@@ -83,13 +83,17 @@ def _denominators(xi: FieldElement, n: int, cap: int):
     """D_1, ..., D_n in turn, from :func:`initial_fraction`.
 
     Raises ValueError for n < 1, and IterationTooLarge when deg D_n = p^n
-    would exceed ``cap``, before the first step.
+    would exceed ``cap``, before the first step.  The degree is multiplied
+    up only until it passes the cap, so a huge n fails at once.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if xi.ctx.p ** n > cap:
-        raise IterationTooLarge(
-            f"deg D_{n} = {xi.ctx.p}^{n} exceeds the cap {cap}")
+    p, degree = xi.ctx.p, 1
+    for _ in range(n):
+        degree *= p
+        if degree > cap:
+            raise IterationTooLarge(
+                f"deg D_{n} = {p}^{n} exceeds the cap {cap}")
     fr = initial_fraction(xi.ctx)
     for _ in range(n):
         fr = iterate_step(fr, xi)

@@ -4,7 +4,8 @@ Nothing in this module shares a code path with the formula it is checking:
 
 * denominators of the iterates are tested for irreducibility directly with
   the deterministic Rabin test and compared against the cumulative trace
-  criterion;
+  criterion, read off the rows of :func:`trace_rows
+  <.criterion.trace_rows>`, the one walk over the criterion states;
 * relative traces are recomputed as explicit Frobenius conjugate sums inside
   a freshly constructed K(gamma) and compared against the closed Moebius
   formula (:func:`rel_trace <.fields.rel_trace>` is one call of the
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from typing import NamedTuple, Optional
 
-from .criterion import init_states, mobius_trace_formula, step_state, trace_rows
+from .criterion import mobius_trace_formula, trace_rows
 from .errors import DegreeTooLarge, NotGenerating
 from .fields import (
     FieldCtx,
@@ -340,18 +341,3 @@ def _minpoly_suite(ctx) -> EquivalenceReport:
                       element_to_text(chk.from_frobenius_sum)))
     return EquivalenceReport.build(
         'minpoly_coeff_vs_frobenius_sum', ctx.describe(), None, None, pairs)
-
-
-def state_walk_c_nonzero(xi: FieldElement, n_max: int) -> bool:
-    """Walk the criterion states to n_max checking c_n != 0 throughout.
-
-    Under Tr(xi) != 0 this is a theorem (xi - t^p + t = 0 for some t in F_q
-    would force Tr(xi) = 0); exposed so test suites can assert it
-    exhaustively.
-    """
-    _, state = init_states(xi)
-    while state.n < n_max:
-        if state.c.val == 0:
-            return False
-        state = step_state(state, xi)
-    return state.c.val != 0

@@ -14,8 +14,6 @@ from invstab.criterion import (
     UNSTABLE,
     agou_quartic_irreducible,
     decide_inverse_stability,
-    init_states,
-    step_state,
     trace_rows,
     wan_irreducible_p,
 )
@@ -33,7 +31,6 @@ from invstab.xcheck import (
     irreducibility_trace_sweep,
     minpoly_trace_check,
     rel_trace_oracle,
-    state_walk_c_nonzero,
 )
 
 
@@ -114,12 +111,12 @@ def test_03_prime_xi_closed_forms():
                 verdict = decide_inverse_stability(xi)
                 want = STABLE if e % p else UNSTABLE
                 ok = ok and verdict.outcome == want
-                _, st = init_states(xi)
-                while st.n < 12:
-                    st = step_state(st, xi)
-                    h = 2 ** (st.n - 1)
-                    ok = ok and st.c == power(xi, h - 1)
-                    ok = ok and st.a / st.c == -power(xi, 3 - 2 * st.n)
+                rows = trace_rows(xi, 12)
+                ok = ok and len(rows) == 12
+                for row in rows[2:]:
+                    h = 2 ** (row.n - 1)
+                    ok = ok and row.c == power(xi, h - 1)
+                    ok = ok and row.ratio == -power(xi, 3 - 2 * row.n)
     assert gate.finish(ok)
 
 
@@ -197,7 +194,7 @@ def test_07_iterate_degree_gcd_orbit_invariants():
             gamma = ctx.element(rng.randrange(1, ctx.order))
             ok = ok and preimage_count(gamma, xi) == ctx.p
         ok = ok and INFINITY not in forward_orbit_infinity(xi, 100)
-        ok = ok and state_walk_c_nonzero(xi, 60)
+        ok = ok and len(trace_rows(xi, 60)) == 60
     assert gate.finish(ok)
 
 

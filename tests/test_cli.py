@@ -432,6 +432,21 @@ def test_generate_cap_exceeded(capsys):
     assert out == '' and err.startswith('error:')
 
 
+def test_huge_iterate_index_fails_fast(capsys):
+    """generate and verify's criterion suite refuse n = 10^9, whose D_n has
+    degree 3^(10^9), with exit 2 within 5 s: the cap is compared without
+    building 3^n."""
+    for argv in (['generate', '--p', '3', '--xi', '1', '--n', '1000000000'],
+                 ['verify', '--p', '3', '--suite', 'criterion', '--nmax',
+                  '1000000000']):
+        start = time.perf_counter()
+        rc, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 5, argv
+        assert rc == cli.EXIT_USAGE and out == '', argv
+        assert err == ('error: deg D_1000000000 = 3^1000000000 exceeds the'
+                       ' cap 10000\n')
+
+
 def test_generate_json(capsys):
     rc, out, _ = run(capsys, ['generate'] + F9_ARGS
                      + ['--xi', '0,1', '--n', '2', '--format', 'json'])

@@ -11,15 +11,12 @@ from invstab import criterion, errors, fields
 from invstab.criterion import (
     STABLE,
     UNSTABLE,
-    CriterionState,
     StabilityVerdict,
     WanResult,
     agou_quartic_irreducible,
     decide_field,
     decide_inverse_stability,
-    init_states,
     mobius_trace_formula,
-    step_state,
     trace_rows,
     wan_irreducible_p,
 )
@@ -45,14 +42,16 @@ V = F25.modulus_root
 
 
 def brute_cycle(xi):
-    """Floyd-free reference: index every state until the first repeat."""
-    _, state = init_states(xi)
-    seen = {}
-    while state.key() not in seen:
-        seen[state.key()] = state.n
-        state = step_state(state, xi)
-    first = seen[state.key()]
-    return first - 2, state.n - first
+    """Floyd-free reference: index every packed state from s_2 on until
+    the first repeat."""
+    ctx, xi_v = xi.ctx, xi.val
+    state, n, seen = (ctx.neg_v(1), xi_v, ctx.neg_v(1)), 2, {}
+    while state not in seen:
+        seen[state] = n
+        state = criterion._step_v(ctx, xi_v, *state, ctx.inv_v(state[1]))
+        n += 1
+    first = seen[state]
+    return first - 2, n - first
 
 
 def packed_walk(ctx, xi_v):
@@ -131,66 +130,55 @@ def pair_walk(ctx, xi_v):
 # -- seeds and single steps -----------------------------------------------------
 
 
+def _triple(row):
+    """The state (a_n, c_n, d_n) of a trace row."""
+    return row.a, row.c, row.d
+
+
 def test_init_states():
-    s1, s2 = init_states(W)
-    assert (s1.n, s1.a, s1.c, s1.d) == (1, W, F9.one, F9.zero)
-    assert (s2.n, s2.a, s2.c, s2.d) == (2, -F9.one, W, -F9.one)
-    t1, t2 = init_states(V)
-    assert t2.key() == (4, V.val, 4)
+    s1, s2 = trace_rows(W, 2)
+    assert (s1.n,) + _triple(s1) == (1, W, F9.one, F9.zero)
+    assert (s2.n,) + _triple(s2) == (2, -F9.one, W, -F9.one)
+    t1, t2 = trace_rows(V, 2)
+    assert tuple(z.val for z in _triple(t2)) == (4, V.val, 4)
 
 
 def test_step_sequence_small_field():
     """The full state walk for xi = w over GF(9)."""
-    _, st = init_states(W)
-    st = step_state(st, W)
-    assert (st.a, st.c, st.d) == (F9.from_int(2), 2 * W, 2 * W + 2)
-    st = step_state(st, W)
-    assert st.a == st.c == st.d == 2 * W + 2
-    st = step_state(st, W)
-    assert (st.a, st.c, st.d) == (F9.one, 2 * W, F9.one)
-    s6 = step_state(st, W)
-    assert s6.n == 6
-    assert s6.key() == (2, (2 * W).val, (2 * W + 2).val)       # s_6 = s_3
+    rows = trace_rows(W, 6)
+    assert _triple(rows[2]) == (F9.from_int(2), 2 * W, 2 * W + 2)
+    assert rows[3].a == rows[3].c == rows[3].d == 2 * W + 2
+    assert _triple(rows[4]) == (F9.one, 2 * W, F9.one)
+    assert rows[5].n == 6
+    assert _triple(rows[5]) == _triple(rows[2])                 # s_6 = s_3
 
 
-def test_step_validation():
-    s1, s2 = init_states(W)
-    with pytest.raises(ValueError):
-        step_state(s1, W)
-    with pytest.raises(errors.CtxMismatch):
-        step_state(s2, F25.one)
-    stuck = CriterionState(2, F9.one, F9.zero, F9.one)
-    with pytest.raises(errors.CZero):
-        step_state(stuck, W)
-
-
-def test_step_state_matches_recurrence():
-    """step_state on every state of every walk over F_7, F_8, F_9 and F_25,
-    against the recurrence written out with element operators."""
+def test_step_v_matches_recurrence():
+    """criterion._step_v on every state of every walk over F_7, F_8, F_9
+    and F_25, against the recurrence written out with element operators."""
     for ctx in (finite_field(7), finite_field(2, 3), F9, F25):
         p = ctx.p
         for xi in ctx.elements():
-            _, st = init_states(xi)
+            a, c, d = -ctx.one, xi, -ctx.one
             seen = set()
-            while st.c.val != 0 and st.key() not in seen:
-                seen.add(st.key())
-                t = st.d / st.c
-                want = (-(st.a * st.d), st.c * st.c * (xi - t ** p + t),
-                        -(st.c * st.c))
-                nxt = step_state(st, xi)
-                assert (nxt.n, nxt.a, nxt.c, nxt.d) == (st.n + 1,) + want
-                st = nxt
+            while c.val != 0 and (a.val, c.val, d.val) not in seen:
+                seen.add((a.val, c.val, d.val))
+                t = d / c
+                want = (-(a * d), c * c * (xi - t ** p + t), -(c * c))
+                got = criterion._step_v(ctx, xi.val, a.val, c.val, d.val,
+                                        (c ** -1).val)
+                assert got == tuple(z.val for z in want)
+                a, c, d = want
 
 
 def test_consecutive_state_identities():
     """d_{n+1} = -c_n^2 and a_{n+1} = -a_n d_n along any walk."""
     for ctx, xi in ((F9, W), (F25, V), (F3, F3.one)):
-        _, st = init_states(xi)
-        for _ in range(10):
-            nxt = step_state(st, xi)
+        rows = trace_rows(xi, 12)
+        assert len(rows) == 12
+        for st, nxt in zip(rows[1:], rows[2:]):
             assert nxt.d == -(st.c * st.c)
             assert nxt.a == -(st.a * st.d)
-            st = nxt
 
 
 def test_trace_indicator_values():
@@ -218,9 +206,12 @@ def test_trace_rows_stop_before_c_zero():
     G9 = finite_field(3, 2)                       # default modulus
     xi = G9.modulus_root
     assert abs_trace(xi).val == 0
-    assert [r.n for r in trace_rows(xi, 6)] == [1, 2]
-    _, s2 = init_states(xi)
-    assert step_state(s2, xi).c.val == 0          # c_3 = 0
+    rows = trace_rows(xi, 6)
+    assert [r.n for r in rows] == [1, 2]
+    s2 = rows[1]
+    c3 = criterion._step_v(G9, xi.val, s2.a.val, s2.c.val, s2.d.val,
+                           (s2.c ** -1).val)[1]
+    assert c3 == 0                                # c_3 = 0
     for ctx in (F9, finite_field(2, 4), F25):
         for xi in ctx.elements():
             rows = trace_rows(xi, 6)
@@ -246,9 +237,9 @@ def test_prime_subfield_closed_forms():
         F = finite_field(p)
         for k in range(1, p):
             xi = F.from_int(k)
-            _, st = init_states(xi)
-            while st.n < 12:
-                st = step_state(st, xi)
+            rows = trace_rows(xi, 12)
+            assert len(rows) == 12
+            for st in rows[2:]:
                 h = 2 ** (st.n - 1)
                 assert st.c == power(xi, h - 1)
                 assert st.d == -power(xi, h - 2)
@@ -498,6 +489,24 @@ def test_verdict_from_dict_rejects_a_tampered_record(xi, tamper, match):
     tamper(data)
     with pytest.raises(ValueError, match=match):
         StabilityVerdict.from_dict(data)
+
+
+def test_verdict_from_dict_refuses_before_building_a_row(monkeypatch):
+    """xi = 5 over F_7919 has a trace table of 7,553,773 rows.  A record
+    of it with a wrong period, and one with a 1-row table, are refused by
+    the scalar keys and the table's length before any row is built."""
+    verdict = decide_inverse_stability(finite_field(7919).from_int(5))
+
+    def no_rows(*args):
+        raise AssertionError("from_dict built a row")
+    monkeypatch.setattr(criterion, '_row_v', no_rows)
+    row = dict(zip(criterion.TraceRow._fields, (1, '5', '1', '0', '5', '5')))
+    for change, match in (({'period': verdict.period + 1}, "'period'"),
+                          ({}, "'trace_table' has 1 rows; the decision "
+                               "gives 7553773")):
+        data = dict(verdict._record([row]), **change)
+        with pytest.raises(ValueError, match=match):
+            StabilityVerdict.from_dict(data)
 
 
 def _fields_up_to(order):

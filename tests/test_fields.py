@@ -216,6 +216,29 @@ def test_frobenius_matches_pth_power():
             assert abs_trace(x) == rel_trace(x, prime)
 
 
+def test_frobenius_and_trace_above_zech_bound():
+    """Above ZECH_MAX_ORDER the Frobenius is a matrix on the base-p digits
+    and the trace a vector; 300 seeded elements of each field agree with
+    square-and-multiply over the context's product and with the
+    Frobenius-sum rel_trace: GF(101^2), GF(127^2), GF(101^3), GF(13^4),
+    GF(3^9), GF(2^13) and the tower F_25(gamma), gamma a root of
+    X^5 - X + v, v the root of F_25's modulus."""
+    v = F25.modulus_root
+    assert abs_trace(v).val != 0
+    fields = [finite_field(101, 2), finite_field(127, 2),
+              finite_field(101, 3), finite_field(13, 4), finite_field(3, 9),
+              finite_field(2, 13), extension_field(F25, artin_schreier(v))]
+    rng = random.Random(20261022)
+    for ctx in fields:
+        assert ctx.order > ZECH_MAX_ORDER
+        prime = ctx.prime_ctx
+        for _ in range(300):
+            x = rng.randrange(ctx.order)
+            assert ctx.frobenius_v(x) == _power(ctx.mul_v, x, ctx.p), (ctx, x)
+            assert ctx.trace_v(x) == rel_trace(ctx.element(x), prime).val, (
+                ctx, x)
+
+
 def factory_ops(ctx):
     """Fresh closures of the extension factory for an extension context at
     any depth: the packed product that builds its table and the extended

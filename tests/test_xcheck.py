@@ -5,7 +5,11 @@ import random
 import pytest
 
 from invstab import errors, xcheck
-from invstab.criterion import decide_inverse_stability, mobius_trace_formula
+from invstab.criterion import (
+    decide_inverse_stability,
+    mobius_trace_formula,
+    trace_rows,
+)
 from invstab.fields import (
     abs_trace,
     extension_field,
@@ -24,7 +28,6 @@ from invstab.xcheck import (
     minimal_polynomial,
     minpoly_trace_check,
     rel_trace_oracle,
-    state_walk_c_nonzero,
     verify_suites,
 )
 
@@ -253,15 +256,18 @@ def test_minpoly_not_generating():
 
 
 def test_state_walk_c_nonzero_exhaustive():
+    """Tr(xi) != 0 keeps c_n != 0, so the table has every row up to n_max."""
     for ctx in (F9, F25):
         for xi in ctx.elements():
             if abs_trace(xi).val != 0:
-                assert state_walk_c_nonzero(xi, 60)
+                rows = trace_rows(xi, 60)
+                assert len(rows) == 60
+                assert all(r.c.val for r in rows)
 
 
 def test_state_walk_detects_vanishing_c():
     # Tr(w + 1) = 0 over F_9 and the walk does run into c = 0
-    assert not state_walk_c_nonzero(W + 1, 7)
+    assert len(trace_rows(W + 1, 7)) < 7
 
 
 # -- loose ends: the decision agrees with direct Rabin wherever both apply ---------------
