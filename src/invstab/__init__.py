@@ -39,6 +39,7 @@ from .iteration import (
     DEFAULT_DEGREE_CAP,
     INFINITY,
     IterateFraction,
+    MAX_DEGREE_CAP,
     denominator,
     forward_orbit_infinity,
     initial_fraction,
@@ -81,8 +82,8 @@ __all__ = [
     'relative_degree',
     'Poly', 'artin_schreier', 'find_irreducible', 'frobenius_power', 'gcd',
     'is_irreducible', 'poly_to_text', 'powmod', 'reciprocal',
-    'DEFAULT_DEGREE_CAP', 'INFINITY', 'IterateFraction', 'denominator',
-    'forward_orbit_infinity', 'initial_fraction', 'iterate_step',
+    'DEFAULT_DEGREE_CAP', 'INFINITY', 'IterateFraction', 'MAX_DEGREE_CAP',
+    'denominator', 'forward_orbit_infinity', 'initial_fraction', 'iterate_step',
     'preimage_count',
     'STABLE', 'UNSTABLE', 'StabilityVerdict', 'TraceRow', 'WanResult',
     'agou_quartic_irreducible', 'decide_field', 'decide_inverse_stability',

@@ -43,7 +43,7 @@ from .fields import (
     element_to_text,
     finite_field,
 )
-from .iteration import DEFAULT_DEGREE_CAP, denominator
+from .iteration import DEFAULT_DEGREE_CAP, MAX_DEGREE_CAP, denominator
 from .polys import is_irreducible, poly_to_text
 from .xcheck import SUITES, verify_suites
 
@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add('search', 'decide stability for every xi')
 
     cap = {'type': int, 'default': DEFAULT_DEGREE_CAP,
-           'help': 'bound on deg D_n = p^n'}
+           'help': f'bound on deg D_n = p^n, at most {MAX_DEGREE_CAP}'}
 
     sp = add('generate', 'emit the denominator iterate D_n')
     sp.add_argument('--cap', **cap)

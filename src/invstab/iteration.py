@@ -14,9 +14,10 @@ indicates a bug rather than bad input.  The check reads gcd(D, D') instead
 of gcd(N', D') = gcd(D^p, D'): every irreducible factor of D^p divides D,
 so the two are 1 together, and D is p times shorter.
 
-deg D_n = p^n grows fast, so :func:`denominator` enforces a degree cap.
-The module also walks forward orbits of individual points on P^1(F_q),
-with :data:`INFINITY` standing for the point at infinity.
+deg D_n = p^n grows fast, so :func:`denominator` enforces a degree cap of
+at most :data:`MAX_DEGREE_CAP`.  The module also walks forward orbits of
+individual points on P^1(F_q), with :data:`INFINITY` standing for the
+point at infinity.
 """
 
 from __future__ import annotations
@@ -29,6 +30,11 @@ from .polys import Poly, artin_schreier, frobenius_power, gcd
 
 #: Default bound on deg D_n for :func:`denominator`.
 DEFAULT_DEGREE_CAP = 10_000
+
+#: The largest cap accepted: D_15 over F_2 (degree 32,768) takes about
+#: 1.5 s in a fresh process and D_16 4.5-5.5 s, each doubling of the
+#: degree about 3.7 times longer, mostly the gcd of each step.
+MAX_DEGREE_CAP = 2 ** 15
 
 
 class _Infinity:
@@ -82,12 +88,14 @@ def iterate_step(fr: IterateFraction, xi: FieldElement) -> IterateFraction:
 def _denominators(xi: FieldElement, n: int, cap: int):
     """D_1, ..., D_n in turn, from :func:`initial_fraction`.
 
-    Raises ValueError for n < 1, and IterationTooLarge when deg D_n = p^n
-    would exceed ``cap``, before the first step.  The degree is multiplied
-    up only until it passes the cap, so a huge n fails at once.
+    Raises ValueError for n < 1, and IterationTooLarge when ``cap``
+    exceeds MAX_DEGREE_CAP or deg D_n = p^n would exceed it, before the
+    first step.  The degree is multiplied up only until it passes the cap,
+    so a huge n fails at once.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_cap(cap)
     p, degree = xi.ctx.p, 1
     for _ in range(n):
         degree *= p
@@ -100,11 +108,19 @@ def _denominators(xi: FieldElement, n: int, cap: int):
         yield fr.den
 
 
+def _check_cap(cap: int) -> None:
+    """Raise IterationTooLarge when ``cap`` exceeds MAX_DEGREE_CAP."""
+    if cap > MAX_DEGREE_CAP:
+        raise IterationTooLarge(
+            f"the degree cap {cap} exceeds MAX_DEGREE_CAP = {MAX_DEGREE_CAP}")
+
+
 def denominator(xi: FieldElement, n: int,
                 cap: int = DEFAULT_DEGREE_CAP) -> Poly:
     """The denominator D_n of the n-th iterate of 1/g; deg D_n = p^n.
 
-    Raises IterationTooLarge when p^n would exceed ``cap``.
+    Raises IterationTooLarge when p^n would exceed ``cap``, or ``cap``
+    would exceed MAX_DEGREE_CAP.
     """
     for den in _denominators(xi, n, cap):
         pass

@@ -18,9 +18,11 @@ have no packed layout, multiply by the schoolbook loop over the field's
 closures (``_schoolbook_vals``).
 
 This module owns division: the long division over every field (over F_p
-on plain integer lists, ``_list_divmod_mod_p``), the gcd, and the division
-and cofactor products of the one extended Euclid, with which
-``fields._ext_ops`` inverts in every extension field.
+on plain integer lists, ``_list_divmod_mod_p``), the gcd (over F_p
+Euclid's whole remainder sequence on slot-packed integers, reduced mod p
+once per division, ``_packed_gcd``), and the division and cofactor
+products of the one extended Euclid, with which ``fields._ext_ops``
+inverts in every extension field.
 
 Products modulo a fixed monic f of degree m use Barrett reduction on
 packed integers: mu = X^(2m - 2) // f comes once from a Newton inversion,
@@ -38,15 +40,17 @@ prime r dividing m (Rabin's test).  One Frobenius chain reaches each
 X^(q^n) mod f in turn (von zur Gathen and Shoup, 1992).  It steps
 n -> n + 1 by powering, h -> h^q by square-and-multiply through the
 Barrett product, c_q = log2 q + popcount(q) - 1 products.  It jumps to
-n + b by modular composition, X^(q^(n + b)) = X^(q^b)(X^(q^n)) mod f,
-with Brent and Kung's baby steps and giant steps (1978) on the Barrett
-product's packed layout: about 2k + 1 products for k = ceil(sqrt m), and
-it jumps only when b c_q > 2k + 1.  A composition's block sums take no
-product, and before their one fold a slot holds at most
-k e (p - 1)^2 <= m e (p - 1)^2, within the slot bound of that layout.
-The composer is built on the first jump, so a chain that never jumps, as
-at the degrees below about 10 over small fields, pays no setup.  Towers,
-which have no packed layout, only power.
+n + b by modular composition at the cached X^(q^b),
+X^(q^(n + b)) = X^(q^n)(X^(q^b)) mod f, with Brent and Kung's baby steps
+and giant steps (1978) on the Barrett product's packed layout: about
+2k + 1 products for k = ceil(sqrt m), only the Horner half of them on a
+repeated jump, and it jumps only when b c_q > 2k + 1.  A composition's
+block sums take no product, and before their one fold a slot holds at
+most k e (p - 1)^2 <= m e (p - 1)^2, within the slot bound of that
+layout.  The composer is built on the first jump, so a chain that never
+jumps, as at the degrees below about 10 over small fields, pays no
+setup.  Towers, which have no packed layout, only power.  Over F_p the
+gcd step takes X^(q^(m/r)) - X and f on that layout as they are.
 """
 
 from __future__ import annotations
@@ -119,7 +123,12 @@ def _schoolbook_vals(ctx, a, b):
 
 def _list_divmod_mod_p(a, b, p):
     """Divmod of little-endian coefficient lists over F_p, b nonzero and no
-    longer than a; the remainder keeps len(b) - 1 entries."""
+    longer than a; the remainder keeps len(b) - 1 entries.
+
+    This is the single division over F_p.  The gcd runs the whole
+    remainder sequence packed (:func:`_packed_gcd`), but the extended
+    Euclid of :func:`.fields._ext_ops` takes its quotients one division at
+    a time, as tuples, and would pack and unpack at every step."""
     db = len(b) - 1
     inv_lead = pow(b[db], p - 2, p)
     rem = list(a)
@@ -136,6 +145,12 @@ def _list_divmod_mod_p(a, b, p):
 
 
 def _divmod_vals(ctx, a, b):
+    """Quotient and remainder of value tuples: over F_p by
+    :func:`_list_divmod_mod_p`, otherwise by the loop over the field's
+    closures.  That loop is also the gcd's over F_(p^e) and towers: a
+    y-major packed Euclid with a fold per quotient coefficient measured
+    1.3-4 times slower than it at degrees 1 to 32 over F_9, F_16, F_25 and
+    F_49."""
     if not b:
         raise DivisionByZero("polynomial division by zero")
     if len(a) < len(b):
@@ -174,9 +189,53 @@ def _monic_vals(ctx, a):
 
 
 def _gcd_vals(ctx, a, b):
+    """The monic gcd: over F_p by :func:`_packed_gcd` on the layout of
+    ``_Kron.modular`` for the longer operand, over F_(p^e) and towers by
+    the closure loop of :func:`_divmod_vals`."""
+    if ctx.kind == 'prime':
+        lay = _Kron.modular(ctx, max(len(a), len(b), 1))
+        g = _packed_gcd(lay, lay.pack(a), lay.pack(b))
+        size = -(-g.bit_length() // lay.width)
+        return _monic_vals(ctx, lay.unpack(g, size))
     while b:
         a, b = b, _rem_vals(ctx, a, b)
     return _monic_vals(ctx, a)
+
+
+def _packed_gcd(lay, a, b):
+    """A gcd of a and b over F_p, packed by ``lay`` and not made monic; 1
+    when it is a constant.  a and b are reduced, of at most n coefficients
+    for the n ``lay`` was fitted to.
+
+    Euclid's remainder sequence on the packed integers (von zur Gathen and
+    Gerhard, ch. 3), packed once and unpacked by the caller once.  A
+    division by b reads the quotient coefficients of the running remainder
+    a top down, one slot mod p each, and adds c * (-b / lead(b)), packed
+    once per division without its leading slot, shifted into place; then
+    it keeps the slots below deg b and reduces them, once per division,
+    not once per step.  Its starting value counted in, a slot receives at
+    most deg b + 1 additions of at most (p - 1)^2, so it holds at most
+    (deg b + 1)(p - 1)^2 <= n (p - 1)^2, below the layout's bound of
+    2n (p - 1)^2: nothing carries, and the slot reads are exact.
+    """
+    width, reduce, p = lay.width, lay.reduce, lay.p
+    mask = (1 << width) - 1
+    while b:
+        db = (b.bit_length() - 1) // width
+        if not db:
+            return 1
+        low = lay.low(db)
+        stop = db * width
+        neg_b, scale = b & low, p - pow(b >> stop, -1, p)
+        if scale != 1:      # lead(b) = -1, as always over F_2, needs none
+            neg_b = reduce(neg_b * scale)
+        for at in range((a.bit_length() - 1) // width * width, stop - 1,
+                        -width):
+            c = (a >> at & mask) % p
+            if c:
+                a += c * neg_b << at - stop
+        a, b = b, reduce(a & low)
+    return a
 
 
 def _mulmod(ctx, f):
@@ -258,26 +317,31 @@ def _composer(lay, mulmod, m):
     k = ceil(sqrt m), the baby steps h^0 .. h^(k - 1) and the giant step
     G = h^k take k - 1 products, g splits into blocks of k coefficients,
     g = sum_i g_i(h) G^i, and Horner in G takes one product per block after
-    the first.  A block sum g_i(h) is a sum of scalar times baby step with
-    no product: over F_p the scalar is a small int, and over F_{p^e},
-    whose layout is y-major, digit j of a coefficient multiplies the baby
-    step shifted up j blocks (times y^j); block j of packed g holds digit j
-    of every coefficient.  Each block sum then takes one ``fold`` and one
-    ``reduce``, together with the Horner product.  Before the fold a slot
-    holds at most k e (p - 1)^2 <= m e (p - 1)^2, the bound of a product
-    of two vectors of m coefficients, and the Horner product adds below p:
+    the first.  The steps of each h are kept, so a composition at an h
+    seen before takes only the Horner products.  A block sum g_i(h) is a
+    sum of scalar times baby step with no product: over F_p the scalar is
+    a small int, and over F_{p^e}, whose layout is y-major, digit j of a
+    coefficient multiplies the baby step shifted up j blocks (times y^j);
+    block j of packed g holds digit j of every coefficient.  Each block
+    sum then takes one ``fold`` and one ``reduce``, together with the
+    Horner product.  Before the fold a slot holds at most
+    k e (p - 1)^2 <= m e (p - 1)^2, the bound of a product of two vectors
+    of m coefficients, and the Horner product adds below p:
     :meth:`.fields._Kron.fit` sized the slots for twice that product, so
     nothing carries.
     """
     k = math.isqrt(m - 1) + 1
     fold, reduce, width = lay.fold, lay.reduce, lay.width
     shifts = range(0, lay.e * lay.bits, lay.bits)
+    points = {}
 
     def compose(g, h):
-        babies = [1, h]
-        while len(babies) < k:
-            babies.append(mulmod(babies[-1], h))
-        giant = mulmod(babies[-1], h) if k < m else None
+        if h not in points:
+            babies = [1, h]
+            while len(babies) < k:
+                babies.append(mulmod(babies[-1], h))
+            points[h] = babies, mulmod(babies[-1], h) if k < m else None
+        babies, giant = points[h]
         rows = [_unpack_slots(g >> at, width, m) for at in shifts]
         acc = 0
         for i in reversed(range(0, m, k)):
@@ -295,14 +359,15 @@ def _frobenius_chain(q, m, products):
     :func:`_mulmod` returns for it.
 
     n -> n + 1 is h -> h^q by powering, c_q = log2 q + popcount(q) - 1
-    products.  n -> n + b composes the cached X^(q^b) with h,
-    X^(q^(n + b)) = X^(q^b)(h) mod f, about 2k + 1 products with
-    k = ceil(sqrt m) (:func:`_composer`).  The chain jumps by the largest
-    cached b that does not pass t, and caches X^(q^n) only for
-    n c_q > 2k + 1, so it composes only where powering would cost more
-    products.  The composer is built on the first composition, so a chain
-    that only powers pays no setup.  Towers have no layout and always
-    power.
+    products.  n -> n + b composes h at the cached X^(q^b),
+    X^(q^(n + b)) = h(X^(q^b)) mod f, about 2k + 1 products with
+    k = ceil(sqrt m) (:func:`_composer`), and only the k - 1 or so Horner
+    products on a later jump by the same b, whose baby steps and giant step
+    the composer keeps.  The chain jumps by the largest cached b that does
+    not pass t, and caches X^(q^n) only for n c_q > 2k + 1, so it composes
+    only where powering would cost more products.  The composer is built
+    on the first composition, so a chain that only powers pays no setup.
+    Towers have no layout and always power.
     """
     mulmod, pack, _, lay = products
     cheap = m
@@ -319,7 +384,7 @@ def _frobenius_chain(q, m, products):
             if b:
                 if compose is None:
                     compose = _composer(lay, mulmod, m)
-                h = compose(cache[b], h)
+                h = compose(h, cache[b])
                 n += b
             else:
                 # every cached b passes t, as will every later one: power
@@ -566,11 +631,22 @@ def is_irreducible(f: Poly) -> bool:
     ctx = f.ctx
     fv = _monic_vals(ctx, f.vals)
     products = _mulmod(ctx, fv)
+    _, pack, unpack, lay = products
     frob = _frobenius_chain(ctx.order, m, products)
     x = frob(0)
+    if ctx.kind == 'prime':
+        # X^(q^(m/r)) - X and f straight from the Barrett layout, which
+        # holds f's m + 1 <= 2m - 1 coefficients
+        packed_f, minus_x = pack(fv), (ctx.p - 1) * x
+
+        def coprime(h):
+            return _packed_gcd(lay, packed_f, lay.reduce(h + minus_x)) == 1
+    else:
+        def coprime(h):
+            g = _coeffwise(ctx.sub_v, unpack(h), (0, 1))
+            return _gcd_vals(ctx, g, fv) == (1,)
     for r in reversed(_prime_factors(m)):
-        g = _coeffwise(ctx.sub_v, products[2](frob(m // r)), (0, 1))
-        if _gcd_vals(ctx, g, fv) != (1,):
+        if not coprime(frob(m // r)):
             return False
     return frob(m) == x
 
@@ -629,10 +705,12 @@ def poly_to_text(f: Poly) -> str:
     """Semicolon-separated element texts, constant term first.
 
     Every coefficient from degree 0 up to deg(f) appears, so the encoding is
-    unambiguous; the zero polynomial renders as the zero element.
+    unambiguous; the zero polynomial renders as the zero element.  Each
+    distinct coefficient value is rendered once.
     """
     ctx = f.ctx
     if f.is_zero:
         return element_to_text(ctx.zero)
-    return ';'.join(element_to_text(c) for c in f.coeffs)
+    text = {v: element_to_text(FieldElement(ctx, v)) for v in set(f.vals)}
+    return ';'.join([text[v] for v in f.vals])
 

@@ -63,7 +63,7 @@ from .fields import (
     rel_trace,
     relative_degree,
 )
-from .iteration import DEFAULT_DEGREE_CAP, _denominators
+from .iteration import DEFAULT_DEGREE_CAP, _check_cap, _denominators
 from .polys import Poly, artin_schreier, is_irreducible
 
 #: :func:`verify_suites`'s suites, in its order, and the name of all four
@@ -272,9 +272,11 @@ def verify_suites(ctx: FieldCtx, suite: str = 'all',
     trace oracle on seeded tuples, and :func:`minpoly_trace_check` on each
     generating element, or on a seeded sample above 512 elements.  The
     traces suite, alone or in all four, raises DegreeTooLarge before the
-    first report when p > MAX_TOWER_DEGREE."""
+    first report when p > MAX_TOWER_DEGREE, and every suite raises
+    IterationTooLarge when ``cap`` exceeds MAX_DEGREE_CAP."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
+    _check_cap(cap)
     if suite in ('traces', 'all') and ctx.p > MAX_TOWER_DEGREE:
         raise DegreeTooLarge(
             f"the traces suite builds towers of degree p = {ctx.p}"

@@ -447,6 +447,21 @@ def test_huge_iterate_index_fails_fast(capsys):
                        ' cap 10000\n')
 
 
+def test_cap_above_max_degree_cap_fails_fast(capsys):
+    """A --cap above MAX_DEGREE_CAP is a usage error before the first step:
+    D_16 over F_2 (degree 65,536) under --cap 70000 did not end when the
+    cap had no ceiling."""
+    for argv in (['generate', '--p', '2', '--xi', '1', '--n', '16', '--cap',
+                  '70000'],
+                 ['verify', '--p', '2', '--cap', '70000']):
+        start = time.perf_counter()
+        rc, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 5, argv
+        assert rc == cli.EXIT_USAGE and out == '', argv
+        assert err == ('error: the degree cap 70000 exceeds MAX_DEGREE_CAP'
+                       ' = 32768\n')
+
+
 def test_generate_json(capsys):
     rc, out, _ = run(capsys, ['generate'] + F9_ARGS
                      + ['--xi', '0,1', '--n', '2', '--format', 'json'])

@@ -10,6 +10,7 @@ from invstab.iteration import (
     DEFAULT_DEGREE_CAP,
     INFINITY,
     IterateFraction,
+    MAX_DEGREE_CAP,
     denominator,
     forward_orbit_infinity,
     initial_fraction,
@@ -97,6 +98,24 @@ def test_denominator_validation_and_cap():
         denominator(F5.one, 8)                    # 5^8 = 390625 > 10000
     assert DEFAULT_DEGREE_CAP == 10_000
     assert denominator(F5.one, 5, cap=5 ** 5).degree == 5 ** 5
+
+
+def test_cap_above_max_degree_cap_is_refused(monkeypatch):
+    """A cap above MAX_DEGREE_CAP raises before the first step, even for an
+    iterate far below it; the largest accepted cap still steps."""
+    from invstab import iteration, xcheck
+    F2 = finite_field(2)
+    assert MAX_DEGREE_CAP == 2 ** 15
+    with monkeypatch.context() as patched:
+        def refused(*args):
+            raise AssertionError("stepped with a cap over MAX_DEGREE_CAP")
+        patched.setattr(iteration, 'iterate_step', refused)
+        with pytest.raises(errors.IterationTooLarge, match='MAX_DEGREE_CAP'):
+            denominator(F2.one, 1, cap=MAX_DEGREE_CAP + 1)
+        for suite in ('criterion', 'traces'):
+            with pytest.raises(errors.IterationTooLarge):
+                xcheck.verify_suites(F2, suite, 1, cap=MAX_DEGREE_CAP + 1)
+    assert denominator(F2.one, 3, cap=MAX_DEGREE_CAP).degree == 8
 
 
 def test_evaluation_consistency():

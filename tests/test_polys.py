@@ -15,6 +15,7 @@ from invstab.fields import (
     _slot_reducer,
     _unpack_slots,
     element_from_text,
+    element_to_text,
     extension_field,
     finite_field,
 )
@@ -422,6 +423,106 @@ def test_powmod_matches_naive():
         assert powmod(f, k, m) == (f ** k) % m, k
 
 
+def reference_gcd(a, b, p):
+    """The monic gcd of little-endian lists over F_p by plain long
+    division, one ``%`` per coefficient; no packing, no field closures."""
+    a, b = list(a), list(b)
+    for v in (a, b):
+        while v and not v[-1]:
+            v.pop()
+    while b:
+        inv = pow(b[-1], p - 2, p)
+        while len(a) >= len(b):
+            c = a[-1] * inv % p
+            shift = len(a) - len(b)
+            for j, bj in enumerate(b):
+                a[shift + j] = (a[shift + j] - c * bj) % p
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return tuple(c * pow(a[-1], p - 2, p) % p for c in a)
+
+
+def test_packed_gcd_on_every_small_pair():
+    """Every pair of polynomials of degree <= 3 over F_2, F_3 and F_5, the
+    zero polynomial and leading zeros among the vectors.  The reference
+    runs once per pair of monic multiples, as gcd(c a, d b) = gcd(a, b)
+    for nonzero scalars c and d; the packed gcd runs on every pair."""
+    for ctx in (F2, F3, F5):
+        p = ctx.p
+        vals = [tuple(polys._trim(list(v)))
+                for v in itertools.product(range(p), repeat=4)]
+        monic = [v and tuple(c * pow(v[-1], p - 2, p) % p for c in v)
+                 for v in vals]
+        want = {}
+        for a, ma in zip(vals, monic):
+            for b, mb in zip(vals, monic):
+                if (ma, mb) not in want:
+                    want[ma, mb] = reference_gcd(ma, mb, p)
+                assert polys._gcd_vals(ctx, a, b) == want[ma, mb], (p, a, b)
+
+
+def test_packed_gcd_with_a_planted_factor():
+    """Seeded pairs g u and g v of degree up to 300, over primes up to
+    F_1048573, whose slots are the widest a prime field has."""
+    rng = random.Random(34)
+
+    def exact(ctx, deg):
+        return Poly(ctx, [rng.randrange(ctx.p) for _ in range(deg)]
+                    + [rng.randrange(1, ctx.p)])
+
+    for p in (2, 3, 7, 101, 1048573):
+        ctx = finite_field(p)
+        for dg, du, dv in ((1, 2, 3), (3, 20, 17), (40, 60, 110),
+                           (100, 200, 150), (150, 150, 149)):
+            g, u, v = exact(ctx, dg), exact(ctx, du), exact(ctx, dv)
+            a, b = (g * u).vals, (g * v).vals
+            want = reference_gcd(a, b, p)
+            assert polys._gcd_vals(ctx, a, b) == want, (p, dg)
+            assert polys._gcd_vals(ctx, b, a) == want, (p, dg)
+            assert len(want) > dg and not (g * u) % Poly(ctx, want)
+
+
+def test_packed_gcd_on_all_top_coefficients():
+    """Every coefficient p - 1: each quotient coefficient then adds
+    (p - 1)^2 to the slots below it, the longest accumulation the slot
+    bound allows."""
+    for p in (2, 3, 7, 101, 1048573):
+        ctx = finite_field(p)
+        for la in (1, 2, 3, 17, 64, 200, 301):
+            for lb in (1, 2, 5, la // 2 + 1, la - 1, la):
+                a, b = (p - 1,) * la, (p - 1,) * max(lb, 1)
+                assert polys._gcd_vals(ctx, a, b) == reference_gcd(a, b, p)
+
+
+def test_packed_gcd_of_consecutive_denominators():
+    """gcd(D_n, D_(n+1)) = 1 at the certify workload's sizes, as the
+    reference finds, and the gcd of D_n g and D_(n+1) g is the planted
+    monic g."""
+    rng = random.Random(35)
+    for ctx, n in ((F3, 4), (F2, 7)):
+        xi = ctx.element(1)
+        a, b = denominator(xi, n), denominator(xi, n + 1)
+        assert reference_gcd(a.vals, b.vals, ctx.p) == (1,)
+        assert polys._gcd_vals(ctx, a.vals, b.vals) == (1,)
+        g = rand_poly(rng, ctx, 30, monic=True)
+        assert gcd(a * g, b * g) == g
+
+
+def test_rabin_over_fp_gcd_stays_packed(monkeypatch):
+    """Rabin over F_p hands the packed X^(q^(m/r)) - X to the packed
+    Euclid: it never subtracts coefficient-wise."""
+    dens = [denominator(F3.element(1), 5).monic(),
+            denominator(F2.element(1), 8).monic(),
+            denominator(F3.element(1), 3).monic() * Poly.x(F3)]
+
+    def refused(*args):
+        raise AssertionError("Rabin over F_p called _coeffwise")
+    monkeypatch.setattr(polys, '_coeffwise', refused)
+    assert [is_irreducible(d) for d in dens] == [True, True, False]
+    assert find_irreducible(F2, 10).degree == 10
+
+
 # -- irreducibility ---------------------------------------------------------------
 
 
@@ -644,6 +745,32 @@ def test_rabin_on_d5_takes_half_the_products(monkeypatch):
     assert len(calls) <= 486 // 2
 
 
+def test_chain_keeps_the_steps_of_each_jump(monkeypatch):
+    """A jump composes h at the cached X^(q^b) and keeps that value's baby
+    steps and giant step, so a repeated jump pays only the Horner
+    products: Rabin on the certify workload's four D_n takes at most 135,
+    120, 76 and 52 Barrett products (150, 135, 92 and 64 when every jump
+    built its steps at h)."""
+    calls = []
+    products = polys._mulmod
+
+    def counted(ctx, f):
+        mulmod, pack, unpack, lay = products(ctx, f)
+
+        def count(a, b):
+            calls.append(1)
+            return mulmod(a, b)
+        return count, pack, unpack, lay
+    monkeypatch.setattr(polys, '_mulmod', counted)
+    for ctx, xi, n, most in ((F3, '1', 5, 135), (F2, '1', 8, 120),
+                             (F9, '0,1', 4, 76),
+                             (finite_field(7, 2), '2,0', 2, 52)):
+        den = denominator(element_from_text(ctx, xi), n).monic()
+        del calls[:]
+        assert is_irreducible(den)
+        assert len(calls) <= most, (ctx, n, len(calls))
+
+
 def test_small_modulus_searches_build_no_composer(monkeypatch):
     """The modulus searches of GF(2^10) and GF(3^6) never compose, so they
     build no composer."""
@@ -778,6 +905,22 @@ def test_poly_text_round_trip():
             f = rand_poly(rng, ctx, 6)
             parts = poly_to_text(f).split(';')
             assert Poly(ctx, [element_from_text(ctx, t) for t in parts]) == f
+
+
+def test_poly_text_renders_each_value_once():
+    """The same bytes as one element_to_text per coefficient, from one
+    rendering per distinct value; towers still have no text."""
+    rng = random.Random(77)
+    for ctx in (F2, F5, F9, finite_field(101), finite_field(7, 2)):
+        for deg in (0, 1, 5, 60):
+            f = rand_poly(rng, ctx, deg)
+            assert poly_to_text(f) == ';'.join(
+                element_to_text(c) for c in f.coeffs)
+    den = denominator(F3.element(1), 4)
+    assert poly_to_text(den) == ';'.join(element_to_text(c) for c in den)
+    tower = extension_field(F9, artin_schreier(F9.modulus_root))
+    with pytest.raises(ValueError):
+        poly_to_text(Poly(tower, [1, 0, 1]))
 
 
 def test_poly_text_prime_field():
