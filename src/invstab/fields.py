@@ -31,8 +31,8 @@ bit-slot packing: :func:`_spread` and :func:`_gather`, the slot-parallel
 reduction mod p (:func:`_slot_reducer`), the block-folding product and
 power of every extension (:func:`_block_kernel`) and the Kronecker layout
 that :mod:`.polys` multiplies polynomials with (:class:`_Kron`).
-:mod:`.polys` owns division: the long division over every field, and the
-one extended Euclid that inverts in every extension.
+:mod:`.polys` owns division: the one long division for every field, and
+the one extended Euclid that inverts in every extension.
 
 add, sub and neg apply the base's closures to a value's digits over the
 base.  The product needs the flat digits: they spread into bit slots of
@@ -836,9 +836,10 @@ def _ext_ops(base: "FieldCtx", d, modulus_digits):
     (:func:`_linear_ops`).  Products and powers are the closures of
     :func:`_block_kernel`, built here, once per context: a power and a
     conjugate sum stay in slot form from first step to last.  An inverse
-    is the extended Euclid over ``base`` on :mod:`.polys`, at every depth.
-    It tracks only the cofactor of x and ends at a nonzero constant,
-    because m is irreducible; a zero remainder raises ArithmeticError."""
+    is the one extended Euclid over ``base``, at every depth, dividing by
+    the one long division of :mod:`.polys` (``_divmod_vals``).  It tracks
+    only the cofactor of x and ends at a nonzero constant, because m is
+    irreducible; a zero remainder raises ArithmeticError."""
     from .polys import _coeffwise, _divmod_vals, _schoolbook_vals
     decode, encode = _codec(base.order, d)
     mul, power, conj_sum = _block_kernel(base, modulus_digits, encode)

@@ -17,12 +17,12 @@ slot packing (``fields._Kron``).  Polynomials over depth-2 towers, which
 have no packed layout, multiply by the schoolbook loop over the field's
 closures (``_schoolbook_vals``).
 
-This module owns division: the long division over every field (over F_p
-on plain integer lists, ``_list_divmod_mod_p``), the gcd (over F_p
-Euclid's whole remainder sequence on slot-packed integers, reduced mod p
-once per division, ``_packed_gcd``), and the division and cofactor
-products of the one extended Euclid, with which ``fields._ext_ops``
-inverts in every extension field.
+This module owns division: one long division for every field, F_p
+included, a loop over the field's closures (``_divmod_vals``); the gcd
+(over F_p Euclid's whole remainder sequence on slot-packed integers,
+reduced mod p once per division, ``_packed_gcd``); and the division and
+cofactor products of the one extended Euclid, with which
+``fields._ext_ops`` inverts in every extension field.
 
 Products modulo a fixed monic f of degree m use Barrett reduction on
 packed integers: mu = X^(2m - 2) // f comes once from a Newton inversion,
@@ -104,10 +104,10 @@ def _mul_vals(ctx, a, b):
 
 
 def _schoolbook_vals(ctx, a, b):
-    """The product by the double loop over the field's closures: for
-    polynomials over towers, which have no packed layout, and for the short
-    cofactors of the extended Euclid that inverts in every extension field
-    (:func:`.fields._ext_ops`), which packing slowed down."""
+    """The product by the double loop over the field's closures, as
+    :func:`_divmod_vals` divides: for polynomials over towers, which have
+    no packed layout, and for the short cofactors of the one extended
+    Euclid (:func:`.fields._ext_ops`), which packing slowed down."""
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
@@ -121,43 +121,19 @@ def _schoolbook_vals(ctx, a, b):
     return _trim(out)
 
 
-def _list_divmod_mod_p(a, b, p):
-    """Divmod of little-endian coefficient lists over F_p, b nonzero and no
-    longer than a; the remainder keeps len(b) - 1 entries.
-
-    This is the single division over F_p.  The gcd runs the whole
-    remainder sequence packed (:func:`_packed_gcd`), but the extended
-    Euclid of :func:`.fields._ext_ops` takes its quotients one division at
-    a time, as tuples, and would pack and unpack at every step."""
-    db = len(b) - 1
-    inv_lead = pow(b[db], p - 2, p)
-    rem = list(a)
-    quo = [0] * (len(a) - db)
-    for k in range(len(a) - 1, db - 1, -1):
-        c = rem[k]
-        if c:
-            f = c * inv_lead % p
-            quo[k - db] = f
-            for j in range(db):
-                rem[k - db + j] = (rem[k - db + j] - f * b[j]) % p
-    del rem[db:]
-    return quo, rem
-
-
 def _divmod_vals(ctx, a, b):
-    """Quotient and remainder of value tuples: over F_p by
-    :func:`_list_divmod_mod_p`, otherwise by the loop over the field's
-    closures.  That loop is also the gcd's over F_(p^e) and towers: a
-    y-major packed Euclid with a fold per quotient coefficient measured
-    1.3-4 times slower than it at degrees 1 to 32 over F_9, F_16, F_25 and
-    F_49."""
+    """Quotient and remainder of value tuples, by the one long division
+    over every field: a loop over the field's closures, one quotient
+    coefficient at a time.  It serves library division, the extended
+    Euclid of :func:`.fields._ext_ops` and the gcd over F_(p^e) and
+    towers, where a y-major packed Euclid with a fold per quotient
+    coefficient measured 1.3-4 times slower than it at degrees 1 to 32
+    over F_9, F_16, F_25 and F_49.  The gcd over F_p runs packed instead
+    (:func:`_packed_gcd`)."""
     if not b:
         raise DivisionByZero("polynomial division by zero")
     if len(a) < len(b):
         return (), tuple(a)
-    if ctx.kind == 'prime':
-        quo, rem = _list_divmod_mod_p(a, b, ctx.p)
-        return _trim(quo), _trim(rem)
     db = len(b) - 1
     inv_lead = ctx.inv_v(b[-1])
     rem = list(a)

@@ -421,6 +421,13 @@ def test_powmod_matches_naive():
     for k in (0, 1, 2, 3, 5, 12):
         f = rand_poly(rng, F9, 90)
         assert powmod(f, k, m) == (f ** k) % m, k
+    # moduli of degree 0 and 1, where every product is a long division
+    for ctx in (finite_field(7), finite_field(7, 2)):
+        x = Poly(ctx, [0, 1])
+        for m in (Poly(ctx, [4]), x, x - 3, 2 * x + 5):
+            for k in (0, 1, 2, 5, 48, 100):
+                f = rand_poly(rng, ctx, 6)
+                assert powmod(f, k, m) == (f ** k) % m, (ctx, m, k)
 
 
 def reference_gcd(a, b, p):
